@@ -1,0 +1,162 @@
+// Per-call cost of the secp256k1 arithmetic under crypto::verify.
+//
+// Unlike the figure benches, this one measures wall-clock time per call
+// with google-benchmark's automatic iteration count: field multiply,
+// square and inverse, scalar multiply, fixed- and variable-base point
+// multiplication, and Schnorr sign/verify. It reproduces the cost table of
+// ROADMAP item 2. Inputs are derived from SHA-256 of a counter at run
+// time, so no operand is a compile-time constant. The multiply and square
+// benches feed each result into the next call, so they time latency, not
+// throughput.
+//
+//   build/bench/bench_crypto [--benchmark_filter=<regex>]
+#include <benchmark/benchmark.h>
+
+#include <string>
+#include <vector>
+
+#include "common/hash.hpp"
+#include "crypto/ec.hpp"
+#include "crypto/schnorr.hpp"
+
+namespace hc::crypto {
+namespace {
+
+constexpr std::size_t kInputs = 64;  // power of two: index with a mask
+
+Digest input_digest(const std::string& domain, std::size_t i) {
+  return Sha256::hash(to_bytes(domain + "-" + std::to_string(i)));
+}
+
+std::vector<U256> field_inputs() {
+  std::vector<U256> out;
+  for (std::size_t i = 0; i < kInputs; ++i) {
+    out.push_back(fp::reduce(U256::from_digest(input_digest("fp", i))));
+  }
+  return out;
+}
+
+std::vector<U256> scalar_inputs() {
+  std::vector<U256> out;
+  for (std::size_t i = 0; i < kInputs; ++i) {
+    out.push_back(fn::reduce(U256::from_digest(input_digest("fn", i))));
+  }
+  return out;
+}
+
+void BM_FieldMul(benchmark::State& state) {
+  const std::vector<U256> xs = field_inputs();
+  U256 acc = xs[0];
+  std::size_t i = 0;
+  for (auto _ : state) {
+    acc = fp::mul(acc, xs[++i & (kInputs - 1)]);
+    benchmark::DoNotOptimize(acc);
+  }
+}
+BENCHMARK(BM_FieldMul);
+
+void BM_FieldSqr(benchmark::State& state) {
+  U256 acc = field_inputs()[0];
+  for (auto _ : state) {
+    acc = fp::sqr(acc);
+    benchmark::DoNotOptimize(acc);
+  }
+}
+BENCHMARK(BM_FieldSqr);
+
+void BM_FieldInv(benchmark::State& state) {
+  const std::vector<U256> xs = field_inputs();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    U256 r = fp::inv(xs[++i & (kInputs - 1)]);
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_FieldInv)->Unit(benchmark::kMicrosecond);
+
+void BM_ScalarMul(benchmark::State& state) {
+  const std::vector<U256> xs = scalar_inputs();
+  U256 acc = xs[0];
+  std::size_t i = 0;
+  for (auto _ : state) {
+    acc = fn::mul(acc, xs[++i & (kInputs - 1)]);
+    benchmark::DoNotOptimize(acc);
+  }
+}
+BENCHMARK(BM_ScalarMul);
+
+void BM_MulGenerator(benchmark::State& state) {
+  const std::vector<U256> ks = scalar_inputs();
+  (void)Point::mul_generator(ks[0]);  // build the comb table outside timing
+  std::size_t i = 0;
+  for (auto _ : state) {
+    Point p = Point::mul_generator(ks[++i & (kInputs - 1)]);
+    benchmark::DoNotOptimize(p);
+  }
+}
+BENCHMARK(BM_MulGenerator)->Unit(benchmark::kMicrosecond);
+
+void BM_PointMul(benchmark::State& state) {
+  const std::vector<U256> ks = scalar_inputs();
+  const Point base = Point::mul_generator(ks[1]);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    Point p = base.mul(ks[++i & (kInputs - 1)]);
+    benchmark::DoNotOptimize(p);
+  }
+}
+BENCHMARK(BM_PointMul)->Unit(benchmark::kMicrosecond);
+
+struct Signed {
+  PublicKey pub;
+  Bytes message;
+  Signature sig;
+};
+
+std::vector<KeyPair> bench_keys() {
+  std::vector<KeyPair> keys;
+  for (std::size_t i = 0; i < kInputs; ++i) {
+    keys.push_back(KeyPair::from_label("bench-key-" + std::to_string(i)));
+  }
+  return keys;
+}
+
+Bytes bench_message(std::size_t i) {
+  const Digest d = input_digest("msg", i);
+  return Bytes(d.begin(), d.end());
+}
+
+void BM_Sign(benchmark::State& state) {
+  const std::vector<KeyPair> keys = bench_keys();
+  std::vector<Bytes> msgs;
+  for (std::size_t i = 0; i < kInputs; ++i) msgs.push_back(bench_message(i));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const std::size_t j = ++i & (kInputs - 1);
+    Signature sig = keys[j].sign(msgs[j]);
+    benchmark::DoNotOptimize(sig);
+  }
+}
+BENCHMARK(BM_Sign)->Unit(benchmark::kMicrosecond);
+
+void BM_Verify(benchmark::State& state) {
+  std::vector<Signed> triples;
+  for (const KeyPair& kp : bench_keys()) {
+    Bytes msg = bench_message(triples.size());
+    const Signature sig = kp.sign(msg);
+    triples.push_back(Signed{kp.public_key(), std::move(msg), sig});
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const Signed& t = triples[++i & (kInputs - 1)];
+    bool ok = verify(t.pub, t.message, t.sig);
+    benchmark::DoNotOptimize(ok);
+    if (!ok) state.SkipWithError("honest signature rejected");
+  }
+}
+BENCHMARK(BM_Verify)->Unit(benchmark::kMicrosecond);
+
+}  // namespace
+}  // namespace hc::crypto
+
+BENCHMARK_MAIN();

@@ -22,7 +22,14 @@ cmake -B "$BUILD_DIR" -S . \
 
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 
-# Chaos smoke first: the standard fault scenarios x 3 seeds (DESIGN.md §9)
+# Crypto stage first: the U256/field/scalar differential tests, GLV split,
+# curve and Schnorr known-answer suites under the sanitizers. The folded
+# reductions are __int128 carry chains and limb shifts, exactly where a
+# UBSan finding (an over-wide shift, a bad index) would hide.
+ctest --test-dir "$BUILD_DIR" --output-on-failure \
+  -R '^(U256|Field|Scalar|Curve|Schnorr|BatchVerify)\.'
+
+# Chaos smoke next: the standard fault scenarios x 3 seeds (DESIGN.md §9)
 # under the sanitizers — fault-handling regressions fail fast, before the
 # full suite spends its time.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -R '^ChaosSweep\.'

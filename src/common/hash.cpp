@@ -35,6 +35,8 @@ Sha256::Sha256()
       buffer_{} {}
 
 Sha256& Sha256::update(BytesView data) {
+  // An empty view may carry a null data(), which memcpy must never see.
+  if (data.empty()) return *this;
   total_len_ += data.size();
   std::size_t off = 0;
   if (buffer_len_ > 0) {

@@ -7,10 +7,9 @@ namespace hc::crypto {
 
 void BatchVerifier::add(const PublicKey& pub, BytesView message,
                         const Signature& sig) {
-  const Bytes pk = pub.to_bytes();
-  const Bytes sg = sig.to_bytes();
-  entries_.push_back(
-      Entry{pub, message, sig, SigCache::key(message, pk, sg)});
+  entries_.push_back(Entry{pub, message, sig,
+                           SigCache::key(message, pub.to_array(),
+                                         sig.to_array())});
 }
 
 std::vector<bool> BatchVerifier::flush() {

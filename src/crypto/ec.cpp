@@ -1,5 +1,6 @@
 #include "crypto/ec.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <cstdint>
@@ -10,39 +11,106 @@ namespace hc::crypto {
 namespace {
 
 // p = FFFFFFFF FFFFFFFF FFFFFFFF FFFFFFFF FFFFFFFF FFFFFFFF FFFFFFFE FFFFFC2F
-const U256 kP = U256::from_limbs_be(0xFFFFFFFFFFFFFFFFull, 0xFFFFFFFFFFFFFFFFull,
-                                    0xFFFFFFFFFFFFFFFFull, 0xFFFFFFFEFFFFFC2Full);
+constexpr U256 kP = U256::from_limbs_be(0xFFFFFFFFFFFFFFFFull, 0xFFFFFFFFFFFFFFFFull,
+                                        0xFFFFFFFFFFFFFFFFull, 0xFFFFFFFEFFFFFC2Full);
 // n = FFFFFFFF FFFFFFFF FFFFFFFF FFFFFFFE BAAEDCE6 AF48A03B BFD25E8C D0364141
-const U256 kN = U256::from_limbs_be(0xFFFFFFFFFFFFFFFFull, 0xFFFFFFFFFFFFFFFEull,
-                                    0xBAAEDCE6AF48A03Bull, 0xBFD25E8CD0364141ull);
-// 2^256 mod p = 2^32 + 977
-const U256 kPComplement = U256(0x1000003D1ull);
+constexpr U256 kN = U256::from_limbs_be(0xFFFFFFFFFFFFFFFFull, 0xFFFFFFFFFFFFFFFEull,
+                                        0xBAAEDCE6AF48A03Bull, 0xBFD25E8CD0364141ull);
+// (n - 1) / 2: scalars above it are the negatives of small ones.
+constexpr U256 kHalfN = U256::from_limbs_be(0x7FFFFFFFFFFFFFFFull, 0xFFFFFFFFFFFFFFFFull,
+                                            0x5D576E7357A4501Dull, 0xDFE92F46681B20A0ull);
+// 2^256 - p = 2^32 + 977, so 2^256 ≡ kPFold (mod p).
+constexpr std::uint64_t kPFold = 0x1000003D1ull;
+// 2^256 - n, a 129-bit value, so 2^256 ≡ kNFold (mod n).
+constexpr U256 kNFold = U256::from_limbs_be(0, 1, 0x4551231950B75FC4ull,
+                                            0x402DA1732FC9BEBFull);
 
-const U256 kGx = U256::from_limbs_be(0x79BE667EF9DCBBACull, 0x55A06295CE870B07ull,
-                                     0x029BFCDB2DCE28D9ull, 0x59F2815B16F81798ull);
-const U256 kGy = U256::from_limbs_be(0x483ADA7726A3C465ull, 0x5DA4FBFC0E1108A8ull,
-                                     0xFD17B448A6855419ull, 0x9C47D08FFB10D4B8ull);
+constexpr U256 kGx = U256::from_limbs_be(0x79BE667EF9DCBBACull, 0x55A06295CE870B07ull,
+                                         0x029BFCDB2DCE28D9ull, 0x59F2815B16F81798ull);
+constexpr U256 kGy = U256::from_limbs_be(0x483ADA7726A3C465ull, 0x5DA4FBFC0E1108A8ull,
+                                         0xFD17B448A6855419ull, 0x9C47D08FFB10D4B8ull);
 
-// Reduce a 512-bit value mod p using 2^256 ≡ 2^32 + 977 (mod p).
-U256 reduce512_p(const WideProduct& w) {
-  // First fold: result = lo + hi * (2^32 + 977). hi*(2^32+977) < 2^289, so
-  // express it as another Wide via mul_wide and fold again.
-  WideProduct f1 = mul_wide(w.hi, kPComplement);
-  U256 acc = w.lo;
-  std::uint64_t carry = acc.add_with_carry(f1.lo);
-  // Remaining high part: f1.hi (tiny, < 2^33) plus the carry.
-  U256 high = f1.hi;
-  high.add_with_carry(U256(carry));
-  // Second fold: high * (2^32 + 977) fits comfortably in 256 bits.
-  WideProduct f2 = mul_wide(high, kPComplement);
-  assert(f2.hi.is_zero());
-  carry = acc.add_with_carry(f2.lo);
-  if (carry != 0) {
-    // acc overflowed 2^256: add the complement once more.
-    acc.add_with_carry(kPComplement);
+// The endomorphism λ·(x, y) = (β·x, y): λ^3 ≡ 1 (mod n), β^3 ≡ 1 (mod p).
+constexpr U256 kLambda = U256::from_limbs_be(0x5363AD4CC05C30E0ull, 0xA5261C028812645Aull,
+                                             0x122E22EA20816678ull, 0xDF02967C1B23BD72ull);
+constexpr U256 kBeta = U256::from_limbs_be(0x7AE96A2B657C0710ull, 0x6E64479EAC3434E9ull,
+                                           0x9CF0497512F58995ull, 0xC1396C28719501EEull);
+// Short basis {(a1, b1), (a2, b2)} of the lattice {(x, y) : x + y·λ ≡ 0}
+// as -b1 and -b2 mod n, and the rounding constants
+// g1 = round(2^384·b2 / n), g2 = round(2^384·(-b1) / n).
+constexpr U256 kMinusB1 = U256::from_limbs_be(0, 0, 0xE4437ED6010E8828ull,
+                                              0x6F547FA90ABFE4C3ull);
+constexpr U256 kMinusB2 = U256::from_limbs_be(0xFFFFFFFFFFFFFFFFull, 0xFFFFFFFFFFFFFFFEull,
+                                              0x8A280AC50774346Dull, 0xD765CDA83DB1562Cull);
+constexpr U256 kG1 = U256::from_limbs_be(0x3086D221A7D46BCDull, 0xE86C90E49284EB15ull,
+                                         0x3DAA8A1471E8CA7Full, 0xE893209A45DBB031ull);
+constexpr U256 kG2 = U256::from_limbs_be(0xE4437ED6010E8828ull, 0x6F547FA90ABFE4C4ull,
+                                         0x221208AC9DF506C6ull, 0x1571B4AE8AC47F71ull);
+
+/// All ones when `bit` is 1, zero when it is 0.
+constexpr std::uint64_t mask_of(std::uint64_t bit) { return 0 - bit; }
+
+/// Limb-wise select without a branch: `mask` all ones picks a, zero picks b.
+inline U256 select(std::uint64_t mask, const U256& a, const U256& b) {
+  return U256::from_limbs_be((a.limb(3) & mask) | (b.limb(3) & ~mask),
+                             (a.limb(2) & mask) | (b.limb(2) & ~mask),
+                             (a.limb(1) & mask) | (b.limb(1) & ~mask),
+                             (a.limb(0) & mask) | (b.limb(0) & ~mask));
+}
+
+/// t + carry·2^256 reduced mod m, for a value below 2m, where
+/// complement = 2^256 - m. Subtracting m is adding the complement mod
+/// 2^256, and it is due exactly when that addition (or t itself) reaches
+/// 2^256.
+inline U256 reduce_once(const U256& t, std::uint64_t carry,
+                        const U256& complement) {
+  U256 u = t;
+  const std::uint64_t wrapped = u.add_with_carry(complement);
+  return select(mask_of(carry | wrapped), u, t);
+}
+
+/// a - b mod m for a, b < m: adds m back when the subtraction borrowed.
+/// (The field has a cheaper straight-line fp::sub.)
+inline U256 sub_mod(const U256& a, const U256& b, const U256& m) {
+  U256 d = a;
+  const std::uint64_t borrow = d.sub_with_borrow(b);
+  d.add_with_carry(select(mask_of(borrow), m, U256()));
+  return d;
+}
+
+/// (hi·2^256 + lo) mod p. The first fold, lo + hi·kPFold, overflows 2^256
+/// by c < 2^34. The second fold adds c·kPFold < 2^67 to the low two limbs;
+/// it carries further only when limb 1 overflows. The closing subtract is
+/// due only when the sum wrapped or landed in [p, 2^256), about 2^-189 of
+/// products, so both rare cases sit behind a branch the predictor never
+/// misses.
+inline U256 fold_p(const WideProduct& w) {
+  using u256_detail::add_carry;
+  using u256_detail::mul_add;
+  std::uint64_t c = 0;
+  std::uint64_t t0 = mul_add(w.hi.limb(0), kPFold, w.lo.limb(0), c);
+  std::uint64_t t1 = mul_add(w.hi.limb(1), kPFold, w.lo.limb(1), c);
+  std::uint64_t t2 = mul_add(w.hi.limb(2), kPFold, w.lo.limb(2), c);
+  std::uint64_t t3 = mul_add(w.hi.limb(3), kPFold, w.lo.limb(3), c);
+  std::uint64_t f_hi = 0;
+  const std::uint64_t f_lo = mul_add(c, kPFold, 0, f_hi);
+  std::uint64_t k = 0;
+  t0 = add_carry(t0, f_lo, k);
+  t1 = add_carry(t1, f_hi, k);
+  if (k != 0 || ((t3 & t2 & t1) == ~0ull && t0 >= kP.limb(0))) [[unlikely]] {
+    t2 = add_carry(t2, 0, k);
+    t3 = add_carry(t3, 0, k);
+    return reduce_once(U256::from_limbs_be(t3, t2, t1, t0), k, U256(kPFold));
   }
-  while (acc >= kP) acc.sub_with_borrow(kP);
-  return acc;
+  return U256::from_limbs_be(t3, t2, t1, t0);
+}
+
+/// round(k·g / 2^384) for the GLV rounding constants.
+U256 mul_shift_384(const U256& k, const U256& g) {
+  const WideProduct w = mul_wide(k, g);
+  U256 r = U256::from_limbs_be(0, 0, w.hi.limb(3), w.hi.limb(2));
+  r.add_with_carry(U256(w.hi.limb(1) >> 63));
+  return r;
 }
 
 }  // namespace
@@ -51,47 +119,77 @@ namespace fp {
 
 const U256& P() { return kP; }
 
-U256 reduce(const U256& a) {
-  U256 r = a;
-  while (r >= kP) r.sub_with_borrow(kP);
-  return r;
-}
+U256 reduce(const U256& a) { return reduce_once(a, 0, U256(kPFold)); }
 
 U256 add(const U256& a, const U256& b) {
-  U256 r = a;
-  const std::uint64_t carry = r.add_with_carry(b);
-  if (carry != 0) r.add_with_carry(kPComplement);
-  while (r >= kP) r.sub_with_borrow(kP);
-  return r;
+  using u256_detail::add_carry;
+  std::uint64_t c = 0;
+  const std::uint64_t s0 = add_carry(a.limb(0), b.limb(0), c);
+  const std::uint64_t s1 = add_carry(a.limb(1), b.limb(1), c);
+  const std::uint64_t s2 = add_carry(a.limb(2), b.limb(2), c);
+  const std::uint64_t s3 = add_carry(a.limb(3), b.limb(3), c);
+  // a + b - p is s + kPFold mod 2^256. It is due when the sum carried or
+  // when adding kPFold carries; since a + b < 2p, never both.
+  std::uint64_t w = 0;
+  const std::uint64_t u0 = add_carry(s0, kPFold, w);
+  const std::uint64_t u1 = add_carry(s1, 0, w);
+  const std::uint64_t u2 = add_carry(s2, 0, w);
+  const std::uint64_t u3 = add_carry(s3, 0, w);
+  return select(mask_of(c | w), U256::from_limbs_be(u3, u2, u1, u0),
+                U256::from_limbs_be(s3, s2, s1, s0));
 }
 
 U256 sub(const U256& a, const U256& b) {
-  U256 r = a;
-  if (r.sub_with_borrow(b) != 0) r.add_with_carry(kP);
-  return r;
+  using u256_detail::sub_borrow;
+  std::uint64_t w = 0;
+  const std::uint64_t d0 = sub_borrow(a.limb(0), b.limb(0), w);
+  const std::uint64_t d1 = sub_borrow(a.limb(1), b.limb(1), w);
+  const std::uint64_t d2 = sub_borrow(a.limb(2), b.limb(2), w);
+  const std::uint64_t d3 = sub_borrow(a.limb(3), b.limb(3), w);
+  // On a borrow, adding p back is subtracting kPFold mod 2^256.
+  std::uint64_t v = 0;
+  const std::uint64_t r0 = sub_borrow(d0, kPFold & mask_of(w), v);
+  const std::uint64_t r1 = sub_borrow(d1, 0, v);
+  const std::uint64_t r2 = sub_borrow(d2, 0, v);
+  const std::uint64_t r3 = sub_borrow(d3, 0, v);
+  return U256::from_limbs_be(r3, r2, r1, r0);
 }
 
-U256 mul(const U256& a, const U256& b) {
-  return reduce512_p(mul_wide(a, b));
+U256 neg(const U256& a) { return sub(U256(), a); }
+
+U256 mul(const U256& a, const U256& b) { return fold_p(mul_wide(a, b)); }
+
+U256 sqr(const U256& a) { return fold_p(sqr_wide(a)); }
+
+namespace {
+
+/// a^(2^n): n repeated squarings.
+U256 sqr_n(U256 a, int n) {
+  for (int i = 0; i < n; ++i) a = sqr(a);
+  return a;
 }
 
-U256 sqr(const U256& a) { return mul(a, a); }
-
-U256 pow(const U256& a, const U256& e) {
-  U256 result(1);
-  const int top = e.top_bit();
-  for (int i = top; i >= 0; --i) {
-    result = sqr(result);
-    if (e.bit(i)) result = mul(result, a);
-  }
-  return result;
-}
+}  // namespace
 
 U256 inv(const U256& a) {
   assert(!a.is_zero() && "field inverse of zero");
-  U256 exp = kP;
-  exp.sub_with_borrow(U256(2));
-  return pow(a, exp);
+  // Fermat: a^(p-2). From the top, p - 2 is 223 one bits, a zero, 22 ones,
+  // then 0000101101. xN below is a^(2^N - 1), a run of N one bits.
+  const U256 x2 = mul(sqr(a), a);
+  const U256 x3 = mul(sqr(x2), a);
+  const U256 x6 = mul(sqr_n(x3, 3), x3);
+  const U256 x9 = mul(sqr_n(x6, 3), x3);
+  const U256 x11 = mul(sqr_n(x9, 2), x2);
+  const U256 x22 = mul(sqr_n(x11, 11), x11);
+  const U256 x44 = mul(sqr_n(x22, 22), x22);
+  const U256 x88 = mul(sqr_n(x44, 44), x44);
+  const U256 x176 = mul(sqr_n(x88, 88), x88);
+  const U256 x220 = mul(sqr_n(x176, 44), x44);
+  const U256 x223 = mul(sqr_n(x220, 3), x3);
+  U256 r = mul(sqr_n(x223, 23), x22);  // ... 0 + 22 ones
+  r = mul(sqr_n(r, 5), a);             // 00001
+  r = mul(sqr_n(r, 3), x2);            // 011
+  return mul(sqr_n(r, 2), a);          // 01
 }
 
 }  // namespace fp
@@ -100,43 +198,46 @@ namespace fn {
 
 const U256& N() { return kN; }
 
-U256 reduce(const U256& a) {
-  U256 r = a;
-  while (r >= kN) r.sub_with_borrow(kN);
-  return r;
-}
+const U256& lambda() { return kLambda; }
+
+U256 reduce(const U256& a) { return reduce_once(a, 0, kNFold); }
 
 U256 add(const U256& a, const U256& b) {
   U256 r = a;
   const std::uint64_t carry = r.add_with_carry(b);
-  if (carry != 0) {
-    // r + 2^256 ≡ r + (2^256 - n) (mod n); 2^256 - n < n so one addition
-    // plus a conditional subtract suffices.
-    U256 comp;  // 2^256 - n
-    comp.sub_with_borrow(kN);
-    r.add_with_carry(comp);
-  }
-  while (r >= kN) r.sub_with_borrow(kN);
-  return r;
+  return reduce_once(r, carry, kNFold);
 }
 
-U256 sub(const U256& a, const U256& b) {
-  U256 r = a;
-  if (r.sub_with_borrow(b) != 0) r.add_with_carry(kN);
-  return r;
-}
+U256 sub(const U256& a, const U256& b) { return sub_mod(a, b, kN); }
 
 U256 mul(const U256& a, const U256& b) {
-  // Shift-add: mod-n multiplications are rare (a handful per signature), so
-  // the simple O(256)-addition loop is fine here.
-  U256 acc;
-  const U256 aa = reduce(a);
-  const int top = b.top_bit();
-  for (int i = top; i >= 0; --i) {
-    acc = add(acc, acc);
-    if (b.bit(i)) acc = add(acc, aa);
+  WideProduct w = mul_wide(a, b);
+  // Fold the high half down with 2^256 ≡ kNFold (129 bits): it shrinks
+  // from 256 bits to at most 130, then to at most 4, then to zero — or to
+  // 1 when the low-half addition wraps, which one more pass clears.
+  while (!w.hi.is_zero()) {
+    const WideProduct f = mul_wide(w.hi, kNFold);
+    const std::uint64_t carry = w.lo.add_with_carry(f.lo);
+    w.hi = f.hi;
+    w.hi.add_with_carry(U256(carry));
   }
-  return acc;
+  return reduce(w.lo);
+}
+
+LambdaSplit split_lambda(const U256& k) {
+  // Babai rounding: c1 = round(b2·k / n), c2 = round(-b1·k / n), then
+  // k2 = -(c1·b1 + c2·b2) and k1 = k - k2·λ. Both land within 2^128 of
+  // zero; a negative half is represented as n - |half|.
+  const U256 c1 = mul_shift_384(k, kG1);
+  const U256 c2 = mul_shift_384(k, kG2);
+  const U256 k2 = add(mul(c1, kMinusB1), mul(c2, kMinusB2));
+  const U256 k1 = sub(k, mul(k2, kLambda));
+  LambdaSplit split;
+  split.k1_neg = k1 > kHalfN;
+  split.k1 = split.k1_neg ? sub(U256(), k1) : k1;
+  split.k2_neg = k2 > kHalfN;
+  split.k2 = split.k2_neg ? sub(U256(), k2) : k2;
+  return split;
 }
 
 }  // namespace fn
@@ -150,7 +251,10 @@ const Point& Point::generator() {
   return g;
 }
 
-Point Point::doubled() const {
+// The point formulas are flattened: every field operation inlines into
+// them, so the limb arithmetic of a whole formula is scheduled together
+// instead of passing each U256 through memory on a call.
+[[gnu::flatten]] Point Point::doubled() const {
   if (is_infinity() || y_.is_zero()) return Point();
   // dbl-2007-bl formulas for a = 0.
   const U256 a = fp::sqr(x_);                       // X^2
@@ -169,7 +273,7 @@ Point Point::doubled() const {
   return Point(x3, y3, z3);
 }
 
-Point Point::add(const Point& other) const {
+[[gnu::flatten]] Point Point::add(const Point& other) const {
   if (is_infinity()) return other;
   if (other.is_infinity()) return *this;
   const U256 z1z1 = fp::sqr(z_);
@@ -194,7 +298,7 @@ Point Point::add(const Point& other) const {
   return Point(x3, y3, z3);
 }
 
-Point Point::add_affine(const U256& x, const U256& y) const {
+[[gnu::flatten]] Point Point::add_affine(const U256& x, const U256& y) const {
   if (is_infinity()) return Point(x, y, U256(1));
   // madd-2007-bl specialization of add() for Z2 == 1.
   const U256 z1z1 = fp::sqr(z_);
@@ -216,9 +320,7 @@ Point Point::add_affine(const U256& x, const U256& y) const {
   return Point(x3, y3, z3);
 }
 
-Point Point::negated() const {
-  return Point(x_, fp::sub(U256(), y_), z_);
-}
+Point Point::negated() const { return Point(x_, fp::neg(y_), z_); }
 
 namespace {
 
@@ -278,70 +380,72 @@ struct GenTableBuilder {
 
 namespace {
 
-/// Width-5 wNAF digits of k, least significant first. Digits are odd in
-/// {-15..15}; the carry from folding a negative digit can push one bit
-/// past 2^256, hence the 5-limb scratch.
-int wnaf_digits(const U256& k, std::array<std::int8_t, 260>& digits) {
-  std::uint64_t limbs[5] = {k.limb(0), k.limb(1), k.limb(2), k.limb(3), 0};
-  const auto is_zero = [&] {
-    return (limbs[0] | limbs[1] | limbs[2] | limbs[3] | limbs[4]) == 0;
-  };
-  const auto shr1 = [&] {
-    for (int i = 0; i < 4; ++i) {
-      limbs[i] = (limbs[i] >> 1) | (limbs[i + 1] << 63);
-    }
-    limbs[4] >>= 1;
-  };
+/// Bits [i, i + 5) of k, zero past bit 255.
+unsigned window5(const U256& k, int i) {
+  if (i >= 256) return 0;
+  const int limb = i / 64;
+  const int shift = i % 64;
+  std::uint64_t w = k.limb(limb) >> shift;
+  if (shift > 59 && limb < 3) w |= k.limb(limb + 1) << (64 - shift);
+  return static_cast<unsigned>(w & 31u);
+}
+
+/// Width-5 wNAF of k: digits[i] is the signed odd digit (in -15..15) at
+/// bit i, or zero. Returns one past the highest nonzero digit. A zero bit
+/// (or a one bit absorbing a pending carry) costs one step; a digit
+/// consumes five bits and, when negative, carries one into the next.
+int wnaf_digits(const U256& k, std::array<std::int8_t, 257>& digits) {
+  int carry = 0;
   int count = 0;
-  while (!is_zero()) {
-    std::int8_t d = 0;
-    if ((limbs[0] & 1) != 0) {
-      const auto low = static_cast<int>(limbs[0] & 31u);
-      d = static_cast<std::int8_t>(low > 16 ? low - 32 : low);
-      if (d > 0) {
-        // Subtract d (fits in the low limb; k is odd so k >= d).
-        std::uint64_t borrow = static_cast<std::uint64_t>(d);
-        for (int i = 0; i < 5 && borrow != 0; ++i) {
-          const std::uint64_t before = limbs[i];
-          limbs[i] -= borrow;
-          borrow = before < borrow ? 1 : 0;
-        }
-      } else {
-        std::uint64_t carry = static_cast<std::uint64_t>(-d);
-        for (int i = 0; i < 5 && carry != 0; ++i) {
-          limbs[i] += carry;
-          carry = limbs[i] < carry ? 1 : 0;
-        }
-      }
+  for (int bit = 0; bit < 257;) {
+    if (static_cast<int>(bit < 256 && k.bit(bit)) == carry) {
+      ++bit;
+      continue;
     }
-    digits[static_cast<std::size_t>(count++)] = d;
-    shr1();
+    int word = static_cast<int>(window5(k, bit)) + carry;  // odd, 1..31
+    carry = word >> 4;
+    word -= carry << 5;
+    digits[static_cast<std::size_t>(bit)] = static_cast<std::int8_t>(word);
+    count = bit + 1;
+    bit += 5;
   }
   return count;
+}
+
+/// acc + d·T for a signed odd wNAF digit d, given T's odd multiples
+/// 1T, 3T, ..., 15T.
+Point add_digit(const Point& acc, const std::array<Point, 8>& odd, int d) {
+  if (d > 0) return acc.add(odd[static_cast<std::size_t>((d - 1) / 2)]);
+  if (d < 0) return acc.add(odd[static_cast<std::size_t>((-d - 1) / 2)].negated());
+  return acc;
 }
 
 }  // namespace
 
 Point Point::mul(const U256& k) const {
-  if (is_infinity() || k.is_zero()) return Point();
-  // Odd multiples 1P, 3P, ..., 15P.
+  if (is_infinity()) return Point();
+  const fn::LambdaSplit split = fn::split_lambda(fn::reduce(k));
+  // Odd multiples 1P, 3P, ..., 15P, and their images λ·(iP) = (β·X, Y, Z).
   std::array<Point, 8> odd;
   odd[0] = *this;
   const Point twice = doubled();
   for (std::size_t i = 1; i < odd.size(); ++i) {
     odd[i] = odd[i - 1].add(twice);
   }
-  std::array<std::int8_t, 260> digits{};
-  const int count = wnaf_digits(k, digits);
+  std::array<Point, 8> odd_lambda;
+  for (std::size_t i = 0; i < odd.size(); ++i) {
+    odd_lambda[i] = Point(fp::mul(odd[i].x_, kBeta), odd[i].y_, odd[i].z_);
+  }
+  std::array<std::int8_t, 257> d1{};
+  std::array<std::int8_t, 257> d2{};
+  const int count = std::max(wnaf_digits(split.k1, d1), wnaf_digits(split.k2, d2));
+  const int sign1 = split.k1_neg ? -1 : 1;
+  const int sign2 = split.k2_neg ? -1 : 1;
   Point acc;  // infinity
   for (int i = count - 1; i >= 0; --i) {
     acc = acc.doubled();
-    const int d = digits[static_cast<std::size_t>(i)];
-    if (d > 0) {
-      acc = acc.add(odd[static_cast<std::size_t>((d - 1) / 2)]);
-    } else if (d < 0) {
-      acc = acc.add(odd[static_cast<std::size_t>((-d - 1) / 2)].negated());
-    }
+    acc = add_digit(acc, odd, sign1 * d1[static_cast<std::size_t>(i)]);
+    acc = add_digit(acc, odd_lambda, sign2 * d2[static_cast<std::size_t>(i)]);
   }
   return acc;
 }
@@ -369,6 +473,7 @@ std::optional<Point::Affine> Point::to_affine() const {
 }
 
 bool Point::is_on_curve(const U256& x, const U256& y) {
+  if (x >= kP || y >= kP) return false;
   const U256 lhs = fp::sqr(y);
   const U256 rhs = fp::add(fp::mul(fp::sqr(x), x), U256(7));
   return lhs == rhs;

@@ -1,9 +1,13 @@
 // secp256k1 elliptic-curve arithmetic: y^2 = x^3 + 7 over F_p.
 //
-// Field multiplication uses the fast reduction enabled by the special prime
-// p = 2^256 - 2^32 - 977; scalar arithmetic mod the group order n uses a
-// generic (slower, rarely called) shift-add reduction. Points are tracked in
-// Jacobian coordinates to avoid per-operation field inversions.
+// Field multiplication and squaring fold the 512-bit product with
+// 2^256 ≡ 2^32 + 977 (mod p) and finish with one conditional subtract;
+// scalar multiplication mod the group order n folds the same way with
+// 2^256 ≡ 2^256 - n (a 129-bit constant). Every field and scalar function
+// takes and returns canonical values (< p, resp. < n). Points are tracked
+// in Jacobian coordinates to avoid per-operation field inversions;
+// variable-base multiplication uses the GLV endomorphism
+// λ·(x, y) = (β·x, y) to halve the doubling chain.
 #pragma once
 
 #include <optional>
@@ -12,23 +16,25 @@
 
 namespace hc::crypto {
 
-/// Field arithmetic modulo the secp256k1 prime p.
+/// Field arithmetic modulo the secp256k1 prime p. Inputs must be < p.
 namespace fp {
 /// The field prime p = 2^256 - 2^32 - 977.
 [[nodiscard]] const U256& P();
 [[nodiscard]] U256 add(const U256& a, const U256& b);
 [[nodiscard]] U256 sub(const U256& a, const U256& b);
+[[nodiscard]] U256 neg(const U256& a);
 [[nodiscard]] U256 mul(const U256& a, const U256& b);
+/// Dedicated square: 10 limb products instead of mul's 16.
 [[nodiscard]] U256 sqr(const U256& a);
-/// a^e mod p (square-and-multiply).
-[[nodiscard]] U256 pow(const U256& a, const U256& e);
-/// Multiplicative inverse via Fermat (a != 0).
+/// Multiplicative inverse a^(p-2) by a fixed addition chain of 255
+/// squarings and 15 multiplications (a != 0).
 [[nodiscard]] U256 inv(const U256& a);
 /// Reduce an arbitrary 256-bit value into [0, p).
 [[nodiscard]] U256 reduce(const U256& a);
 }  // namespace fp
 
-/// Scalar arithmetic modulo the group order n.
+/// Scalar arithmetic modulo the group order n. add/sub need inputs < n;
+/// mul takes any 256-bit operands.
 namespace fn {
 /// The group order n.
 [[nodiscard]] const U256& N();
@@ -37,6 +43,20 @@ namespace fn {
 [[nodiscard]] U256 mul(const U256& a, const U256& b);
 /// Reduce an arbitrary 256-bit value into [0, n).
 [[nodiscard]] U256 reduce(const U256& a);
+
+/// λ, a non-trivial cube root of unity mod n: λ·P = (β·x, y) for every
+/// curve point P = (x, y), with β a cube root of unity mod p.
+[[nodiscard]] const U256& lambda();
+
+/// GLV decomposition of a scalar k < n into two signed halves,
+/// k ≡ ±k1 ± k2·λ (mod n), each magnitude below 2^128.
+struct LambdaSplit {
+  U256 k1;
+  U256 k2;
+  bool k1_neg = false;
+  bool k2_neg = false;
+};
+[[nodiscard]] LambdaSplit split_lambda(const U256& k);
 }  // namespace fn
 
 /// A curve point in Jacobian coordinates (X/Z^2, Y/Z^3); Z == 0 encodes the
@@ -62,8 +82,11 @@ class Point {
   [[nodiscard]] Point add_affine(const U256& x, const U256& y) const;
   /// Group negation (X, -Y, Z).
   [[nodiscard]] Point negated() const;
-  /// Scalar multiplication k * this (width-5 wNAF: a shared doubling chain
-  /// plus one add per ~6 scalar bits against 8 precomputed odd multiples).
+  /// Scalar multiplication k * this, the e*P term of verification. k is
+  /// split by fn::split_lambda into two ~128-bit halves, k1*P + k2*λ(P),
+  /// evaluated Strauss–Shamir style: one shared chain of ~128 doublings
+  /// with width-5 wNAF digits of both halves added from the odd multiples
+  /// 1P..15P and their images under λ (an add per ~6 bits of each half).
   [[nodiscard]] Point mul(const U256& k) const;
 
   /// k * G via a fixed-base comb: 32 byte-indexed windows of precomputed
@@ -80,7 +103,8 @@ class Point {
   };
   [[nodiscard]] std::optional<Affine> to_affine() const;
 
-  /// Verify the affine point satisfies the curve equation.
+  /// True when both coordinates are canonical (< p) and satisfy the curve
+  /// equation. Rejecting x or y >= p keeps every point to one encoding.
   [[nodiscard]] static bool is_on_curve(const U256& x, const U256& y);
 
   /// Equality as group elements (cross-multiplied, no inversion).

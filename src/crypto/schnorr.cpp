@@ -4,18 +4,51 @@
 
 namespace hc::crypto {
 
-Digest tagged_hash(std::string_view tag, std::initializer_list<BytesView> parts) {
+namespace {
+
+const TaggedHash& keygen_hash() {
+  static const TaggedHash h("hc/keygen");
+  return h;
+}
+
+const TaggedHash& nonce_hash() {
+  static const TaggedHash h("hc/nonce");
+  return h;
+}
+
+/// e = H_tag("hc/chal", R, P, m) mod n.
+U256 challenge(const U256& rx, const U256& ry, const PublicKey& pub,
+               BytesView message) {
+  static const TaggedHash chal("hc/chal");
+  std::array<std::uint8_t, 64> r_bytes{};
+  rx.write_be(r_bytes.data());
+  ry.write_be(r_bytes.data() + 32);
+  return fn::reduce(U256::from_digest(chal({r_bytes, pub.to_array(), message})));
+}
+
+}  // namespace
+
+TaggedHash::TaggedHash(std::string_view tag) {
   const Digest tag_hash = Sha256::hash(to_bytes(tag));
-  Sha256 h;
-  h.update(digest_view(tag_hash));
-  h.update(digest_view(tag_hash));
+  prefix_.update(digest_view(tag_hash));
+  prefix_.update(digest_view(tag_hash));
+}
+
+Digest TaggedHash::operator()(std::initializer_list<BytesView> parts) const {
+  Sha256 h = prefix_;
   for (const auto& p : parts) h.update(p);
   return h.finalize();
 }
 
 Bytes PublicKey::to_bytes() const {
-  Bytes out = x_.to_be_bytes();
-  append(out, y_.to_be_bytes());
+  const auto a = to_array();
+  return Bytes(a.begin(), a.end());
+}
+
+std::array<std::uint8_t, 64> PublicKey::to_array() const {
+  std::array<std::uint8_t, 64> out{};
+  x_.write_be(out.data());
+  y_.write_be(out.data() + 32);
   return out;
 }
 
@@ -26,7 +59,8 @@ Result<PublicKey> PublicKey::from_bytes(BytesView bytes) {
   PublicKey pk(U256::from_be_bytes(bytes.subspan(0, 32)),
                U256::from_be_bytes(bytes.subspan(32, 32)));
   if (!pk.valid()) {
-    return Error(Errc::kDecodeError, "public key not on curve");
+    return Error(Errc::kDecodeError,
+                 "public key not canonical or not on curve");
   }
   return pk;
 }
@@ -37,9 +71,15 @@ Result<PublicKey> PublicKey::decode_from(Decoder& d) {
 }
 
 Bytes Signature::to_bytes() const {
-  Bytes out = rx_.to_be_bytes();
-  append(out, ry_.to_be_bytes());
-  append(out, s_.to_be_bytes());
+  const auto a = to_array();
+  return Bytes(a.begin(), a.end());
+}
+
+std::array<std::uint8_t, 96> Signature::to_array() const {
+  std::array<std::uint8_t, 96> out{};
+  rx_.write_be(out.data());
+  ry_.write_be(out.data() + 32);
+  s_.write_be(out.data() + 64);
   return out;
 }
 
@@ -58,7 +98,7 @@ Result<Signature> Signature::decode_from(Decoder& d) {
 }
 
 KeyPair KeyPair::from_seed(BytesView seed) {
-  U256 d = fn::reduce(U256::from_digest(tagged_hash("hc/keygen", {seed})));
+  U256 d = fn::reduce(U256::from_digest(keygen_hash()({seed})));
   if (d.is_zero()) d = U256(1);  // negligible probability; keep total
   const Point p = Point::mul_generator(d);
   const auto affine = p.to_affine();
@@ -71,34 +111,30 @@ KeyPair KeyPair::from_label(std::string_view label) {
 }
 
 Signature KeyPair::sign(BytesView message) const {
-  const Bytes d_bytes = secret_.to_be_bytes();
-  U256 k = fn::reduce(
-      U256::from_digest(tagged_hash("hc/nonce", {d_bytes, message})));
+  std::array<std::uint8_t, 32> d_bytes{};
+  secret_.write_be(d_bytes.data());
+  U256 k = fn::reduce(U256::from_digest(nonce_hash()({d_bytes, message})));
   if (k.is_zero()) k = U256(1);
   const Point r_point = Point::mul_generator(k);
   const auto r = r_point.to_affine();
   assert(r.has_value());
-  const Bytes r_bytes = concat({r->x.to_be_bytes(), r->y.to_be_bytes()});
-  const Bytes p_bytes = pub_.to_bytes();
-  const U256 e = fn::reduce(
-      U256::from_digest(tagged_hash("hc/chal", {r_bytes, p_bytes, message})));
+  const U256 e = challenge(r->x, r->y, pub_, message);
   const U256 s = fn::add(k, fn::mul(e, secret_));
   return Signature(r->x, r->y, s);
 }
 
 bool verify(const PublicKey& pub, BytesView message, const Signature& sig) {
+  // Both points canonical and on the curve, s < n.
   if (!pub.valid()) return false;
   if (!Point::is_on_curve(sig.rx(), sig.ry())) return false;
   if (sig.s() >= fn::N()) return false;
-  const Bytes r_bytes = concat({sig.rx().to_be_bytes(), sig.ry().to_be_bytes()});
-  const Bytes p_bytes = pub.to_bytes();
-  const U256 e = fn::reduce(
-      U256::from_digest(tagged_hash("hc/chal", {r_bytes, p_bytes, message})));
-  // s*G == R + e*P
-  const Point lhs = Point::mul_generator(sig.s());
-  const Point rhs = Point::from_affine(sig.rx(), sig.ry())
-                        .add(Point::from_affine(pub.x(), pub.y()).mul(e));
-  return lhs.equals(rhs);
+  const U256 e = challenge(sig.rx(), sig.ry(), pub, message);
+  // s*G - e*P == R: s*G from the comb, -e*P as one GLV/Strauss–Shamir
+  // multiplication, compared with R in Jacobian form (no inversion).
+  const Point lhs =
+      Point::mul_generator(sig.s())
+          .add(Point::from_affine(pub.x(), pub.y()).mul(fn::sub(U256(), e)));
+  return lhs.equals(Point::from_affine(sig.rx(), sig.ry()));
 }
 
 }  // namespace hc::crypto

@@ -10,9 +10,13 @@
 //   sign(d, m):  k = H_tag("hc/nonce", d, m) mod n;  R = k*G
 //                e = H_tag("hc/chal", R, P, m) mod n; s = k + e*d mod n
 //                signature = (R, s)
-//   verify:      s*G == R + e*P
+//   verify:      s*G - e*P == R   (e*P by GLV + Strauss–Shamir, Point::mul)
+//
+// Both verify and PublicKey::from_bytes reject a coordinate >= p, so every
+// key and nonce point has exactly one accepted encoding.
 #pragma once
 
+#include <array>
 #include <string_view>
 
 #include "common/bytes.hpp"
@@ -25,8 +29,17 @@
 namespace hc::crypto {
 
 /// Domain-separated hash: SHA256(SHA256(tag) || SHA256(tag) || parts...).
-[[nodiscard]] Digest tagged_hash(std::string_view tag,
-                                 std::initializer_list<BytesView> parts);
+/// The doubled tag digest is exactly one 64-byte SHA-256 block, so the
+/// constructor absorbs it once and every hash resumes from that midstate.
+class TaggedHash {
+ public:
+  explicit TaggedHash(std::string_view tag);
+
+  [[nodiscard]] Digest operator()(std::initializer_list<BytesView> parts) const;
+
+ private:
+  Sha256 prefix_;
+};
 
 /// A serialized public key: 64 bytes (x || y, big-endian).
 class PublicKey {
@@ -39,13 +52,16 @@ class PublicKey {
 
   /// 64-byte serialization (also the preimage for key Addresses).
   [[nodiscard]] Bytes to_bytes() const;
+  /// The same 64 bytes, on the stack.
+  [[nodiscard]] std::array<std::uint8_t, 64> to_array() const;
+  /// Rejects a wrong length, a coordinate >= p and an off-curve point.
   [[nodiscard]] static Result<PublicKey> from_bytes(BytesView bytes);
 
   [[nodiscard]] bool valid() const { return Point::is_on_curve(x_, y_); }
 
   friend bool operator==(const PublicKey&, const PublicKey&) = default;
 
-  void encode_to(Encoder& e) const { e.raw(to_bytes()); }
+  void encode_to(Encoder& e) const { e.raw(to_array()); }
   [[nodiscard]] static Result<PublicKey> decode_from(Decoder& d);
 
  private:
@@ -61,6 +77,8 @@ class Signature {
       : rx_(rx), ry_(ry), s_(s) {}
 
   [[nodiscard]] Bytes to_bytes() const;
+  /// The same 96 bytes, on the stack.
+  [[nodiscard]] std::array<std::uint8_t, 96> to_array() const;
   [[nodiscard]] static Result<Signature> from_bytes(BytesView bytes);
 
   [[nodiscard]] const U256& rx() const { return rx_; }
@@ -69,7 +87,7 @@ class Signature {
 
   friend bool operator==(const Signature&, const Signature&) = default;
 
-  void encode_to(Encoder& e) const { e.raw(to_bytes()); }
+  void encode_to(Encoder& e) const { e.raw(to_array()); }
   [[nodiscard]] static Result<Signature> decode_from(Decoder& d);
 
  private:

@@ -142,9 +142,8 @@ void SigCache::store(std::uint64_t key, bool result) {
 
 bool verify_cached(const PublicKey& pub, BytesView message,
                    const Signature& sig) {
-  const Bytes pk = pub.to_bytes();
-  const Bytes sg = sig.to_bytes();
-  const std::uint64_t key = SigCache::key(message, pk, sg);
+  const std::uint64_t key =
+      SigCache::key(message, pub.to_array(), sig.to_array());
   bool result = false;
   if (SigCache::instance().lookup(key, result)) return result;
   {

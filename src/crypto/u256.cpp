@@ -24,14 +24,17 @@ U256 U256::from_digest(const std::array<std::uint8_t, 32>& d) {
 
 Bytes U256::to_be_bytes() const {
   Bytes out(32);
+  write_be(out.data());
+  return out;
+}
+
+void U256::write_be(std::uint8_t* out) const {
   for (int limb = 0; limb < 4; ++limb) {
     const std::uint64_t v = limbs_[static_cast<std::size_t>(limb)];
     for (int byte = 0; byte < 8; ++byte) {
-      out[static_cast<std::size_t>((3 - limb) * 8 + byte)] =
-          static_cast<std::uint8_t>(v >> (56 - 8 * byte));
+      out[(3 - limb) * 8 + byte] = static_cast<std::uint8_t>(v >> (56 - 8 * byte));
     }
   }
-  return out;
 }
 
 std::string U256::to_hex() const { return hc::to_hex(to_be_bytes()); }
@@ -65,27 +68,6 @@ std::uint64_t U256::sub_with_borrow(const U256& rhs) {
     borrow = lhs < sub ? 1 : 0;
   }
   return borrow;
-}
-
-WideProduct mul_wide(const U256& a, const U256& b) {
-  std::uint64_t prod[8] = {};
-  for (std::size_t i = 0; i < 4; ++i) {
-    std::uint64_t carry = 0;
-    for (std::size_t j = 0; j < 4; ++j) {
-      unsigned __int128 cur =
-          static_cast<unsigned __int128>(a.limbs_[i]) * b.limbs_[j] +
-          prod[i + j] + carry;
-      prod[i + j] = static_cast<std::uint64_t>(cur);
-      carry = static_cast<std::uint64_t>(cur >> 64);
-    }
-    prod[i + 4] += carry;
-  }
-  WideProduct w;
-  for (std::size_t i = 0; i < 4; ++i) {
-    w.lo.limbs_[i] = prod[i];
-    w.hi.limbs_[i] = prod[i + 4];
-  }
-  return w;
 }
 
 }  // namespace hc::crypto

@@ -1,6 +1,12 @@
 // Unit tests for the crypto module: U256 arithmetic, secp256k1 curve ops,
-// Schnorr signatures and Merkle trees.
+// Schnorr signatures and Merkle trees. The field, scalar and curve code is
+// checked differentially against slow textbook arithmetic kept here, and
+// signing is pinned by known-answer vectors.
 #include <gtest/gtest.h>
+
+#include <random>
+#include <utility>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "crypto/batchverify.hpp"
@@ -68,6 +74,120 @@ TEST(U256, MulWideFull) {
   EXPECT_EQ(w.hi, U256::from_limbs_be(~0ull, ~0ull, ~0ull, ~0ull - 1));
 }
 
+// ------------------------------------------------ slow reference arithmetic
+// Textbook modular arithmetic built only from U256's carry chains: a
+// shift-add multiply and a square-and-multiply power. The folded
+// reductions in ec.cpp are checked against these.
+
+U256 ref_reduce(U256 a, const U256& m) {
+  while (a >= m) a.sub_with_borrow(m);
+  return a;
+}
+
+U256 ref_add(const U256& a, const U256& b, const U256& m) {
+  U256 r = a;
+  if (r.add_with_carry(b) != 0 || r >= m) r.sub_with_borrow(m);
+  return r;
+}
+
+U256 ref_sub(const U256& a, const U256& b, const U256& m) {
+  U256 r = a;
+  if (r.sub_with_borrow(b) != 0) r.add_with_carry(m);
+  return r;
+}
+
+U256 ref_mul(const U256& a, const U256& b, const U256& m) {
+  const U256 aa = ref_reduce(a, m);
+  U256 acc;
+  for (int i = 255; i >= 0; --i) {
+    acc = ref_add(acc, acc, m);
+    if (b.bit(i)) acc = ref_add(acc, aa, m);
+  }
+  return acc;
+}
+
+U256 ref_pow(const U256& a, const U256& e, const U256& m) {
+  U256 acc(1);
+  for (int i = e.top_bit(); i >= 0; --i) {
+    acc = ref_mul(acc, acc, m);
+    if (e.bit(i)) acc = ref_mul(acc, a, m);
+  }
+  return acc;
+}
+
+U256 minus(const U256& m, std::uint64_t k) { return m - U256(k); }
+
+constexpr U256 kAllOnes = U256::from_limbs_be(~0ull, ~0ull, ~0ull, ~0ull);
+
+/// Seeded 256-bit values whose limbs are uniformly random, zero or all
+/// ones, so the carry chains see their edge cases too.
+std::vector<U256> random_values(std::size_t count, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const auto limb = [&rng]() -> std::uint64_t {
+    switch (rng() % 8) {
+      case 0: return 0;
+      case 1: return ~0ull;
+      default: return rng();
+    }
+  };
+  std::vector<U256> out;
+  out.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint64_t a = limb();
+    const std::uint64_t b = limb();
+    const std::uint64_t c = limb();
+    out.push_back(U256::from_limbs_be(a, b, c, limb()));
+  }
+  return out;
+}
+
+/// Edge operands below m: 0, 1, 2, m-1, m-2, and values next to limb and
+/// half boundaries and next to 2^256.
+std::vector<U256> edge_values(const U256& m) {
+  std::vector<U256> out = {
+      U256(),
+      U256(1),
+      U256(2),
+      U256(0x1000003D1ull),
+      U256(~0ull),
+      U256::from_limbs_be(0, 0, 1, 0),
+      U256::from_limbs_be(0, 1, 0, 0),
+      U256::from_limbs_be(0, 0, ~0ull, ~0ull),
+      U256::from_limbs_be(1ull << 63, 0, 0, 0),
+      U256::from_limbs_be((1ull << 63) - 1, ~0ull, ~0ull, ~0ull),
+      minus(m, 1),
+      minus(m, 2),
+      minus(m, 0x1000003D1ull),
+      kAllOnes - m,
+  };
+  for (U256& v : out) v = ref_reduce(v, m);
+  return out;
+}
+
+/// edge_values plus `count` seeded random values, all reduced below m.
+std::vector<U256> operands(const U256& m, std::size_t count,
+                           std::uint64_t seed) {
+  std::vector<U256> out = edge_values(m);
+  for (const U256& v : random_values(count, seed)) out.push_back(ref_reduce(v, m));
+  return out;
+}
+
+/// Every pair of edge values, then `count` seeded random pairs.
+std::vector<std::pair<U256, U256>> operand_pairs(const U256& m,
+                                                 std::size_t count,
+                                                 std::uint64_t seed) {
+  std::vector<std::pair<U256, U256>> out;
+  for (const U256& a : edge_values(m)) {
+    for (const U256& b : edge_values(m)) out.emplace_back(a, b);
+  }
+  const std::vector<U256> xs = random_values(count, seed);
+  const std::vector<U256> ys = random_values(count, seed + 1);
+  for (std::size_t i = 0; i < count; ++i) {
+    out.emplace_back(ref_reduce(xs[i], m), ref_reduce(ys[i], m));
+  }
+  return out;
+}
+
 // ---------------------------------------------------------------- field
 
 TEST(Field, AddSubInverse) {
@@ -95,13 +215,39 @@ TEST(Field, FermatInverse) {
   }
 }
 
-TEST(Field, PowBasics) {
-  EXPECT_EQ(fp::pow(U256(2), U256(10)), U256(1024));
-  EXPECT_EQ(fp::pow(U256(5), U256(0)), U256(1));
-  // Fermat: a^(p-1) == 1 (mod p)
-  U256 pm1 = fp::P();
-  pm1.sub_with_borrow(U256(1));
-  EXPECT_EQ(fp::pow(U256(7), pm1), U256(1));
+TEST(Field, InverseMatchesFermatReference) {
+  // The addition chain must compute exactly a^(p-2).
+  const U256& p = fp::P();
+  for (const U256& a : edge_values(p)) {
+    if (a.is_zero()) continue;
+    EXPECT_EQ(fp::inv(a), ref_pow(a, minus(p, 2), p)) << a.to_hex();
+  }
+  EXPECT_EQ(ref_pow(U256(7), minus(p, 1), p), U256(1));
+}
+
+TEST(Field, MatchesSlowReference) {
+  const U256& p = fp::P();
+  for (const auto& [a, b] : operand_pairs(p, 10000, 1)) {
+    ASSERT_EQ(fp::mul(a, b), ref_mul(a, b, p)) << a.to_hex() << " " << b.to_hex();
+    ASSERT_EQ(fp::add(a, b), ref_add(a, b, p)) << a.to_hex() << " " << b.to_hex();
+    ASSERT_EQ(fp::sub(a, b), ref_sub(a, b, p)) << a.to_hex() << " " << b.to_hex();
+  }
+  for (const U256& a : operands(p, 10000, 3)) {
+    ASSERT_EQ(fp::sqr(a), ref_mul(a, a, p)) << a.to_hex();
+    ASSERT_EQ(fp::neg(a), ref_sub(U256(), a, p)) << a.to_hex();
+    if (!a.is_zero()) {
+      ASSERT_EQ(ref_mul(a, fp::inv(a), p), U256(1)) << a.to_hex();
+    }
+  }
+}
+
+TEST(Field, ReduceAnyValue) {
+  const U256& p = fp::P();
+  for (const U256& v : random_values(1000, 4)) {
+    ASSERT_EQ(fp::reduce(v), ref_reduce(v, p)) << v.to_hex();
+  }
+  EXPECT_EQ(fp::reduce(p), U256());
+  EXPECT_EQ(fp::reduce(kAllOnes), U256(0x1000003D0ull));
 }
 
 TEST(Scalar, AddMulBasics) {
@@ -114,6 +260,41 @@ TEST(Scalar, AddMulBasics) {
   nm1.sub_with_borrow(U256(1));
   EXPECT_EQ(fn::add(nm1, U256(2)), U256(1));
   EXPECT_EQ(fn::sub(U256(1), U256(2)), nm1);
+}
+
+TEST(Scalar, MatchesSlowReference) {
+  const U256& n = fn::N();
+  for (const auto& [a, b] : operand_pairs(n, 10000, 5)) {
+    ASSERT_EQ(fn::mul(a, b), ref_mul(a, b, n)) << a.to_hex() << " " << b.to_hex();
+    ASSERT_EQ(fn::add(a, b), ref_add(a, b, n)) << a.to_hex() << " " << b.to_hex();
+    ASSERT_EQ(fn::sub(a, b), ref_sub(a, b, n)) << a.to_hex() << " " << b.to_hex();
+  }
+  // mul and reduce take any 256-bit operand, canonical or not.
+  for (const U256& v : random_values(1000, 7)) {
+    ASSERT_EQ(fn::reduce(v), ref_reduce(v, n)) << v.to_hex();
+    ASSERT_EQ(fn::mul(v, kAllOnes), ref_mul(v, kAllOnes, n)) << v.to_hex();
+    ASSERT_EQ(fn::mul(kAllOnes, v), ref_mul(kAllOnes, v, n)) << v.to_hex();
+  }
+  EXPECT_EQ(fn::mul(n, kAllOnes), U256());
+}
+
+TEST(Scalar, LambdaSplitRecombines) {
+  const U256& n = fn::N();
+  const U256& lambda = fn::lambda();
+  // λ is a non-trivial cube root of unity.
+  EXPECT_NE(lambda, U256(1));
+  EXPECT_EQ(ref_mul(ref_mul(lambda, lambda, n), lambda, n), U256(1));
+  std::vector<U256> ks = operands(n, 10000, 8);
+  ks.push_back(lambda);
+  ks.push_back(minus(n, 1));
+  for (const U256& k : ks) {
+    const fn::LambdaSplit s = fn::split_lambda(k);
+    ASSERT_LT(s.k1.top_bit(), 129) << k.to_hex();
+    ASSERT_LT(s.k2.top_bit(), 129) << k.to_hex();
+    const U256 k1 = s.k1_neg ? ref_sub(U256(), s.k1, n) : s.k1;
+    const U256 k2 = s.k2_neg ? ref_sub(U256(), s.k2, n) : s.k2;
+    ASSERT_EQ(ref_add(k1, ref_mul(k2, lambda, n), n), k) << k.to_hex();
+  }
 }
 
 // ---------------------------------------------------------------- curve
@@ -146,6 +327,32 @@ TEST(Curve, MulDistributes) {
   const U256 a(123456789);
   const U256 b(987654321);
   EXPECT_TRUE(g.mul(fn::add(a, b)).equals(g.mul(a).add(g.mul(b))));
+}
+
+/// k * p by plain double-and-add, most significant bit first.
+Point ref_point_mul(const Point& p, const U256& k) {
+  Point acc;
+  for (int i = k.top_bit(); i >= 0; --i) {
+    acc = acc.doubled();
+    if (k.bit(i)) acc = acc.add(p);
+  }
+  return acc;
+}
+
+TEST(Curve, GlvMulMatchesDoubleAndAdd) {
+  const U256& n = fn::N();
+  std::vector<U256> ks = edge_values(n);
+  ks.push_back(fn::lambda());
+  for (const U256& v : random_values(24, 9)) ks.push_back(v);
+  const std::vector<Point> bases = {
+      Point::generator(), Point::mul_generator(U256(0xC0FFEEull)),
+      Point::mul_generator(random_values(1, 10)[0])};
+  for (const Point& base : bases) {
+    for (const U256& k : ks) {
+      EXPECT_TRUE(base.mul(k).equals(ref_point_mul(base, ref_reduce(k, n))))
+          << k.to_hex();
+    }
+  }
 }
 
 TEST(Curve, OrderAnnihilates) {
@@ -229,9 +436,138 @@ TEST(Schnorr, SignatureRejectsBadLength) {
   EXPECT_FALSE(Signature::from_bytes(Bytes(95, 0)).ok());
 }
 
+/// (label, message) -> public key and signature, recorded from the
+/// original shift-add/modexp implementation. Signing is deterministic, so
+/// any correct arithmetic reproduces them byte for byte.
+struct KnownAnswer {
+  const char* label;
+  const char* message;
+  const char* pubkey_hex;
+  const char* sig_hex;
+};
+
+constexpr KnownAnswer kKnownAnswers[] = {
+    {"validator-0", "checkpoint for subnet f0101 at epoch 42",
+     "6c6e07fc87e427cd957077036441de4ade95f934a9a7ba84b408d7575e04e89a"
+     "0c0dae9b2505044b76c1d912ededa220a5777c2dc262345a94d2a47b147a2898",
+     "56ebe5a0c14a77ce0b0c290ab93e0c58247feb1def32dff855d63e9a32cb94f9"
+     "8583332fa30051c586c1ed3c9919e837857d2c3735a70d0eec0bc7ecbc8ce950"
+     "98c09e4f5afef450ef577004fcbab965c936d926eed80d1b42b28b9a54f9c5e5"},
+    {"alice", "transfer 100 to bob",
+     "63375d4f261e12ad199d9207ad015445886b0ff54dcd6d454b288d26641fb640"
+     "536698ac7444c2c5034bb5c7d06e86ea5d21e05a0b0d720bf948a1ea29ddb000",
+     "c6f4c5c67fb3752fe0c3339cd6cb398c0c9115d77910fd97b2d57505e4610b8d"
+     "d91f8d7e43a475f5f3a84c1be6527c01f5b353c95f4cafa743b6fe5f5dfeb00c"
+     "287013ec91fa86257ca11a278fd39d69ff6d2adc245914844ac157d7c9edf7a6"},
+    {"bob", "",
+     "9f9c25cf3e1df3f44f0d5ff36fe8772112fc014298861281a80ecaac561a1fe8"
+     "db0657bbb6f59219b8a581585655de236a332736cc628b58016d3066c8f5cd5a",
+     "3edf90bc5be66b00c1c98aff7bccc019a825ab1c2edc8516fcd3fc9e1391eda2"
+     "cf810c2edd6d859fb15a8e4e771b50feff54e484d8f85ff4a9a3a3bb50238ad8"
+     "171bc9e3fd1a086b56c065d42acf6f32209054800557dc7d44522bb5867aa6cc"},
+    {"serialize-me", "message",
+     "464a2eec27b0394ae39782f9e4a56c879bdfaeb12b44372f818956c209a2694f"
+     "625e3d1210588b9b59fdc214c341ae69dcf83aa5ec32c7f05d72d8f0b495941a",
+     "a6b61571b67d01182a86b5ea4aa796fbec19f5a0beb3469b824c49f062ee2b13"
+     "079820e860c085882672e61f531bde6ce000c4bf9110638a57e63d8f103ce299"
+     "89619a87cade68d6ece1fdcd4ec13cc17fc3ca413d76ad9bac3ef438d5022a8f"},
+    {"kat-5", "the quick brown fox jumps over the lazy dog",
+     "6ec398afcdbf47e3d2278535e586c026afcc74fd74b20beab55f5d0c0c556aa1"
+     "2869445d1ab21d210926d1109a80269bb1cf1ea04aff84e890d0c3c0db748e3f",
+     "b0e440ec6af40882fcdcd36c55f417a06445a95b0efed6aec6e3cbc98c48ee62"
+     "8d1c2ad9934748b4f960f4513ec33d9f0f8a00464941e40af78d51f85b4e0b41"
+     "b9ae3318750a734e3e82ec06104c3bb44a6581f4b2cb907a2d6b612dfe604be2"},
+    {"kat-6", "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef",
+     "e4af55617d9a706efc808dad654bafe1bfe2d89c9c115b8e69f25d1fcbb6557a"
+     "52771c57bf6c27a98d3718a45711c5837b40255bc019dac10811f3d3937c38c9",
+     "0ce59cc1abd0404ba143f62450a4c52fdf6a7bf05ff5e4bb20217b0ae4a6dea0"
+     "ab805b109f0d654a6db1727d22810ce524f528c84336aad89184e7a3d1674207"
+     "242c4e68b6d287c6cf27ea6df279c2d0a06c6cb38075974aaca77b01504d2e0f"},
+};
+
+TEST(Schnorr, KnownAnswerVectors) {
+  for (const KnownAnswer& v : kKnownAnswers) {
+    const KeyPair kp = KeyPair::from_label(v.label);
+    const Bytes msg = to_bytes(v.message);
+    EXPECT_EQ(to_hex(kp.public_key().to_bytes()), v.pubkey_hex) << v.label;
+    const Signature sig = kp.sign(msg);
+    EXPECT_EQ(to_hex(sig.to_bytes()), v.sig_hex) << v.label;
+    EXPECT_TRUE(verify(kp.public_key(), msg, sig)) << v.label;
+  }
+}
+
+TEST(Schnorr, TaggedHashKnownAnswer) {
+  const Digest d = TaggedHash("hc/chal")({to_bytes("abc"), to_bytes("def")});
+  EXPECT_EQ(to_hex(digest_view(d)),
+            "cffa957e159a58aa53d76db26cf3ba25e64c7878cff3e45acbde7626677820d1");
+}
+
+TEST(Schnorr, VerifyRejectsEveryBitFlip) {
+  for (int i = 0; i < 16; ++i) {
+    const KeyPair kp = KeyPair::from_label("flip-" + std::to_string(i));
+    const Bytes msg = to_bytes("flip message " + std::to_string(i));
+    const Signature sig = kp.sign(msg);
+    ASSERT_TRUE(verify(kp.public_key(), msg, sig)) << i;
+    // One bit of rx, ry or s (low and high byte of each).
+    const auto raw = sig.to_array();
+    for (std::size_t byte : {0u, 31u, 32u, 63u, 64u, 95u}) {
+      auto flipped = raw;
+      flipped[byte] ^= static_cast<std::uint8_t>(1u << (i % 8));
+      EXPECT_FALSE(verify(kp.public_key(), msg,
+                          Signature::from_bytes(flipped).value()))
+          << i << " byte " << byte;
+    }
+    // One bit of the message.
+    Bytes other = msg;
+    other[static_cast<std::size_t>(i) % other.size()] ^= 0x04;
+    EXPECT_FALSE(verify(kp.public_key(), other, sig)) << i;
+    // One bit of either key coordinate.
+    const auto pk = kp.public_key().to_array();
+    for (std::size_t byte : {7u, 40u}) {
+      auto flipped = pk;
+      flipped[byte] ^= 0x10;
+      const PublicKey bad(U256::from_be_bytes(BytesView(flipped).subspan(0, 32)),
+                          U256::from_be_bytes(BytesView(flipped).subspan(32, 32)));
+      EXPECT_FALSE(verify(bad, msg, sig)) << i << " key byte " << byte;
+    }
+  }
+}
+
+TEST(Schnorr, RejectsNonCanonicalCoordinates) {
+  // A curve point with a small x, so x + p still fits in 256 bits and
+  // (x + p, y) is a second encoding of the same point once reduced.
+  const U256& p = fp::P();
+  const U256 sqrt_exp = U256::from_limbs_be(0x3FFFFFFFFFFFFFFFull, ~0ull, ~0ull,
+                                            0xFFFFFFFFBFFFFF0Cull);  // (p+1)/4
+  U256 x(1);
+  U256 y;
+  for (;; x = x + U256(1)) {
+    const U256 rhs = ref_add(ref_pow(x, U256(3), p), U256(7), p);
+    y = ref_pow(rhs, sqrt_exp, p);
+    if (ref_mul(y, y, p) == rhs) break;
+  }
+  const U256 x_alias = x + p;
+  EXPECT_TRUE(Point::is_on_curve(x, y));
+  EXPECT_FALSE(Point::is_on_curve(x_alias, y));
+
+  Bytes canonical = x.to_be_bytes();
+  append(canonical, y.to_be_bytes());
+  EXPECT_TRUE(PublicKey::from_bytes(canonical).ok());
+  Bytes alias = x_alias.to_be_bytes();
+  append(alias, y.to_be_bytes());
+  EXPECT_FALSE(PublicKey::from_bytes(alias).ok());
+
+  // verify refuses the aliased point as a key and as R.
+  const KeyPair kp = KeyPair::from_label("canonical");
+  const Bytes msg = to_bytes("message");
+  const Signature sig = kp.sign(msg);
+  EXPECT_FALSE(verify(PublicKey(x_alias, y), msg, sig));
+  EXPECT_FALSE(verify(kp.public_key(), msg, Signature(x_alias, y, sig.s())));
+}
+
 TEST(Schnorr, TaggedHashDomainSeparation) {
   const Bytes m = to_bytes("same input");
-  EXPECT_NE(tagged_hash("tag-a", {m}), tagged_hash("tag-b", {m}));
+  EXPECT_NE(TaggedHash("tag-a")({m}), TaggedHash("tag-b")({m}));
 }
 
 // ---------------------------------------------------------------- merkle
