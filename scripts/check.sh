@@ -60,9 +60,12 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure \
 # random mutate/remove/journal-revert/snapshot sequences against a
 # from-scratch Merkle rebuild, and the incremental-tree sweeps hammer the
 # digest-cache index arithmetic — the code most likely to hide an
-# out-of-bounds read, so it runs under ASan explicitly.
+# out-of-bounds read, so it runs under ASan explicitly. The execute-once
+# suite moves kept post-state trees from build/validate into the chain
+# store and drops them when the head moves — a use-after-move or a dangling
+# kept entry would surface here.
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'StateCommitment|IncrementalMerkle'
+  -R 'StateCommitment|IncrementalMerkle|ExecuteOnce'
 
 # Scale smoke (DESIGN.md §17): the interned-identity invariants (hash,
 # codec, growth bounds), the static-tree boot + retention/viewer-gating
@@ -96,6 +99,11 @@ cmake --build "$TSAN_DIR" -j "$(nproc)"
 
 ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$(nproc)" \
   -R '^ParallelDeterminism\.'
+# Shared head view (DESIGN.md §11): parent views share the committed head
+# tree instead of copying it, so child lanes read a tree whose owner lane
+# keeps committing; the execute-once suite runs on two worker lanes.
+ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$(nproc)" \
+  -R '^ExecuteOnce\.'
 # Intern determinism (DESIGN.md §17): concurrent interning from worker
 # lanes must be race-free AND unobservable (byte-identical fingerprints at
 # 1/2/4 threads).

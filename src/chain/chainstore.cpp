@@ -6,7 +6,8 @@ namespace hc::chain {
 
 ChainStore::ChainStore(Block genesis,
                        std::shared_ptr<const StateTree> genesis_state)
-    : state_(*genesis_state), genesis_state_(std::move(genesis_state)) {
+    : state_(std::make_shared<const StateTree>(*genesis_state)),
+      genesis_state_(std::move(genesis_state)) {
   by_cid_.emplace(genesis.cid(), 0);
   blocks_bytes_ = genesis.mem_bytes();
   blocks_.push_back(std::move(genesis));
@@ -42,14 +43,15 @@ Status ChainStore::append(Block block, StateTree new_state) {
   }
   // new_state is a snapshot of the previous head state, so this flush is
   // incremental: only the leaves the block's execution touched are
-  // rehashed (DESIGN.md §12).
+  // rehashed (DESIGN.md §12) — and a cache hit when the node already
+  // flushed it while building or validating the block.
   if (block.header.state_root != new_state.flush()) {
     return Error(Errc::kInvalidArgument, "state root mismatch");
   }
   by_cid_.emplace(block.cid(), block.header.height);
   blocks_bytes_ += block.mem_bytes();
   blocks_.push_back(std::move(block));
-  state_ = std::move(new_state);
+  state_ = std::make_shared<const StateTree>(std::move(new_state));
   prune_();
   return ok_status();
 }
@@ -113,7 +115,7 @@ const Block* ChainStore::block_by_cid(const Cid& cid) const {
 }
 
 std::size_t ChainStore::mem_bytes() const {
-  return blocks_bytes_ + state_.mem_bytes() +
+  return blocks_bytes_ + state_->mem_bytes() +
          by_cid_.size() * (sizeof(Cid) + sizeof(Epoch));
 }
 

@@ -40,13 +40,20 @@ class ChainStore {
 
   [[nodiscard]] const Block& head() const { return blocks_.back(); }
   [[nodiscard]] Epoch height() const { return head().header.height; }
-  [[nodiscard]] const StateTree& state() const { return state_; }
+  [[nodiscard]] const StateTree& state() const { return *state_; }
+  /// The head state as a shared immutable tree (DESIGN.md §11/§17): it is
+  /// flushed before append() publishes it and never mutated afterwards, so
+  /// readers may hold it across later appends (the parent view does).
+  [[nodiscard]] const std::shared_ptr<const StateTree>& state_ptr() const {
+    return state_;
+  }
   /// Blocks currently retained (== height()+1 while unbounded).
   [[nodiscard]] std::size_t length() const { return blocks_.size(); }
 
   /// Append a block whose execution produced `new_state`. Validates:
-  /// parent == head CID, height == head+1, msgs_root, state_root. With a
-  /// bounded retention policy, prunes the oldest blocks past the cap.
+  /// parent == head CID, height == head+1, msgs_root, state_root (a cache
+  /// hit when the caller already flushed `new_state`). With a bounded
+  /// retention policy, prunes the oldest blocks past the cap.
   Status append(Block block, StateTree new_state);
 
   /// Bound the retained block window (0 fields = unbounded, the default).
@@ -85,7 +92,7 @@ class ChainStore {
 
   std::vector<Block> blocks_;  // window [base_height_, height()]
   std::unordered_map<Cid, Epoch> by_cid_;
-  StateTree state_;
+  std::shared_ptr<const StateTree> state_;
   std::shared_ptr<const StateTree> genesis_state_;
   common::CapacityPolicy retention_;
   Epoch base_height_ = 0;

@@ -297,11 +297,34 @@ Receipt Executor::apply_implicit(StateTree& tree, const Message& msg,
   return invoke_message(tree, msg, ctx, meter, /*implicit=*/true);
 }
 
+std::vector<char> Executor::verify_block(const Block& block) const {
+  std::vector<char> sig_ok(block.messages.size(), 0);
+  if (block.messages.empty()) return sig_ok;
+  crypto::BatchVerifier batch;
+  for (const auto& sm : block.messages) {
+    batch.add(sm.pubkey, arena_.encode_obj(sm.message), sm.signature);
+  }
+  const std::vector<bool> verified = batch.flush();
+  arena_.reset();
+  for (std::size_t i = 0; i < block.messages.size(); ++i) {
+    sig_ok[i] =
+        (verified[i] && block.messages[i].sender_matches_key()) ? 1 : 0;
+  }
+  return sig_ok;
+}
+
 std::vector<Receipt> Executor::apply_block(StateTree& tree,
                                            const Block& block) const {
+  return apply_block(tree, block, verify_block(block));
+}
+
+std::vector<Receipt> Executor::apply_block(
+    StateTree& tree, const Block& block,
+    const std::vector<char>& sig_ok) const {
   static const obs::PhaseId execute_phase =
       obs::Profiler::instance().phase("chain/execute");
   obs::ProfileScope prof(execute_phase);
+  assert(sig_ok.size() == block.messages.size());
   ExecutionContext ctx;
   ctx.height = block.header.height;
   ctx.miner = block.header.miner;
@@ -312,27 +335,9 @@ std::vector<Receipt> Executor::apply_block(StateTree& tree,
   for (const auto& cm : block.cross_messages) {
     receipts.push_back(apply_implicit(tree, cm, ctx));
   }
-
-  // Batched signature pre-pass: every signing payload is encoded into the
-  // block arena (one counting pass + one bump allocation each, no heap),
-  // then the whole block resolves against the SigCache in one shard-grouped
-  // pass with real Schnorr math only for misses.
-  std::vector<char> sig_ok(block.messages.size(), 0);
-  if (!block.messages.empty()) {
-    crypto::BatchVerifier batch;
-    for (const auto& sm : block.messages) {
-      batch.add(sm.pubkey, arena_.encode_obj(sm.message), sm.signature);
-    }
-    const std::vector<bool> verified = batch.flush();
-    for (std::size_t i = 0; i < block.messages.size(); ++i) {
-      sig_ok[i] =
-          (verified[i] && block.messages[i].sender_matches_key()) ? 1 : 0;
-    }
-  }
   for (std::size_t i = 0; i < block.messages.size(); ++i) {
     receipts.push_back(apply(tree, block.messages[i], ctx, sig_ok[i] != 0));
   }
-  arena_.reset();
   return receipts;
 }
 

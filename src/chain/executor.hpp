@@ -42,7 +42,7 @@ class Executor {
                 const ExecutionContext& ctx) const;
 
   /// Same, with the signature outcome precomputed by a batch pre-pass
-  /// (apply_block verifies a whole block's signatures through one
+  /// (verify_block resolves a whole block's signatures through one
   /// BatchVerifier before executing). Semantics are identical to apply():
   /// the intrinsic-gas check still precedes the signature check.
   Receipt apply(StateTree& tree, const SignedMessage& sm,
@@ -53,15 +53,27 @@ class Executor {
   Receipt apply_implicit(StateTree& tree, const Message& msg,
                          const ExecutionContext& ctx) const;
 
+  /// Resolve every user signature of a block in one batched pass: entry i
+  /// is 1 when messages[i] carries a valid signature by the key its sender
+  /// address names. Payloads are encoded into the block arena, then the
+  /// whole block resolves against the SigCache in one shard-grouped pass
+  /// with real Schnorr math only for misses.
+  [[nodiscard]] std::vector<char> verify_block(const Block& block) const;
+
   /// Apply all messages of a block in order (cross-msgs first, mirroring
-  /// their protocol-assigned total order; then user messages). Returns one
-  /// receipt per message in that order.
+  /// their protocol-assigned total order; then user messages), taking the
+  /// signature outcomes from verify_block(). Returns one receipt per
+  /// message in that order.
+  std::vector<Receipt> apply_block(StateTree& tree, const Block& block,
+                                   const std::vector<char>& sig_ok) const;
+
+  /// Verify, then apply (historic replay and tests).
   std::vector<Receipt> apply_block(StateTree& tree, const Block& block) const;
 
   [[nodiscard]] const GasSchedule& schedule() const { return schedule_; }
 
   /// Per-block transient arena (signature payloads, scratch). Reset at the
-  /// end of every apply_block; exposed so the owning node can flush its
+  /// end of every verify_block; exposed so the owning node can flush its
   /// allocation stats into obs counters at deterministic points.
   [[nodiscard]] Arena& arena() const { return arena_; }
 
@@ -80,7 +92,7 @@ class Executor {
 
   const ActorRegistry& registry_;
   GasSchedule schedule_;
-  // Mutable: apply_block is logically const (the VM has no state of its
+  // Mutable: verify_block is logically const (the VM has no state of its
   // own) but reuses this scratch arena across blocks. Executors are
   // lane-local, never shared across threads.
   mutable Arena arena_;

@@ -52,6 +52,7 @@ struct Receipt {
   std::vector<ActorEvent> events;
 
   [[nodiscard]] bool ok() const { return success(exit); }
+  bool operator==(const Receipt&) const = default;
 };
 
 }  // namespace hc::chain

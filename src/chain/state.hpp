@@ -14,8 +14,8 @@
 //     used by the executor for per-message and nested-send revert without
 //     copying the tree;
 //   - snapshot()/revert_to(): a deep copy, kept for long-lived forks
-//     (genesis templates, parent-view buffers, the paper's SCA `save()`
-//     §III-C).
+//     (genesis templates, the head copy a block executes on, the paper's
+//     SCA `save()` §III-C).
 #pragma once
 
 #include <cstdint>

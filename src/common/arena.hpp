@@ -4,7 +4,7 @@
 // bounded by a block (or a mempool admission attempt): canonical re-encodes
 // for signature checks, receipt scratch, key material. An Arena services
 // those from contiguous chunks with a pointer bump and releases them all at
-// one deterministic reset point (end of apply_block / admission), so the
+// one deterministic reset point (end of verify_block / admission), so the
 // general-purpose heap sees one amortized allocation per chunk instead of
 // one per transient.
 //

@@ -67,11 +67,17 @@ class BlockSource {
  public:
   virtual ~BlockSource() = default;
 
-  /// Assemble a candidate block extending the current head.
-  [[nodiscard]] virtual chain::Block build_block(const Address& miner) = 0;
+  /// Assemble a candidate block extending the current head. `ticket` is
+  /// the engine's header stamp (the lottery's claimed rank; empty for the
+  /// others), set before the block is sealed so its CID is final.
+  [[nodiscard]] virtual chain::Block build_block(const Address& miner,
+                                                 Bytes ticket) = 0;
 
-  /// Validate a proposed block against the current head/state (without
-  /// committing). Implementations must be side-effect free.
+  /// Validate a proposed block against the current head/state. Must not
+  /// change committed state (the head, the chain, anything a commit
+  /// writes), but may keep its execution of the block for a later
+  /// commit_block and store content the block carries (resolved cross-msg
+  /// batches).
   [[nodiscard]] virtual Status validate_block(const chain::Block& block) = 0;
 
   /// Irreversibly append a block. `proof` is the consensus commitment

@@ -110,13 +110,11 @@ void PowerLottery::maybe_propose() {
   // A non-zero rank proposing means the expected leader stayed silent past
   // its slot — the fallback ladder is this engine's view-change analogue.
   if (rank > 0) metrics_.view_change();
-  chain::Block block =
-      ctx_.source->build_block(Address::key(ctx_.key.public_key().to_bytes()));
   // The ticket records the claimed rank for verification.
   Encoder ticket;
   ticket.varint(rank);
-  block.header.ticket = ticket.data();
-  block.header.msgs_root = block.compute_msgs_root();
+  chain::Block block = ctx_.source->build_block(
+      Address::key(ctx_.key.public_key().to_bytes()), ticket.data());
 
   WireMsg msg = WireMsg::make(WireKind::kBlock, next, 0, block.cid(),
                               encode(block), ctx_.key);

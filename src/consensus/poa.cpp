@@ -60,7 +60,7 @@ void PoaRoundRobin::tick() {
     }
     metrics_.round();
     chain::Block block = ctx_.source->build_block(
-        Address::key(ctx_.key.public_key().to_bytes()));
+        Address::key(ctx_.key.public_key().to_bytes()), {});
     const Cid cid = block.cid();
     WireMsg msg = WireMsg::make(WireKind::kBlock, next, 0, cid,
                                 encode(block), ctx_.key);

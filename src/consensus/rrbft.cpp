@@ -98,7 +98,7 @@ void RoundRobinBft::start_round(std::uint32_t round) {
       if (behind_restored()) return;  // passive until past pre-crash votes
       obs::ProfileScope prof(metrics_.step_phase());
       chain::Block block = ctx_.source->build_block(
-          Address::key(ctx_.key.public_key().to_bytes()));
+          Address::key(ctx_.key.public_key().to_bytes()), {});
       proposed_this_round_ = true;
       persist_votes();  // write-ahead: durable before the proposal is out
       broadcast(WireMsg::make(WireKind::kProposal, height_, round,

@@ -130,7 +130,7 @@ void Tendermint::start_round(std::uint32_t round) {
           locked_block_.has_value()
               ? *locked_block_
               : ctx_.source->build_block(
-                    Address::key(ctx_.key.public_key().to_bytes()));
+                    Address::key(ctx_.key.public_key().to_bytes()), {});
       proposed_this_round_ = true;
       persist_votes();  // write-ahead: durable before the proposal is out
       broadcast(WireMsg::make(WireKind::kProposal, height_, round,

@@ -5,7 +5,6 @@
 
 #include "actors/methods.hpp"
 #include "common/log.hpp"
-#include "crypto/batchverify.hpp"
 #include "obs/profile.hpp"
 
 namespace hc::runtime {
@@ -81,6 +80,8 @@ SubnetNode::SubnetNode(sim::Scheduler& scheduler, net::Network& network,
   const obs::Labels subnet_labels{{"subnet", config_.subnet.to_string()}};
   auto& m = obs_.metrics;
   c_blocks_committed_ = &m.counter("node_blocks_committed_total", node_labels);
+  c_block_executions_ =
+      &m.counter("node_block_executions_total", node_labels);
   c_user_msgs_ = &m.counter("node_user_msgs_executed_total", node_labels);
   c_cross_msgs_ = &m.counter("node_cross_msgs_executed_total", node_labels);
   c_checkpoints_cut_ = &m.counter("node_checkpoints_cut_total", node_labels);
@@ -191,19 +192,17 @@ void SubnetNode::add_viewer() {
   // First viewer while windowed snapshots are live: publish immediately
   // (we are in driver context, lanes parked) so the child never reads
   // cross-lane live state.
-  if (views_enabled_ && view_published_ == nullptr) {
-    view_pending_ =
-        std::make_shared<const chain::StateTree>(store_->state().snapshot());
-    view_published_ = view_pending_;
-  }
+  if (views_enabled_ && view_published_ == nullptr) share_view();
 }
 
 void SubnetNode::remove_viewer() {
   if (--viewers_ == 0) {
-    // Last reader gone: release both buffers. A later attach re-snapshots
-    // fresh state instead of serving a stale view.
-    view_pending_.reset();
+    // Last reader gone: release the view. A later attach publishes the
+    // then-current head instead of serving a stale one.
     view_published_.reset();
+    view_sca_.reset();
+    sca_.reset();
+    sca_tree_.reset();
   }
 }
 
@@ -234,6 +233,7 @@ bool SubnetNode::is_validator() const {
 NodeStats SubnetNode::stats() const {
   NodeStats s;
   s.blocks_committed = c_blocks_committed_->value();
+  s.block_executions = c_block_executions_->value();
   s.user_msgs_executed = c_user_msgs_->value();
   s.cross_msgs_executed = c_cross_msgs_->value();
   s.checkpoints_cut = c_checkpoints_cut_->value();
@@ -308,11 +308,24 @@ std::uint64_t SubnetNode::account_nonce(const Address& addr) const {
   return entry == nullptr ? 0 : entry->nonce;
 }
 
-actors::ScaState SubnetNode::sca_state() const {
-  const auto* entry = store_->state().get(chain::kScaAddr);
-  if (entry == nullptr || entry->state.empty()) return {};
-  auto decoded = decode<actors::ScaState>(entry->state);
-  return decoded.ok() ? std::move(decoded).value() : actors::ScaState{};
+actors::ScaState SubnetNode::sca_state() const { return *head_sca(); }
+
+std::shared_ptr<const actors::ScaState> SubnetNode::head_sca() const {
+  const std::shared_ptr<const chain::StateTree>& head = store_->state_ptr();
+  if (sca_tree_.lock() == head) return sca_;
+  actors::ScaState sca;
+  const auto* entry = head->get(chain::kScaAddr);
+  if (entry != nullptr && !entry->state.empty()) {
+    if (auto decoded = decode<actors::ScaState>(entry->state)) {
+      sca = std::move(decoded).value();
+    }
+  }
+  auto decoded = std::make_shared<const actors::ScaState>(std::move(sca));
+  if (viewers_ > 0) {  // the view will share it; leaves keep no copy
+    sca_ = decoded;
+    sca_tree_ = head;
+  }
+  return decoded;
 }
 
 std::optional<actors::SaState> SubnetNode::sa_state(const Address& sa) const {
@@ -325,7 +338,7 @@ std::optional<actors::SaState> SubnetNode::sa_state(const Address& sa) const {
   return std::move(decoded).value();
 }
 
-// ----------------------------------------------------- parent view snapshot
+// --------------------------------------------------------------- parent view
 
 const chain::StateTree& SubnetNode::view_tree() const {
   return view_published_ == nullptr ? store_->state() : *view_published_;
@@ -336,11 +349,8 @@ std::uint64_t SubnetNode::account_nonce_view(const Address& addr) const {
   return entry == nullptr ? 0 : entry->nonce;
 }
 
-actors::ScaState SubnetNode::sca_state_view() const {
-  const auto* entry = view_tree().get(chain::kScaAddr);
-  if (entry == nullptr || entry->state.empty()) return {};
-  auto decoded = decode<actors::ScaState>(entry->state);
-  return decoded.ok() ? std::move(decoded).value() : actors::ScaState{};
+std::shared_ptr<const actors::ScaState> SubnetNode::sca_state_view() const {
+  return view_sca_ != nullptr ? view_sca_ : head_sca();
 }
 
 std::optional<actors::SaState> SubnetNode::sa_state_view(
@@ -356,19 +366,21 @@ std::optional<actors::SaState> SubnetNode::sa_state_view(
 
 void SubnetNode::publish_view() {
   views_enabled_ = true;
-  if (viewers_ == 0) return;  // leaf: no child reader, skip the snapshot
-  if (view_pending_ == nullptr) {
-    view_pending_ =
-        std::make_shared<const chain::StateTree>(store_->state().snapshot());
-  }
-  view_published_ = view_pending_;
+  if (viewers_ == 0) return;  // leaf: no child reader, publish nothing
+  share_view();
+}
+
+void SubnetNode::share_view() {
+  view_published_ = store_->state_ptr();
+  view_sca_ = head_sca();  // usually already decoded by this head's commit
 }
 
 std::size_t SubnetNode::mem_bytes() const {
   std::size_t total = store_->mem_bytes() + resolved_.total_bytes();
-  if (view_published_ != nullptr) total += view_published_->mem_bytes();
-  if (view_pending_ != nullptr && view_pending_ != view_published_) {
-    total += view_pending_->mem_bytes();
+  // The view usually IS the head (shared, already counted by the store);
+  // only a superseded head it still pins adds to the footprint.
+  if (view_published_ != nullptr && view_published_ != store_->state_ptr()) {
+    total += view_published_->mem_bytes();
   }
   return total;
 }
@@ -405,13 +417,13 @@ Bytes SubnetNode::proof_at(chain::Epoch height) const {
 std::vector<chain::Message> SubnetNode::gather_cross_messages() {
   std::vector<chain::Message> out;
   const chain::Epoch next = store_->height() + 1;
-  const actors::ScaState my_sca = sca_state();
+  const auto my_sca = head_sca();
 
   // 1. Checkpoint cut at period boundaries (paper Fig. 2): freeze the
   //    window and open the signature window.
   if (!config_.subnet.is_root() && config_.params.checkpoint_period > 0 &&
       next % config_.params.checkpoint_period == 0 &&
-      next > my_sca.last_own_checkpoint_epoch) {
+      next > my_sca->last_own_checkpoint_epoch) {
     actors::CutParams cut;
     cut.epoch = next;
     cut.proof = store_->head().cid();
@@ -426,10 +438,10 @@ std::vector<chain::Message> SubnetNode::gather_cross_messages() {
   // 2. Top-down msgs committed by the parent, in nonce order (paper Fig. 3
   //    left: the pool syncs with the parent SCA's state).
   if (parent_ != nullptr) {
-    const actors::ScaState parent_sca = parent_->sca_state_view();
-    const auto* entry = parent_sca.find_subnet(config_.sa_in_parent);
+    const auto parent_sca = parent_->sca_state_view();
+    const auto* entry = parent_sca->find_subnet(config_.sa_in_parent);
     if (entry != nullptr) {
-      std::uint64_t expected = my_sca.applied_topdown_nonce;
+      std::uint64_t expected = my_sca->applied_topdown_nonce;
       for (const auto& cross : entry->topdown_queue) {
         if (out.size() >= config_.max_cross_msgs_per_block) break;
         if (cross.nonce < expected) continue;
@@ -448,8 +460,8 @@ std::vector<chain::Message> SubnetNode::gather_cross_messages() {
 
   // 3. Adopted bottom-up batches whose content has been resolved, strictly
   //    in adoption-nonce order (paper Fig. 3 right).
-  std::uint64_t expected_bu = my_sca.applied_bottomup_nonce;
-  for (const auto& pending : my_sca.pending_bottomup) {
+  std::uint64_t expected_bu = my_sca->applied_bottomup_nonce;
+  for (const auto& pending : my_sca->pending_bottomup) {
     if (out.size() >= config_.max_cross_msgs_per_block) break;
     if (pending.executed || pending.nonce < expected_bu) continue;
     if (pending.nonce != expected_bu) break;
@@ -471,7 +483,7 @@ std::vector<chain::Message> SubnetNode::gather_cross_messages() {
   return out;
 }
 
-chain::Block SubnetNode::build_block(const Address& miner) {
+chain::Block SubnetNode::build_block(const Address& miner, Bytes ticket) {
   static const obs::PhaseId build_phase =
       obs::Profiler::instance().phase("chain/build");
   obs::ProfileScope prof(build_phase);
@@ -480,32 +492,33 @@ chain::Block SubnetNode::build_block(const Address& miner) {
   block.header.height = store_->height() + 1;
   block.header.parent = store_->head().cid();
   block.header.timestamp = scheduler_.now();
+  block.header.ticket = std::move(ticket);
 
   block.cross_messages = gather_cross_messages();
   block.messages = mempool_.select(
       config_.max_user_msgs_per_block,
       [this](const Address& a) { return account_nonce(a); });
 
-  chain::StateTree tree = store_->state().snapshot();
-  (void)executor_.apply_block(tree, block);
-  block.header.state_root = tree.flush();
-  record_state_stats(tree);
+  ExecutedBlock run = execute(block, executor_.verify_block(block));
+  block.header.state_root = run.state.flush();
   block.header.msgs_root = block.compute_msgs_root();
+  run.block = block.cid();
+  remember(std::move(run));
   return block;
 }
 
 Status SubnetNode::validate_cross_messages(const chain::Block& block) {
-  const actors::ScaState my_sca = sca_state();
-  std::uint64_t expected_td = my_sca.applied_topdown_nonce;
-  std::uint64_t expected_bu = my_sca.applied_bottomup_nonce;
+  const auto my_sca = head_sca();
+  std::uint64_t expected_td = my_sca->applied_topdown_nonce;
+  std::uint64_t expected_bu = my_sca->applied_bottomup_nonce;
   bool cut_seen = false;
 
   // Parent view for authenticating top-down msgs.
   const actors::SubnetEntry* parent_entry = nullptr;
-  actors::ScaState parent_sca;
+  std::shared_ptr<const actors::ScaState> parent_sca;
   if (parent_ != nullptr) {
     parent_sca = parent_->sca_state_view();
-    parent_entry = parent_sca.find_subnet(config_.sa_in_parent);
+    parent_entry = parent_sca->find_subnet(config_.sa_in_parent);
   }
 
   for (const auto& m : block.cross_messages) {
@@ -563,11 +576,11 @@ Status SubnetNode::validate_cross_messages(const chain::Block& block) {
           return Error(Errc::kInvalidNonce, "bottom-up out of order");
         }
         const auto it = std::find_if(
-            my_sca.pending_bottomup.begin(), my_sca.pending_bottomup.end(),
+            my_sca->pending_bottomup.begin(), my_sca->pending_bottomup.end(),
             [&](const actors::PendingBottomUp& p) {
               return p.nonce == params.nonce;
             });
-        if (it == my_sca.pending_bottomup.end()) {
+        if (it == my_sca->pending_bottomup.end()) {
           return Error(Errc::kNotFound, "bottom-up nonce not adopted");
         }
         if (params.batch.cid() != it->meta.msgs_cid) {
@@ -600,51 +613,78 @@ Status SubnetNode::validate_block(const chain::Block& block) {
     return Error(Errc::kInvalidArgument, "msgs root mismatch");
   }
   HC_TRY_STATUS(validate_cross_messages(block));
-  if (!block.messages.empty()) {
-    // One batched pass through the sharded signature cache instead of a
-    // per-message lookup; payload re-encodes live in the executor's arena.
-    Arena& arena = executor_.arena();
-    crypto::BatchVerifier batch;
-    for (const auto& sm : block.messages) {
-      batch.add(sm.pubkey, arena.encode_obj(sm.message), sm.signature);
-    }
-    const std::vector<bool> verified = batch.flush();
-    arena.reset();
-    for (std::size_t i = 0; i < block.messages.size(); ++i) {
-      if (!verified[i] || !block.messages[i].sender_matches_key()) {
-        return Error(Errc::kInvalidSignature,
-                     "unsigned user message in block");
-      }
-    }
+  // One batched pass through the sharded signature cache; execution below
+  // reuses the outcomes instead of resolving every signature again.
+  const std::vector<char> sig_ok = executor_.verify_block(block);
+  if (std::find(sig_ok.begin(), sig_ok.end(), 0) != sig_ok.end()) {
+    return Error(Errc::kInvalidSignature, "unsigned user message in block");
   }
-  chain::StateTree tree = store_->state().snapshot();
-  (void)executor_.apply_block(tree, block);
-  const bool root_ok = tree.flush() == block.header.state_root;
-  record_state_stats(tree);
+  const Cid cid = block.cid();
+  // Already executed on this head (our own build, or an earlier validation
+  // of the same candidate): the kept post-state matched this header's
+  // state root when it was kept.
+  if (find_executed(cid) != nullptr) return ok_status();
+  ExecutedBlock run = execute(block, sig_ok);
   sync_arena_obs();
-  if (!root_ok) {
+  if (run.state.flush() != block.header.state_root) {
     return Error(Errc::kInvalidArgument, "state root mismatch");
   }
+  run.block = cid;
+  remember(std::move(run));
   return ok_status();
+}
+
+SubnetNode::ExecutedBlock SubnetNode::execute(
+    const chain::Block& block, const std::vector<char>& sig_ok) {
+  ExecutedBlock run;
+  run.parent = store_->head().cid();
+  run.state = store_->state().snapshot();
+  run.receipts = executor_.apply_block(run.state, block, sig_ok);
+  (void)run.state.flush();
+  // A snapshot starts with zeroed stats, so this is exactly the cost of
+  // this one execution and flush; later cache-hit flushes (append) are
+  // not real work and stay uncounted.
+  record_state_stats(run.state);
+  c_block_executions_->inc();
+  return run;
+}
+
+void SubnetNode::remember(ExecutedBlock run) {
+  if (executed_.size() >= kMaxExecuted) executed_.erase(executed_.begin());
+  executed_.push_back(std::move(run));
+}
+
+SubnetNode::ExecutedBlock* SubnetNode::find_executed(const Cid& cid) {
+  const Cid head = store_->head().cid();
+  for (ExecutedBlock& run : executed_) {
+    if (run.block == cid && run.parent == head) return &run;
+  }
+  return nullptr;
 }
 
 void SubnetNode::commit_block(chain::Block block, Bytes proof) {
   static const obs::PhaseId commit_phase =
       obs::Profiler::instance().phase("chain/commit");
   obs::ProfileScope prof(commit_phase);
-  chain::StateTree tree = store_->state().snapshot();
-  std::vector<chain::Receipt> receipts = executor_.apply_block(tree, block);
   const chain::Epoch height = block.header.height;
-  const chain::Block committed = block;  // keep for after_commit
-  if (Status ok = store_->append(std::move(block), std::move(tree)); !ok) {
+  // Take the post-state build/validate already computed for this block on
+  // this head; otherwise (a certificate commit on a replica that never
+  // validated it) run the same execution path now.
+  ExecutedBlock run;
+  if (ExecutedBlock* kept = find_executed(block.cid())) {
+    run = std::move(*kept);
+  } else {
+    run = execute(block, executor_.verify_block(block));
+  }
+  if (Status ok = store_->append(std::move(block), std::move(run.state));
+      !ok) {
     LogLine(LogLevel::kError, config_.subnet.to_string())
             .kv("height", height)
         << "commit failed: " << ok.error().to_string();
     return;
   }
-  // The appended tree (snapshot copy, so stats started at zero) now holds
-  // the commitment cost of executing + flushing this block.
-  record_state_stats(store_->state());
+  executed_.clear();  // every kept execution extended the old head
+  const chain::Block& committed = store_->head();
   proofs_.resize(static_cast<std::size_t>(height));
   proofs_[static_cast<std::size_t>(height - 1)] = std::move(proof);
 
@@ -665,15 +705,10 @@ void SubnetNode::commit_block(chain::Block block, Bytes proof) {
   // of wall-clock (deterministic exports); O(actors) per sample.
   if (g_mem_bytes_ != nullptr && height % 8 == 0) refresh_mem_metrics();
 
-  // Refresh the pending parent view once snapshots are in use (first
-  // publish_view() call enables them); flipped at the next barrier.
-  if (view_published_ != nullptr) {
-    view_pending_ =
-        std::make_shared<const chain::StateTree>(store_->state().snapshot());
-  }
-
   c_blocks_committed_->inc();
   h_commit_latency_->observe(scheduler_.now() - committed.header.timestamp);
+  receipts_[height] = std::move(run.receipts);
+  const std::vector<chain::Receipt>& receipts = receipts_[height];
   const std::size_t n_cross = committed.cross_messages.size();
   for (std::size_t i = 0; i < receipts.size(); ++i) {
     if (!receipts[i].ok()) continue;
@@ -684,8 +719,6 @@ void SubnetNode::commit_block(chain::Block block, Bytes proof) {
     }
   }
   observe_commit(committed, receipts);
-
-  receipts_[height] = receipts;
   if (receipts_.size() > 64) receipts_.erase(receipts_.begin());
 
   after_commit(committed, receipts);
@@ -706,9 +739,8 @@ void SubnetNode::recover_from_wal() {
         // block application; later records for higher heights are skipped.
         if (block.header.height != store_->height() + 1) break;
         const auto height = static_cast<std::size_t>(block.header.height);
-        chain::StateTree tree = store_->state().snapshot();
-        (void)executor_.apply_block(tree, block);
-        if (Status ok = store_->append(std::move(block), std::move(tree));
+        ExecutedBlock run = execute(block, executor_.verify_block(block));
+        if (Status ok = store_->append(std::move(block), std::move(run.state));
             !ok) {
           break;
         }
@@ -730,7 +762,6 @@ void SubnetNode::recover_from_wal() {
         break;
     }
   }
-  record_state_stats(store_->state());
   recovered_height_ = store_->height();
   // Physically drop the damaged tail (torn/corrupt frames must never sit
   // under fresh appends) and barrier the surviving prefix.
@@ -1000,11 +1031,11 @@ void SubnetNode::arm_retry(RetryState& retry, chain::Epoch head) {
 }
 
 void SubnetNode::push_own_batches(const core::Checkpoint& cp) {
-  const actors::ScaState my_sca = sca_state();
+  const auto my_sca = head_sca();
   for (const auto& meta : cp.cross_meta) {
     if (!(meta.from == config_.subnet)) continue;  // children push their own
-    auto it = my_sca.msg_registry.find(registry_key(meta.msgs_cid));
-    if (it == my_sca.msg_registry.end()) continue;
+    auto it = my_sca->msg_registry.find(registry_key(meta.msgs_cid));
+    if (it == my_sca->msg_registry.end()) continue;
     ResolutionMsg push;
     push.kind = ResolutionKind::kPush;
     push.cid = meta.msgs_cid;
@@ -1015,13 +1046,13 @@ void SubnetNode::push_own_batches(const core::Checkpoint& cp) {
 }
 
 void SubnetNode::request_missing_batches() {
-  const actors::ScaState my_sca = sca_state();
+  const auto my_sca = head_sca();
   const chain::Epoch head = store_->height();
   // Keep only retry state for batches still missing; resolved or executed
   // entries drop out so the map stays bounded by the pending set.
   std::set<Bytes> missing;
   std::size_t issued = 0;
-  for (const auto& pending : my_sca.pending_bottomup) {
+  for (const auto& pending : my_sca->pending_bottomup) {
     if (pending.executed) continue;
     if (resolved_.has(pending.meta.msgs_cid)) continue;
     const Bytes key = registry_key(pending.meta.msgs_cid);
@@ -1454,9 +1485,9 @@ void SubnetNode::handle_resolve_topic(const net::Envelope& payload) {
     case ResolutionKind::kPull: {
       // Serve from the on-chain registry (paper §IV-C) or local cache.
       Bytes content;
-      const actors::ScaState my_sca = sca_state();
-      auto it = my_sca.msg_registry.find(registry_key(msg->cid));
-      if (it != my_sca.msg_registry.end()) {
+      const auto my_sca = head_sca();
+      auto it = my_sca->msg_registry.find(registry_key(msg->cid));
+      if (it != my_sca->msg_registry.end()) {
         content = it->second;
       } else if (auto cached = resolved_.get_shared(msg->cid)) {
         content = *cached;

@@ -78,6 +78,9 @@ struct NodeConfig {
 /// registry (families node_* labeled {node, subnet}) and assembled on read.
 struct NodeStats {
   std::uint64_t blocks_committed = 0;
+  /// Block executions (build, validate, commit fallback, WAL replay). On a
+  /// healthy run every committed block is executed exactly once.
+  std::uint64_t block_executions = 0;
   std::uint64_t user_msgs_executed = 0;
   std::uint64_t cross_msgs_executed = 0;
   std::uint64_t checkpoints_cut = 0;
@@ -109,8 +112,8 @@ class SubnetNode final : public consensus::BlockSource,
 
   /// Wire the trusted parent view (must outlive this node; may be nullptr
   /// while every parent replica is crashed). Root: none. Maintains the
-  /// parent's viewer count — snapshots are only materialized on nodes
-  /// that actually have child readers (DESIGN.md §17). Driver context
+  /// parent's viewer count — views are only published on nodes that
+  /// actually have child readers (DESIGN.md §17). Driver context
   /// only (lanes parked): may publish a view on the new parent.
   void attach_parent(SubnetNode* parent);
   [[nodiscard]] SubnetNode* parent_view() const { return parent_; }
@@ -143,24 +146,28 @@ class SubnetNode final : public consensus::BlockSource,
   [[nodiscard]] std::optional<actors::SaState> sa_state(
       const Address& sa) const;
 
-  // ------------------------------------------------- parent view snapshot
+  // ----------------------------------------------------- parent view
   // Child nodes run in a different scheduler lane than their parent; they
-  // must read the parent through the snapshot published at the last window
-  // barrier, never through the live accessors above (DESIGN.md §11). While
-  // no snapshot has been published (raw single-lane usage without a
-  // Hierarchy), these fall back to live state.
+  // must read the parent through the head state published at the last
+  // window barrier, never through the live accessors above (DESIGN.md
+  // §11). While no view has been published (raw single-lane usage without
+  // a Hierarchy), these fall back to live state.
   [[nodiscard]] std::uint64_t account_nonce_view(const Address& addr) const;
-  [[nodiscard]] actors::ScaState sca_state_view() const;
+  /// Decoded once per published head and shared by every reader.
+  [[nodiscard]] std::shared_ptr<const actors::ScaState> sca_state_view()
+      const;
   [[nodiscard]] std::optional<actors::SaState> sa_state_view(
       const Address& sa) const;
 
-  /// Flip the pending state snapshot into the published parent view.
-  /// Called by Hierarchy between execution windows (never concurrently
-  /// with lane callbacks). Viewer-gated (DESIGN.md §17): a node with no
-  /// attached child readers skips the snapshot entirely — at city scale
-  /// ~90% of subnets are leaves, so their per-window full-state copy
-  /// vanishes. Readers in driver context fall back to live state, which
-  /// post-barrier equals what the snapshot would hold.
+  /// Publish the current head state as the parent view. The head is an
+  /// immutable shared tree (ChainStore::state_ptr), so this shares it
+  /// rather than copying it; later commits replace the head and leave the
+  /// published tree untouched for the rest of the window. Called by
+  /// Hierarchy between execution windows (never concurrently with lane
+  /// callbacks). Viewer-gated (DESIGN.md §17): a node with no attached
+  /// child readers publishes nothing, so a leaf never pins a superseded
+  /// head. Readers in driver context fall back to live state, which
+  /// post-barrier equals what the view would hold.
   void publish_view();
 
   /// Nodes currently reading this node as their trusted parent view.
@@ -169,8 +176,9 @@ class SubnetNode final : public consensus::BlockSource,
   }
 
   /// Deterministic logical memory footprint of this replica: chain window
-  /// + head state + resolved-content cache + view buffers. The shared
-  /// genesis tree is excluded (counted once per subnet, not per replica).
+  /// + head state + resolved-content cache + a published view that is no
+  /// longer the head. The shared genesis tree is excluded (counted once
+  /// per subnet, not per replica).
   [[nodiscard]] std::size_t mem_bytes() const;
 
   [[nodiscard]] NodeStats stats() const;
@@ -252,7 +260,8 @@ class SubnetNode final : public consensus::BlockSource,
   }
 
   // ------------------------------------------------- BlockSource interface
-  [[nodiscard]] chain::Block build_block(const Address& miner) override;
+  [[nodiscard]] chain::Block build_block(const Address& miner,
+                                         Bytes ticket) override;
   [[nodiscard]] Status validate_block(const chain::Block& block) override;
   void commit_block(chain::Block block, Bytes proof) override;
   [[nodiscard]] chain::Epoch head_height() const override {
@@ -271,6 +280,28 @@ class SubnetNode final : public consensus::BlockSource,
   /// Validate the implicit section of a proposed block against the parent
   /// view and local SCA state.
   [[nodiscard]] Status validate_cross_messages(const chain::Block& block);
+
+  /// One execution of a block on top of the head it extends (DESIGN.md §12
+  /// "Execute once"). build_block and a successful validate_block keep it
+  /// so commit_block appends the post-state instead of re-running the block.
+  struct ExecutedBlock {
+    Cid block;   // CID of the executed block
+    Cid parent;  // head it was executed on
+    chain::StateTree state;  // flushed post-state
+    std::vector<chain::Receipt> receipts;
+  };
+
+  /// The one execution path (build, validate, commit without a kept result,
+  /// WAL replay): apply `block` to a copy of the head, flush, and count the
+  /// commitment cost once. `block` (the entry's CID) is left for the caller.
+  [[nodiscard]] ExecutedBlock execute(const chain::Block& block,
+                                      const std::vector<char>& sig_ok);
+  /// Keep an execution for commit_block; the oldest is dropped beyond
+  /// kMaxExecuted (round changes and equivocation validate several
+  /// candidates at one height).
+  void remember(ExecutedBlock run);
+  /// The kept execution of block `cid` on the current head, if any.
+  [[nodiscard]] ExecutedBlock* find_executed(const Cid& cid);
 
   /// Post-commit duties: signing freshly cut checkpoints, pushing batches,
   /// requesting pulls for unresolved metas, submitting quorum checkpoints.
@@ -315,6 +346,14 @@ class SubnetNode final : public consensus::BlockSource,
 
   /// The state tree the parent-facing _view accessors read from.
   [[nodiscard]] const chain::StateTree& view_tree() const;
+  /// Decoded SCA state of the head. On a node with child readers it is
+  /// cached per head tree (heads are immutable, §11), decoded once per head
+  /// for every duty and shared with the published view; a leaf decodes per
+  /// call and keeps no copy. Owner lane or driver context only, like the
+  /// other live accessors.
+  [[nodiscard]] std::shared_ptr<const actors::ScaState> head_sca() const;
+  /// Publish the head and its decoded SCA state as the parent view.
+  void share_view();
 
   /// Replay the WAL (blocks, checkpoints, vote state) into a freshly built
   /// genesis store, then physically truncate the damaged tail. Runs in the
@@ -347,29 +386,40 @@ class SubnetNode final : public consensus::BlockSource,
   std::unique_ptr<consensus::Engine> engine_;
   SubnetNode* parent_ = nullptr;
 
-  /// Double-buffered parent view (DESIGN.md §11): commit_block refreshes
-  /// the pending buffer inside this node's lane, publish_view() flips it
-  /// between windows, and readers in other lanes only ever dereference the
-  /// published buffer — which is stable for a whole window. Null until a
+  /// Parent view (DESIGN.md §11): the head state shared at the last window
+  /// barrier. Readers in other lanes only ever dereference this pointer,
+  /// which publish_view() swaps between windows; commits inside the window
+  /// install a new head and never touch the published tree. Null until a
   /// child attaches (viewer gating, §17) or for raw single-lane usage.
-  std::shared_ptr<const chain::StateTree> view_pending_;
   std::shared_ptr<const chain::StateTree> view_published_;
+  /// view_published_'s decoded SCA state: the child replicas reading the
+  /// view share one decode instead of each decoding the same bytes.
+  std::shared_ptr<const actors::ScaState> view_sca_;
+  /// head_sca() cache while viewers_ > 0, and the head tree it was
+  /// decoded from (weak: a superseded head is not kept alive by the cache).
+  mutable std::weak_ptr<const chain::StateTree> sca_tree_;
+  mutable std::shared_ptr<const actors::ScaState> sca_;
   /// Child nodes holding this node as parent view; maintained by
-  /// attach_parent()/~SubnetNode from driver context. Buffers above are
-  /// only materialized while this is > 0.
+  /// attach_parent()/~SubnetNode from driver context. The view above is
+  /// only published while this is > 0.
   int viewers_ = 0;
-  /// Set by the first publish_view(): snapshots are in use (windowed
-  /// execution), so a late-attaching viewer must be served a snapshot
+  /// Set by the first publish_view(): views are in use (windowed
+  /// execution), so a late-attaching viewer must be served a view
   /// immediately instead of waiting for the next barrier.
   bool views_enabled_ = false;
-  /// Bump the viewer count; publishes an immediate snapshot for the first
+  /// Bump the viewer count; publishes an immediate view for the first
   /// viewer once windowed execution is live.
   void add_viewer();
-  /// Drop one viewer; the last one releases both view buffers.
+  /// Drop one viewer; the last one releases the view.
   void remove_viewer();
 
   /// Resolved cross-msg batches (local cache + registry mirror).
   storage::ContentStore resolved_;
+  /// Executions kept by build/validate for the next commit; emptied
+  /// whenever the head moves.
+  std::vector<ExecutedBlock> executed_;
+  static constexpr std::size_t kMaxExecuted = 4;
+
   /// Proofs and receipts per height (height-1 indexed like blocks).
   std::vector<Bytes> proofs_;
   std::map<chain::Epoch, std::vector<chain::Receipt>> receipts_;
@@ -444,6 +494,7 @@ class SubnetNode final : public consensus::BlockSource,
   // handles are resolved once in the constructor (see src/obs/).
   obs::Obs& obs_;
   obs::Counter* c_blocks_committed_;
+  obs::Counter* c_block_executions_;
   obs::Counter* c_user_msgs_;
   obs::Counter* c_cross_msgs_;
   obs::Counter* c_checkpoints_cut_;
@@ -456,7 +507,7 @@ class SubnetNode final : public consensus::BlockSource,
   obs::Counter* c_fraud_detected_;
   obs::Counter* c_fraud_submitted_;
   /// Incremental state-commitment cost (DESIGN.md §12): scraped from
-  /// StateTree::commit_stats() after every propose/validate/commit flush.
+  /// StateTree::commit_stats() once per block execution.
   obs::Counter* c_state_leaf_rehashes_;
   obs::Counter* c_state_flush_hits_;
   /// Reason-labelled mempool shed counters ({node, subnet, reason}),

@@ -23,11 +23,12 @@ class EmptySource final : public BlockSource {
       : store_(chain::ChainStore::make_genesis(chain::StateTree{}, 0),
                chain::StateTree{}) {}
 
-  chain::Block build_block(const Address& miner) override {
+  chain::Block build_block(const Address& miner, Bytes ticket) override {
     chain::Block b;
     b.header.miner = miner;
     b.header.height = store_.height() + 1;
     b.header.parent = store_.head().cid();
+    b.header.ticket = std::move(ticket);
     b.header.state_root = store_.state().flush();
     b.header.msgs_root = b.compute_msgs_root();
     return b;
