@@ -9,13 +9,11 @@
 // (exactly the guilty slashed, honest collateral untouched), and how many
 // slashes/deactivations the scenario expects per run.
 //
-// Sidecar: BENCH_byzantine.metrics.json accumulates the per-run metric
-// snapshots — fraud_detection_latency_us histograms, slash and
+// Sidecar: BENCH_byzantine.metrics.json accumulates the per-run
+// fingerprints and metric snapshots — fraud_detection_latency_us histograms, slash and
 // deactivation counters, byzantine action counters — for offline analysis
 // of detection latency distributions.
-#include "bench_common.hpp"
-
-#include "chaos/runner.hpp"
+#include "chaos_sidecar.hpp"
 
 namespace hc::bench {
 namespace {
@@ -35,40 +33,7 @@ chaos::RunnerConfig byz_config() {
   return cfg;
 }
 
-/// Accumulates per-run snapshots; written when the binary exits.
-class ByzantineSidecar {
- public:
-  void capture(const chaos::RunResult& r) {
-    runs_.push_back({r.scenario + "/seed-" + std::to_string(r.seed), r.seed,
-                     r.metrics_json});
-  }
-
-  ~ByzantineSidecar() {
-    if (runs_.empty()) return;
-    std::string json = "{\n  \"bench\": \"byzantine\",\n  \"meta\": " +
-                       bench_meta_json(start_) + ",\n  \"runs\": [\n";
-    for (std::size_t i = 0; i < runs_.size(); ++i) {
-      json += "    {\"label\": \"" + obs::json_escape(runs_[i].label) +
-              "\", \"seed\": " + std::to_string(runs_[i].seed) +
-              ", \"metrics\": " + runs_[i].metrics + "}";
-      json += (i + 1 < runs_.size()) ? ",\n" : "\n";
-    }
-    json += "  ]\n}\n";
-    (void)obs::write_text_file("BENCH_byzantine.metrics.json", json);
-  }
-
- private:
-  struct Run {
-    std::string label;
-    std::uint64_t seed = 0;
-    std::string metrics;
-  };
-  std::chrono::steady_clock::time_point start_ =
-      std::chrono::steady_clock::now();
-  std::vector<Run> runs_;
-};
-
-ByzantineSidecar sidecar;
+ChaosSidecar sidecar("byzantine");
 
 void run_byzantine_scenario(benchmark::State& state) {
   const auto scenarios = chaos::ChaosRunner::byzantine_scenarios();

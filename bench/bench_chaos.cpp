@@ -7,13 +7,10 @@
 // conservation, no negative balances, queues drained, checkpoints committed,
 // replica agreement), total faults injected, and the simulated time budget.
 //
-// Sidecars: BENCH_chaos.metrics.json accumulates the per-run metric
-// snapshots (reason-labelled drop counters, checkpoint retry counters,
-// chaos_faults_injected_total); BENCH_chaos.trace.json keeps the last run's
-// Chrome trace with its "chaos" track of fault instants.
-#include "bench_common.hpp"
-
-#include "chaos/runner.hpp"
+// Sidecar: BENCH_chaos.metrics.json accumulates the per-run fingerprints
+// and metric snapshots (reason-labelled drop counters, checkpoint retry
+// counters, chaos_faults_injected_total).
+#include "chaos_sidecar.hpp"
 
 namespace hc::bench {
 namespace {
@@ -33,40 +30,7 @@ chaos::RunnerConfig chaos_config() {
   return cfg;
 }
 
-/// Accumulates per-run snapshots; written when the binary exits.
-class ChaosSidecar {
- public:
-  void capture(const chaos::RunResult& r) {
-    runs_.push_back({r.scenario + "/seed-" + std::to_string(r.seed), r.seed,
-                     r.metrics_json});
-  }
-
-  ~ChaosSidecar() {
-    if (runs_.empty()) return;
-    std::string json = "{\n  \"bench\": \"chaos\",\n  \"meta\": " +
-                       bench_meta_json(start_) + ",\n  \"runs\": [\n";
-    for (std::size_t i = 0; i < runs_.size(); ++i) {
-      json += "    {\"label\": \"" + obs::json_escape(runs_[i].label) +
-              "\", \"seed\": " + std::to_string(runs_[i].seed) +
-              ", \"metrics\": " + runs_[i].metrics + "}";
-      json += (i + 1 < runs_.size()) ? ",\n" : "\n";
-    }
-    json += "  ]\n}\n";
-    (void)obs::write_text_file("BENCH_chaos.metrics.json", json);
-  }
-
- private:
-  struct Run {
-    std::string label;
-    std::uint64_t seed = 0;
-    std::string metrics;
-  };
-  std::chrono::steady_clock::time_point start_ =
-      std::chrono::steady_clock::now();
-  std::vector<Run> runs_;
-};
-
-ChaosSidecar sidecar;
+ChaosSidecar sidecar("chaos");
 
 void run_chaos_scenario(benchmark::State& state) {
   const auto scenarios = chaos::ChaosRunner::standard_scenarios();

@@ -11,6 +11,7 @@ ChainStore::ChainStore(Block genesis,
   by_cid_.emplace(genesis.cid(), 0);
   blocks_bytes_ = genesis.mem_bytes();
   blocks_.push_back(std::move(genesis));
+  proofs_.emplace_back();
 }
 
 ChainStore::ChainStore(Block genesis, StateTree genesis_state)
@@ -29,7 +30,7 @@ Block ChainStore::make_genesis(const StateTree& state,
   return genesis;
 }
 
-Status ChainStore::append(Block block, StateTree new_state) {
+Status ChainStore::append(Block block, StateTree new_state, Bytes proof) {
   if (block.header.parent != head().cid()) {
     return Error(Errc::kStateConflict, "block does not extend current head");
   }
@@ -51,6 +52,7 @@ Status ChainStore::append(Block block, StateTree new_state) {
   by_cid_.emplace(block.cid(), block.header.height);
   blocks_bytes_ += block.mem_bytes();
   blocks_.push_back(std::move(block));
+  proofs_.push_back(std::move(proof));
   state_ = std::make_shared<const StateTree>(std::move(new_state));
   prune_();
   return ok_status();
@@ -76,8 +78,9 @@ void ChainStore::prune_() {
     ++drop;
   }
   if (drop == 0) return;
-  blocks_.erase(blocks_.begin(),
-                blocks_.begin() + static_cast<std::ptrdiff_t>(drop));
+  const auto cut = static_cast<std::ptrdiff_t>(drop);
+  blocks_.erase(blocks_.begin(), blocks_.begin() + cut);
+  proofs_.erase(proofs_.begin(), proofs_.begin() + cut);
   blocks_bytes_ = bytes;
   base_height_ += static_cast<Epoch>(drop);
 }
@@ -107,6 +110,11 @@ Result<StateTree> ChainStore::state_at(Epoch height,
     return Error(Errc::kInternal, "replay diverged from recorded state root");
   }
   return tree;
+}
+
+const Bytes* ChainStore::proof_at(Epoch height) const {
+  if (block_at(height) == nullptr) return nullptr;
+  return &proofs_[static_cast<std::size_t>(height - base_height_)];
 }
 
 const Block* ChainStore::block_by_cid(const Cid& cid) const {

@@ -47,22 +47,18 @@ class ChainStore {
   [[nodiscard]] const std::shared_ptr<const StateTree>& state_ptr() const {
     return state_;
   }
-  /// Blocks currently retained (== height()+1 while unbounded).
-  [[nodiscard]] std::size_t length() const { return blocks_.size(); }
 
-  /// Append a block whose execution produced `new_state`. Validates:
-  /// parent == head CID, height == head+1, msgs_root, state_root (a cache
-  /// hit when the caller already flushed `new_state`). With a bounded
-  /// retention policy, prunes the oldest blocks past the cap.
-  Status append(Block block, StateTree new_state);
+  /// Append a block whose execution produced `new_state`, with the
+  /// consensus `proof` that finalized it. Validates: parent == head CID,
+  /// height == head+1, msgs_root, state_root (a cache hit when the caller
+  /// already flushed `new_state`). With a bounded retention policy, prunes
+  /// the oldest blocks (and their proofs) past the cap.
+  Status append(Block block, StateTree new_state, Bytes proof = {});
 
   /// Bound the retained block window (0 fields = unbounded, the default).
   /// Catch-up and state_at need the pruned blocks, so callers must size
   /// the window beyond the worst replica lag they tolerate.
   void set_retention(common::CapacityPolicy policy);
-  [[nodiscard]] const common::CapacityPolicy& retention() const {
-    return retention_;
-  }
 
   /// Height of the oldest retained block (0 while unbounded).
   [[nodiscard]] Epoch base_height() const { return base_height_; }
@@ -70,6 +66,9 @@ class ChainStore {
   /// nullptr when out of range or pruned by the retention policy.
   [[nodiscard]] const Block* block_at(Epoch height) const;
   [[nodiscard]] const Block* block_by_cid(const Cid& cid) const;
+  /// Finality proof stored with the block at `height`; nullptr exactly
+  /// when block_at(height) is.
+  [[nodiscard]] const Bytes* proof_at(Epoch height) const;
 
   /// Reconstruct the state as of `height` by replaying from genesis
   /// (deterministic; used for historic proofs and audits). Fails when the
@@ -91,6 +90,7 @@ class ChainStore {
   void prune_();
 
   std::vector<Block> blocks_;  // window [base_height_, height()]
+  std::vector<Bytes> proofs_;  // parallel to blocks_
   std::unordered_map<Cid, Epoch> by_cid_;
   std::shared_ptr<const StateTree> state_;
   std::shared_ptr<const StateTree> genesis_state_;

@@ -1,7 +1,9 @@
 #include "chaos/fault_plan.hpp"
 
-#include <algorithm>
+#include <optional>
 #include <string>
+
+#include "actors/methods.hpp"
 
 namespace hc::chaos {
 
@@ -35,9 +37,13 @@ const char* to_string(FaultEvent::Kind kind) {
   return "unknown";
 }
 
-FaultPlan& FaultPlan::push(FaultEvent event) {
-  events_.push_back(std::move(event));
-  return *this;
+FaultEvent& FaultPlan::push(sim::Duration at, FaultEvent::Kind kind,
+                            NodeRef a) {
+  FaultEvent& e = events_.emplace_back();
+  e.at = at;
+  e.kind = kind;
+  e.a = a;
+  return e;
 }
 
 FaultPlan& FaultPlan::crash(sim::Duration at, NodeRef n) {
@@ -46,121 +52,178 @@ FaultPlan& FaultPlan::crash(sim::Duration at, NodeRef n) {
 
 FaultPlan& FaultPlan::crash(sim::Duration at, NodeRef n,
                             storage::DiskFault disk) {
-  FaultEvent e;
-  e.at = at;
-  e.kind = FaultEvent::Kind::kCrash;
-  e.a = n;
-  e.disk = disk;
-  return push(e);
+  push(at, FaultEvent::Kind::kCrash, n).disk = disk;
+  return *this;
 }
 
 FaultPlan& FaultPlan::restart(sim::Duration at, NodeRef n) {
-  FaultEvent e;
-  e.at = at;
-  e.kind = FaultEvent::Kind::kRestart;
-  e.a = n;
-  return push(e);
+  push(at, FaultEvent::Kind::kRestart, n);
+  return *this;
 }
 
 FaultPlan& FaultPlan::link_fault(sim::Duration at, NodeRef a, NodeRef b,
                                  net::LinkFault fault) {
-  FaultEvent e;
-  e.at = at;
-  e.kind = FaultEvent::Kind::kLinkFault;
-  e.a = a;
+  FaultEvent& e = push(at, FaultEvent::Kind::kLinkFault, a);
   e.b = b;
   e.fault = fault;
-  return push(e);
+  return *this;
 }
 
 FaultPlan& FaultPlan::clear_link_fault(sim::Duration at, NodeRef a,
                                        NodeRef b) {
-  FaultEvent e;
-  e.at = at;
-  e.kind = FaultEvent::Kind::kClearLinkFault;
-  e.a = a;
-  e.b = b;
-  return push(e);
+  push(at, FaultEvent::Kind::kClearLinkFault, a).b = b;
+  return *this;
 }
 
 FaultPlan& FaultPlan::node_fault(sim::Duration at, NodeRef n,
                                  net::LinkFault fault) {
-  FaultEvent e;
-  e.at = at;
-  e.kind = FaultEvent::Kind::kNodeFault;
-  e.a = n;
-  e.fault = fault;
-  return push(e);
+  push(at, FaultEvent::Kind::kNodeFault, n).fault = fault;
+  return *this;
 }
 
 FaultPlan& FaultPlan::clear_node_fault(sim::Duration at, NodeRef n) {
-  FaultEvent e;
-  e.at = at;
-  e.kind = FaultEvent::Kind::kClearNodeFault;
-  e.a = n;
-  return push(e);
+  push(at, FaultEvent::Kind::kClearNodeFault, n);
+  return *this;
 }
 
 FaultPlan& FaultPlan::partition(sim::Duration at,
                                 std::vector<std::vector<NodeRef>> groups) {
-  FaultEvent e;
-  e.at = at;
-  e.kind = FaultEvent::Kind::kPartition;
-  e.groups = std::move(groups);
-  return push(std::move(e));
+  push(at, FaultEvent::Kind::kPartition).groups = std::move(groups);
+  return *this;
 }
 
 FaultPlan& FaultPlan::heal(sim::Duration at) {
-  FaultEvent e;
-  e.at = at;
-  e.kind = FaultEvent::Kind::kHeal;
-  return push(e);
+  push(at, FaultEvent::Kind::kHeal);
+  return *this;
 }
 
 FaultPlan& FaultPlan::drop_rate(sim::Duration at, double p) {
-  FaultEvent e;
-  e.at = at;
-  e.kind = FaultEvent::Kind::kDropRate;
-  e.drop_rate = p;
-  return push(e);
+  push(at, FaultEvent::Kind::kDropRate).drop_rate = p;
+  return *this;
 }
 
 FaultPlan& FaultPlan::byzantine(sim::Duration at, NodeRef n,
-                                runtime::ByzantineBehavior behavior) {
-  FaultEvent e;
-  e.at = at;
-  e.kind = FaultEvent::Kind::kByzantine;
-  e.a = n;
-  e.behavior = behavior;
-  return push(e);
+                                ByzantineBehavior behavior) {
+  push(at, FaultEvent::Kind::kByzantine, n).behavior = behavior;
+  return *this;
 }
 
 FaultPlan& FaultPlan::clear_byzantine(sim::Duration at, NodeRef n) {
-  FaultEvent e;
-  e.at = at;
-  e.kind = FaultEvent::Kind::kClearByzantine;
-  e.a = n;
-  return push(e);
+  push(at, FaultEvent::Kind::kClearByzantine, n);
+  return *this;
 }
 
 FaultPlan& FaultPlan::surge(sim::Duration at, NodeRef n, std::size_t senders,
                             std::size_t messages_each) {
-  FaultEvent e;
-  e.at = at;
-  e.kind = FaultEvent::Kind::kSurge;
-  e.a = n;
+  FaultEvent& e = push(at, FaultEvent::Kind::kSurge, n);
   e.surge_senders = senders;
   e.surge_messages = messages_each;
-  return push(e);
-}
-
-sim::Duration FaultPlan::horizon() const {
-  sim::Duration h = 0;
-  for (const auto& e : events_) h = std::max(h, e.at);
-  return h;
+  return *this;
 }
 
 namespace {
+
+const char* behavior_name(ByzantineBehavior b) {
+  switch (b) {
+    case ByzantineBehavior::kNone:
+      return "none";
+    case ByzantineBehavior::kEquivocate:
+      return "equivocate";
+    case ByzantineBehavior::kWithhold:
+      return "withhold";
+    case ByzantineBehavior::kForgeMeta:
+      return "forge-meta";
+    case ByzantineBehavior::kStaleResubmit:
+      return "stale-resubmit";
+  }
+  return "unknown";
+}
+
+/// The adversary FaultPlan::byzantine arms: plays one behavior on the
+/// validator's checkpoint duty.
+class ByzantineAdversary final : public runtime::CheckpointAdversary {
+ public:
+  explicit ByzantineAdversary(ByzantineBehavior behavior)
+      : behavior_(behavior) {}
+
+  [[nodiscard]] bool withholds() const override {
+    return behavior_ == ByzantineBehavior::kWithhold;
+  }
+
+  void on_cut(const Context& ctx, const core::Checkpoint& cp) override {
+    ctx.obs.metrics
+        .counter("node_byzantine_actions_total",
+                 obs::Labels{{"node", std::to_string(ctx.node)},
+                             {"subnet", ctx.subnet.to_string()},
+                             {"behavior", behavior_name(behavior_)}})
+        .inc();
+    switch (behavior_) {
+      case ByzantineBehavior::kEquivocate:
+      case ByzantineBehavior::kForgeMeta:
+        // The forged side must carry its content: no honest replica can
+        // reconstruct it from its own chain, and the watcher needs both
+        // contents to assemble a proof.
+        ctx.gossip_share_with_content(forge(cp, ctx.subnet));
+        // Detection-latency flow: provable fraud injected here, closed when
+        // a slash record for this (subnet, epoch, signer) lands on the
+        // parent chain.
+        ctx.obs.tracer.flow_begin(
+            runtime::fraud_flow_key(ctx.subnet, cp.epoch, ctx.address),
+            "fraud.detect", ctx.subnet.to_string(),
+            {{"behavior", behavior_name(behavior_)}});
+        break;
+      case ByzantineBehavior::kStaleResubmit:
+        if (stale_.has_value()) {
+          ctx.submit_to_parent(ctx.sa_in_parent,
+                               actors::sa_method::kSubmitCheckpoint,
+                               encode(*stale_));
+        }
+        break;
+      case ByzantineBehavior::kNone:
+      case ByzantineBehavior::kWithhold:
+        break;
+    }
+  }
+
+  void on_accepted(const core::SignedCheckpoint& accepted) override {
+    // Stash the just-accepted checkpoint with its full signature set and
+    // replay this well-formed-but-stale submission every future period
+    // (the SA must reject it on epoch staleness).
+    if (behavior_ == ByzantineBehavior::kStaleResubmit) stale_ = accepted;
+  }
+
+ private:
+  [[nodiscard]] core::Checkpoint forge(const core::Checkpoint& cp,
+                                       const core::SubnetId& subnet) const {
+    core::Checkpoint forged = cp;
+    if (behavior_ == ByzantineBehavior::kForgeMeta) {
+      // Inflate the bottom-up value this checkpoint claims toward the
+      // parent. Were it accepted, the parent would release more than the
+      // child ever burned — the exact theft the firewall property (§II)
+      // and the supply invariants must catch.
+      if (forged.cross_meta.empty()) {
+        core::CrossMsgMeta meta;
+        meta.from = subnet;
+        meta.to = subnet.parent().value_or(core::SubnetId{});
+        meta.msg_count = 1;
+        meta.value = TokenAmount::whole(1'000'000);
+        forged.cross_meta.push_back(std::move(meta));
+      } else {
+        forged.cross_meta.front().value += TokenAmount::whole(1'000'000);
+      }
+    } else {
+      // Plain equivocation: same (source, epoch), different block proof —
+      // a second history for the same height.
+      Encoder e;
+      e.obj(cp.proof);
+      forged.proof = Cid::of(CidCodec::kRaw, std::move(e).take());
+    }
+    return forged;
+  }
+
+  ByzantineBehavior behavior_;
+  std::optional<core::SignedCheckpoint> stale_;
+};
 
 net::NodeId resolve(const runtime::Hierarchy& h, NodeRef ref) {
   return h.subnets().at(ref.subnet)->node_ids.at(ref.node);
@@ -216,10 +279,10 @@ void apply(const FaultEvent& e, runtime::Hierarchy& h) {
       if (e.a.subnet >= h.subnets().size()) break;
       runtime::Subnet& subnet = *h.subnets()[e.a.subnet];
       if (subnet.alive(e.a.node)) {
-        subnet.node(e.a.node).set_byzantine(
-            e.kind == FaultEvent::Kind::kByzantine
-                ? e.behavior
-                : runtime::ByzantineBehavior::kNone);
+        const bool arm = e.kind == FaultEvent::Kind::kByzantine &&
+                         e.behavior != ByzantineBehavior::kNone;
+        subnet.node(e.a.node).set_adversary(
+            arm ? std::make_unique<ByzantineAdversary>(e.behavior) : nullptr);
       }
       break;
     }

@@ -27,6 +27,22 @@ struct NodeRef {
   std::size_t node = 0;
 };
 
+/// Checkpoint-duty attacks a plan can arm on a validator (DESIGN.md §10).
+/// Each keeps its node honest everywhere but the checkpoint duty, and acts
+/// only through the runtime::CheckpointAdversary hook.
+enum class ByzantineBehavior : std::uint8_t {
+  kNone = 0,
+  /// Sign the honest cut AND a forged variant of it each period.
+  kEquivocate,
+  /// Sign nothing and never submit (omission; not provable fraud).
+  kWithhold,
+  /// Equivocate with a forged checkpoint carrying an inflated
+  /// CrossMsgMeta value (a firewall-bound attack, paper §II).
+  kForgeMeta,
+  /// Re-submit the last parent-accepted checkpoint every period.
+  kStaleResubmit,
+};
+
 struct FaultEvent {
   enum class Kind : std::uint8_t {
     kCrash = 0,
@@ -55,7 +71,7 @@ struct FaultEvent {
   std::vector<std::vector<NodeRef>> groups;
   double drop_rate = 0.0;
   /// Adversary behavior armed on `a` (kByzantine only).
-  runtime::ByzantineBehavior behavior = runtime::ByzantineBehavior::kNone;
+  ByzantineBehavior behavior = ByzantineBehavior::kNone;
   /// Surge shape (kSurge only): `surge_senders` fresh unfunded identities
   /// each submit `surge_messages` consecutive-nonce messages at `a`.
   std::size_t surge_senders = 0;
@@ -86,9 +102,9 @@ class FaultPlan {
   FaultPlan& drop_rate(sim::Duration at, double p);
   /// Arm an adversary behavior on validator `n` (its consensus duties stay
   /// honest; only checkpoint signing/submission misbehaves — see
-  /// runtime::ByzantineBehavior).
+  /// ByzantineBehavior).
   FaultPlan& byzantine(sim::Duration at, NodeRef n,
-                       runtime::ByzantineBehavior behavior);
+                       ByzantineBehavior behavior);
   /// Restore validator `n` to honest behavior.
   FaultPlan& clear_byzantine(sim::Duration at, NodeRef n);
   /// Flood validator `n` with `senders` x `messages_each` signed messages
@@ -101,12 +117,10 @@ class FaultPlan {
   [[nodiscard]] const std::vector<FaultEvent>& events() const {
     return events_;
   }
-  [[nodiscard]] bool empty() const { return events_.empty(); }
-  /// Largest event offset (0 for an empty plan).
-  [[nodiscard]] sim::Duration horizon() const;
 
  private:
-  FaultPlan& push(FaultEvent event);
+  /// Append an event and return it for the caller to fill in.
+  FaultEvent& push(sim::Duration at, FaultEvent::Kind kind, NodeRef a = {});
 
   std::vector<FaultEvent> events_;
 };

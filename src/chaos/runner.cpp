@@ -339,7 +339,7 @@ RunResult ChaosRunner::run(const Scenario& scenario, std::uint64_t seed) {
       } else {
         // Adversaries reform at heal time; their PAST fraud must still be
         // detected, slashed and settled before quiescence.
-        subnet->node(i).set_byzantine(runtime::ByzantineBehavior::kNone);
+        subnet->node(i).set_adversary(nullptr);
       }
     }
   }
@@ -495,7 +495,6 @@ std::vector<Scenario> ChaosRunner::standard_scenarios() {
 }
 
 std::vector<Scenario> ChaosRunner::byzantine_scenarios() {
-  using runtime::ByzantineBehavior;
   std::vector<Scenario> out;
 
   {

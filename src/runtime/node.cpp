@@ -28,6 +28,13 @@ std::string xmsg_key(const core::CrossMsg& cross) {
          ">" + cross.msg.to.to_string() + ":" + cross.msg.value.to_string();
 }
 
+/// Open the end-to-end span of `cross` where it enters the system.
+void begin_e2e(obs::Tracer& tracer, const core::CrossMsg& cross) {
+  tracer.flow_begin(xmsg_key(cross), "crossmsg.e2e", "xnet",
+                    {{"from", cross.from_subnet.to_string()},
+                     {"to", cross.to_subnet.to_string()}});
+}
+
 /// One top-down hop into `hop`, keyed by the hop-scoped nonce.
 std::string topdown_key(const core::SubnetId& hop, std::uint64_t nonce) {
   return "td:" + hop.to_string() + ":" + std::to_string(nonce);
@@ -55,6 +62,24 @@ std::string cp_key(const char* stage, const core::SubnetId& source,
          std::to_string(epoch);
 }
 
+// ---- state reads shared by the live and parent-view accessors ----------
+
+std::uint64_t nonce_in(const chain::StateTree& tree, const Address& addr) {
+  const auto* entry = tree.get(addr);
+  return entry == nullptr ? 0 : entry->nonce;
+}
+
+std::optional<actors::SaState> sa_in(const chain::StateTree& tree,
+                                     const Address& sa) {
+  const auto* entry = tree.get(sa);
+  if (entry == nullptr || entry->code != chain::kCodeSubnetActor) {
+    return std::nullopt;
+  }
+  auto decoded = decode<actors::SaState>(entry->state);
+  if (!decoded) return std::nullopt;
+  return std::move(decoded).value();
+}
+
 }  // namespace
 
 SubnetNode::SubnetNode(sim::Scheduler& scheduler, net::Network& network,
@@ -72,7 +97,6 @@ SubnetNode::SubnetNode(sim::Scheduler& scheduler, net::Network& network,
                                                : network.add_node()),
       mempool_(config_.mempool),
       executor_(registry_, chain::GasSchedule{}),
-      watcher_(config_.watcher_max_epochs),
       retry_rng_(0x9e3779b97f4a7c15ULL ^ net_id_),
       obs_(network.obs()) {
   const obs::Labels node_labels{{"node", std::to_string(net_id_)},
@@ -241,9 +265,6 @@ NodeStats SubnetNode::stats() const {
   s.pulls_sent = c_pulls_sent_->value();
   s.pushes_sent = c_pushes_sent_->value();
   s.resolves_served = c_resolves_served_->value();
-  const common::ShedStats& shed = mempool_.shed_stats();
-  s.mempool_evicted = shed.by(common::ShedReason::kEvicted);
-  s.mempool_shed = shed.total() - s.mempool_evicted;
   return s;
 }
 
@@ -282,9 +303,7 @@ Status SubnetNode::submit_message(chain::SignedMessage msg) {
       cross.msg.from = msg.message.from;
       cross.msg.to = p.value().to;
       cross.msg.value = msg.message.value;
-      obs_.tracer.flow_begin(xmsg_key(cross), "crossmsg.e2e", "xnet",
-                             {{"from", cross.from_subnet.to_string()},
-                              {"to", cross.to_subnet.to_string()}});
+      begin_e2e(obs_.tracer, cross);
     }
   }
   const Bytes wire = encode(msg);
@@ -304,8 +323,7 @@ TokenAmount SubnetNode::balance(const Address& addr) const {
 }
 
 std::uint64_t SubnetNode::account_nonce(const Address& addr) const {
-  const auto* entry = store_->state().get(addr);
-  return entry == nullptr ? 0 : entry->nonce;
+  return nonce_in(store_->state(), addr);
 }
 
 actors::ScaState SubnetNode::sca_state() const { return *head_sca(); }
@@ -329,13 +347,7 @@ std::shared_ptr<const actors::ScaState> SubnetNode::head_sca() const {
 }
 
 std::optional<actors::SaState> SubnetNode::sa_state(const Address& sa) const {
-  const auto* entry = store_->state().get(sa);
-  if (entry == nullptr || entry->code != chain::kCodeSubnetActor) {
-    return std::nullopt;
-  }
-  auto decoded = decode<actors::SaState>(entry->state);
-  if (!decoded) return std::nullopt;
-  return std::move(decoded).value();
+  return sa_in(store_->state(), sa);
 }
 
 // --------------------------------------------------------------- parent view
@@ -345,8 +357,7 @@ const chain::StateTree& SubnetNode::view_tree() const {
 }
 
 std::uint64_t SubnetNode::account_nonce_view(const Address& addr) const {
-  const auto* entry = view_tree().get(addr);
-  return entry == nullptr ? 0 : entry->nonce;
+  return nonce_in(view_tree(), addr);
 }
 
 std::shared_ptr<const actors::ScaState> SubnetNode::sca_state_view() const {
@@ -355,13 +366,7 @@ std::shared_ptr<const actors::ScaState> SubnetNode::sca_state_view() const {
 
 std::optional<actors::SaState> SubnetNode::sa_state_view(
     const Address& sa) const {
-  const auto* entry = view_tree().get(sa);
-  if (entry == nullptr || entry->code != chain::kCodeSubnetActor) {
-    return std::nullopt;
-  }
-  auto decoded = decode<actors::SaState>(entry->state);
-  if (!decoded) return std::nullopt;
-  return std::move(decoded).value();
+  return sa_in(view_tree(), sa);
 }
 
 void SubnetNode::publish_view() {
@@ -407,9 +412,8 @@ std::optional<chain::Block> SubnetNode::block_at(chain::Epoch height) const {
 }
 
 Bytes SubnetNode::proof_at(chain::Epoch height) const {
-  if (height < 1) return {};
-  const auto idx = static_cast<std::size_t>(height - 1);
-  return idx < proofs_.size() ? proofs_[idx] : Bytes{};
+  const Bytes* proof = store_->proof_at(height);
+  return proof == nullptr ? Bytes{} : *proof;
 }
 
 // --------------------------------------------------------------- building
@@ -443,7 +447,7 @@ std::vector<chain::Message> SubnetNode::gather_cross_messages() {
     if (entry != nullptr) {
       std::uint64_t expected = my_sca->applied_topdown_nonce;
       for (const auto& cross : entry->topdown_queue) {
-        if (out.size() >= config_.max_cross_msgs_per_block) break;
+        if (out.size() >= kMaxCrossMsgsPerBlock) break;
         if (cross.nonce < expected) continue;
         if (cross.nonce != expected) break;  // queue is nonce-ordered
         chain::Message m;
@@ -462,7 +466,7 @@ std::vector<chain::Message> SubnetNode::gather_cross_messages() {
   //    in adoption-nonce order (paper Fig. 3 right).
   std::uint64_t expected_bu = my_sca->applied_bottomup_nonce;
   for (const auto& pending : my_sca->pending_bottomup) {
-    if (out.size() >= config_.max_cross_msgs_per_block) break;
+    if (out.size() >= kMaxCrossMsgsPerBlock) break;
     if (pending.executed || pending.nonce < expected_bu) continue;
     if (pending.nonce != expected_bu) break;
     auto content = resolved_.get(pending.meta.msgs_cid);
@@ -676,7 +680,8 @@ void SubnetNode::commit_block(chain::Block block, Bytes proof) {
   } else {
     run = execute(block, executor_.verify_block(block));
   }
-  if (Status ok = store_->append(std::move(block), std::move(run.state));
+  if (Status ok = store_->append(std::move(block), std::move(run.state),
+                                std::move(proof));
       !ok) {
     LogLine(LogLevel::kError, config_.subnet.to_string())
             .kv("height", height)
@@ -685,11 +690,7 @@ void SubnetNode::commit_block(chain::Block block, Bytes proof) {
   }
   executed_.clear();  // every kept execution extended the old head
   const chain::Block& committed = store_->head();
-  proofs_.resize(static_cast<std::size_t>(height));
-  proofs_[static_cast<std::size_t>(height - 1)] = std::move(proof);
-
-  wal_append_block(committed,
-                   proofs_[static_cast<std::size_t>(height - 1)]);
+  wal_append_block(committed, *store_->proof_at(height));
   if (resync_pending_ && height > recovered_height_) {
     // First live commit past the recovered head: the restarted replica has
     // fully rejoined (WAL replay + network tail catch-up).
@@ -721,7 +722,7 @@ void SubnetNode::commit_block(chain::Block block, Bytes proof) {
   observe_commit(committed, receipts);
   if (receipts_.size() > 64) receipts_.erase(receipts_.begin());
 
-  after_commit(committed, receipts);
+  after_commit(receipts);
 }
 
 // --------------------------------------------------------- durability §15
@@ -738,14 +739,8 @@ void SubnetNode::recover_from_wal() {
         // Replay is a strict prefix: any gap (e.g. a dropped record) stops
         // block application; later records for higher heights are skipped.
         if (block.header.height != store_->height() + 1) break;
-        const auto height = static_cast<std::size_t>(block.header.height);
         ExecutedBlock run = execute(block, executor_.verify_block(block));
-        if (Status ok = store_->append(std::move(block), std::move(run.state));
-            !ok) {
-          break;
-        }
-        proofs_.resize(height);
-        proofs_[height - 1] = rec.aux;
+        (void)store_->append(std::move(block), std::move(run.state), rec.aux);
         break;
       }
       case storage::WalRecordType::kCheckpoint: {
@@ -778,29 +773,27 @@ void SubnetNode::recover_from_wal() {
 
 void SubnetNode::persist(BytesView state) {
   if (wal_ == nullptr) return;
-  storage::WalRecord rec;
-  rec.type = storage::WalRecordType::kVoteState;
-  rec.height = static_cast<std::uint64_t>(store_->height());
-  rec.payload.assign(state.begin(), state.end());
-  storage::wal_append(*wal_, rec);
+  wal_record(storage::WalRecordType::kVoteState, store_->height(),
+             Bytes(state.begin(), state.end()));
   // Write-ahead barrier: the vote state must reach the medium BEFORE the
   // signed message leaves this node. Also flushes lazily pending blocks.
   wal_->fsync();
   wal_unsynced_blocks_ = 0;
-  c_wal_appends_->inc();
   c_wal_fsyncs_->inc();
+}
+
+void SubnetNode::wal_record(storage::WalRecordType type, chain::Epoch height,
+                            Bytes payload, Bytes aux) {
+  storage::wal_append(*wal_, {type, static_cast<std::uint64_t>(height),
+                              std::move(payload), std::move(aux)});
+  c_wal_appends_->inc();
 }
 
 void SubnetNode::wal_append_block(const chain::Block& block,
                                   const Bytes& proof) {
   if (wal_ == nullptr) return;
-  storage::WalRecord rec;
-  rec.type = storage::WalRecordType::kBlock;
-  rec.height = static_cast<std::uint64_t>(block.header.height);
-  rec.payload = encode(block);
-  rec.aux = proof;
-  storage::wal_append(*wal_, rec);
-  c_wal_appends_->inc();
+  wal_record(storage::WalRecordType::kBlock, block.header.height,
+             encode(block), proof);
   if (++wal_unsynced_blocks_ >=
       std::max<std::uint32_t>(1, config_.wal_fsync_every_blocks)) {
     wal_->fsync();
@@ -816,6 +809,16 @@ void SubnetNode::observe_commit(const chain::Block& block,
   auto& tracer = obs_.tracer;
   const std::size_t n_cross =
       std::min(block.cross_messages.size(), receipts.size());
+  // A cross-msg arriving at its destination closes its end-to-end span.
+  const auto arrive = [&](const core::CrossMsg& cross) {
+    if (!(cross.to_subnet == config_.subnet)) return;
+    if (auto d = tracer.flow_end(xmsg_key(cross))) {
+      obs_.metrics
+          .histogram("cross_msg_e2e_latency_us",
+                     obs::Labels{{"subnet", config_.subnet.to_string()}})
+          .observe(*d);
+    }
+  };
 
   // The implicit section tells us which cross-net messages ARRIVED in this
   // block; SCA events (below) tell us which ones departed.
@@ -827,29 +830,13 @@ void SubnetNode::observe_commit(const chain::Block& block,
       if (!cross_r) continue;
       const core::CrossMsg cross = std::move(cross_r).value();
       tracer.flow_end(topdown_key(config_.subnet, cross.nonce));
-      if (cross.to_subnet == config_.subnet) {
-        if (auto d = tracer.flow_end(xmsg_key(cross))) {
-          obs_.metrics
-              .histogram("cross_msg_e2e_latency_us",
-                         obs::Labels{{"subnet", config_.subnet.to_string()}})
-              .observe(*d);
-        }
-      }
+      arrive(cross);
     } else if (m.method == actors::sca_method::kApplyBottomUp) {
       auto p_r = decode<actors::ApplyBottomUpParams>(m.params);
       if (!p_r) continue;
       const actors::ApplyBottomUpParams p = std::move(p_r).value();
       tracer.flow_end(buexec_key(config_.subnet, p.nonce));
-      for (const core::CrossMsg& cross : p.batch.msgs) {
-        if (cross.to_subnet == config_.subnet) {
-          if (auto d = tracer.flow_end(xmsg_key(cross))) {
-            obs_.metrics
-                .histogram("cross_msg_e2e_latency_us",
-                           obs::Labels{{"subnet", config_.subnet.to_string()}})
-                .observe(*d);
-          }
-        }
-      }
+      for (const core::CrossMsg& cross : p.batch.msgs) arrive(cross);
     }
   }
 
@@ -868,9 +855,7 @@ void SubnetNode::observe_cross_event(const chain::ActorEvent& event) {
     auto cross_r = decode<core::CrossMsg>(event.payload);
     if (!cross_r) return;
     const core::CrossMsg cross = std::move(cross_r).value();
-    tracer.flow_begin(xmsg_key(cross), "crossmsg.e2e", "xnet",
-                      {{"from", cross.from_subnet.to_string()},
-                       {"to", cross.to_subnet.to_string()}});
+    begin_e2e(tracer, cross);
     const core::SubnetId hop = config_.subnet.down_toward(cross.to_subnet);
     tracer.flow_begin(topdown_key(hop, cross.nonce), "crossmsg.topdown.hop",
                       hop.to_string(),
@@ -880,9 +865,7 @@ void SubnetNode::observe_cross_event(const chain::ActorEvent& event) {
     auto cross_r = decode<core::CrossMsg>(event.payload);
     if (!cross_r) return;
     const core::CrossMsg cross = std::move(cross_r).value();
-    tracer.flow_begin(xmsg_key(cross), "crossmsg.e2e", "xnet",
-                      {{"from", cross.from_subnet.to_string()},
-                       {"to", cross.to_subnet.to_string()}});
+    begin_e2e(tracer, cross);
     tracer.flow_begin(window_key(config_.subnet, cross),
                       "crossmsg.bottomup.window", self);
   } else if (event.kind == "sca/checkpoint-cut") {
@@ -926,16 +909,15 @@ void SubnetNode::observe_cross_event(const chain::ActorEvent& event) {
           .observe(*d);
     }
   } else if (event.kind == "sca/slashed") {
-    // Fraud resolved on this (parent) chain: close the detection flow the
-    // adversary opened at injection time and count the slash, both exactly
+    // Fraud resolved on this (parent) chain: close the detection flow
+    // opened where the fraud was injected and count the slash, both exactly
     // once per hierarchy (flows dedupe across replicas).
     Decoder dec(event.payload);
     auto records_r = dec.vec<actors::SlashRecord>();
     if (!records_r) return;
     for (const actors::SlashRecord& rec : std::move(records_r).value()) {
-      const std::string fraud = "fraud:" + rec.subnet.to_string() + ":" +
-                                std::to_string(rec.epoch) + ":" +
-                                Address::key(rec.signer.to_bytes()).to_string();
+      const std::string fraud = fraud_flow_key(
+          rec.subnet, rec.epoch, Address::key(rec.signer.to_bytes()));
       if (auto dur = tracer.flow_end(fraud)) {
         obs_.metrics
             .histogram("fraud_detection_latency_us",
@@ -968,8 +950,7 @@ void SubnetNode::observe_cross_event(const chain::ActorEvent& event) {
 
 // ------------------------------------------------------------ post-commit
 
-void SubnetNode::after_commit(const chain::Block& block,
-                              const std::vector<chain::Receipt>& receipts) {
+void SubnetNode::after_commit(const std::vector<chain::Receipt>& receipts) {
   if (!running_) return;
   // Detect a freshly cut checkpoint: sign it and push its batches.
   for (const auto& receipt : receipts) {
@@ -980,49 +961,34 @@ void SubnetNode::after_commit(const chain::Block& block,
       const core::Checkpoint cp = std::move(cp_r).value();
       c_checkpoints_cut_->inc();
       cut_checkpoints_[cp.epoch] = cp;
-      if (wal_ != nullptr) {
-        storage::WalRecord rec;
-        rec.type = storage::WalRecordType::kCheckpoint;
-        rec.height = static_cast<std::uint64_t>(cp.epoch);
-        rec.payload = event.payload;
-        storage::wal_append(*wal_, rec);
-        c_wal_appends_->inc();  // fsynced lazily with the block cadence
+      if (wal_ != nullptr) {  // fsynced lazily with the block cadence
+        wal_record(storage::WalRecordType::kCheckpoint, cp.epoch,
+                   event.payload);
       }
       // Every full node attributes its own deterministic cut content to
       // its cid; gossiped shares attach to it in the watcher.
       on_fraud_proofs(watcher_.record_checkpoint(cp));
-      if (is_validator() && byzantine_ != ByzantineBehavior::kWithhold) {
+      if (is_validator()) {
         // Paper Fig. 2: a signature window opens for the cut checkpoint.
-        SigShare share;
-        share.epoch = cp.epoch;
-        share.checkpoint_cid = cp.cid();
-        share.signer = key_.public_key();
-        share.signature =
-            key_.sign(core::SignedCheckpoint::signing_payload(cp));
-        sig_shares_[cp.epoch][share.signer.to_bytes()] = share;
-        on_fraud_proofs(watcher_.record_share(
-            share.epoch, share.checkpoint_cid, share.signer,
-            share.signature));
-        network_.publish(net_id_, Topics::signatures(config_.subnet),
-                         encode(SigGossip{share, std::nullopt}));
+        if (!withholds()) sign_and_gossip_share(cp);
+        if (adversary_ != nullptr) adversary_->on_cut(adversary_context(), cp);
       }
-      if (is_validator() && byzantine_ != ByzantineBehavior::kNone) {
-        act_byzantine_on_cut(cp);
-      }
-      if (config_.push_resolution) push_own_batches(cp);
+      if (push_resolution_) push_own_batches(cp);
     }
   }
   request_missing_batches();
   maybe_submit_checkpoint();
   maybe_regossip_share();
   maybe_submit_fraud_proofs();
-  (void)block;
+}
+
+chain::Epoch SubnetNode::checkpoint_period() const {
+  return std::max<chain::Epoch>(1, config_.params.checkpoint_period);
 }
 
 void SubnetNode::arm_retry(RetryState& retry, chain::Epoch head) {
   constexpr std::uint32_t kMaxBackoffShift = 3;  // 1,2,4,8 periods, capped
-  const auto period = static_cast<chain::Epoch>(
-      std::max<std::uint32_t>(1, config_.params.checkpoint_period));
+  const chain::Epoch period = checkpoint_period();
   const auto shift = std::min(retry.attempts, kMaxBackoffShift);
   ++retry.attempts;
   const auto jitter = static_cast<chain::Epoch>(
@@ -1089,22 +1055,9 @@ void SubnetNode::maybe_submit_checkpoint() {
   while (!cut_checkpoints_.empty() &&
          cut_checkpoints_.begin()->first <= sa->last_checkpoint_epoch) {
     const chain::Epoch accepted = cut_checkpoints_.begin()->first;
-    if (byzantine_ == ByzantineBehavior::kStaleResubmit &&
-        accepted == sa->last_checkpoint_epoch) {
-      // Stash the just-accepted checkpoint with its full signature set:
-      // the adversary will replay this well-formed-but-stale submission
-      // every future period (the SA must reject it on epoch staleness).
-      core::SignedCheckpoint sc;
-      sc.checkpoint = cut_checkpoints_.begin()->second;
-      const Cid accepted_cid = sc.checkpoint.cid();
-      if (auto it = sig_shares_.find(accepted); it != sig_shares_.end()) {
-        for (const auto& [signer_bytes, share] : it->second) {
-          if (share.checkpoint_cid != accepted_cid) continue;
-          sc.signatures.push_back(
-              core::CheckpointSignature{share.signer, share.signature});
-        }
-      }
-      stale_checkpoint_ = std::move(sc);
+    if (adversary_ != nullptr && accepted == sa->last_checkpoint_epoch) {
+      adversary_->on_accepted(
+          pooled_signatures(cut_checkpoints_.begin()->second, nullptr));
     }
     submit_retry_.erase(accepted);
     share_retry_.erase(accepted);
@@ -1113,15 +1066,11 @@ void SubnetNode::maybe_submit_checkpoint() {
   }
   // Bounded watcher memory: keep a few periods behind parent acceptance so
   // late forged shares for recently-accepted epochs stay provable.
-  {
-    const auto period = static_cast<chain::Epoch>(
-        std::max<std::uint32_t>(1, config_.params.checkpoint_period));
-    if (sa->last_checkpoint_epoch > 4 * period) {
-      watcher_.prune_below(sa->last_checkpoint_epoch - 4 * period);
-    }
+  if (sa->last_checkpoint_epoch > 4 * checkpoint_period()) {
+    watcher_.prune_below(sa->last_checkpoint_epoch - 4 * checkpoint_period());
   }
-  // A withholding adversary never volunteers for submission duty either.
-  if (byzantine_ == ByzantineBehavior::kWithhold) return;
+  // A withholding validator never volunteers for submission duty either.
+  if (withholds()) return;
   if (cut_checkpoints_.empty()) return;
   const core::Checkpoint& cp = cut_checkpoints_.begin()->second;
 
@@ -1131,9 +1080,9 @@ void SubnetNode::maybe_submit_checkpoint() {
   const auto my_index = validators_.index_of(key_.public_key());
   if (!my_index.has_value()) return;
   const chain::Epoch head = store_->height();
-  const std::uint64_t periods_waited = static_cast<std::uint64_t>(
-      std::max<chain::Epoch>(0, head - cp.epoch)) /
-      std::max<std::uint32_t>(1, config_.params.checkpoint_period);
+  const std::uint64_t periods_waited =
+      static_cast<std::uint64_t>(std::max<chain::Epoch>(0, head - cp.epoch)) /
+      static_cast<std::uint64_t>(checkpoint_period());
   const std::size_t designated =
       (static_cast<std::size_t>(cp.epoch /
                                 config_.params.checkpoint_period) +
@@ -1149,22 +1098,8 @@ void SubnetNode::maybe_submit_checkpoint() {
   // Collect this epoch's signature shares for exactly this checkpoint CID,
   // restricted to signers the SA currently registers (the validator set in
   // the SA changes on leave/slash; stale signers would fail its policy).
-  const Cid cid = cp.cid();
   const auto sa_keys = sa->validator_keys();
-  core::SignedCheckpoint sc;
-  sc.checkpoint = cp;
-  auto shares_it = sig_shares_.find(cp.epoch);
-  if (shares_it != sig_shares_.end()) {
-    for (const auto& [signer_bytes, share] : shares_it->second) {
-      if (share.checkpoint_cid != cid) continue;
-      const bool registered =
-          std::find(sa_keys.begin(), sa_keys.end(), share.signer) !=
-          sa_keys.end();
-      if (!registered) continue;
-      sc.signatures.push_back(
-          core::CheckpointSignature{share.signer, share.signature});
-    }
-  }
+  const core::SignedCheckpoint sc = pooled_signatures(cp, &sa_keys);
   // Read the threshold from the SA's LIVE policy, not the static node
   // config: slashing shrinks the validator set and clamps the policy with
   // it (a 3-of-3 subnet that loses a validator becomes 2-of-2, not wedged).
@@ -1177,17 +1112,8 @@ void SubnetNode::maybe_submit_checkpoint() {
   // Submit to the SA on the parent chain, paid from this validator's
   // parent-chain account (paper §III-B: "checkpoints from /root/A/B are
   // committed to the SA B of the subnet chain /root/A").
-  chain::Message m;
-  m.from = address();
-  m.to = config_.sa_in_parent;
-  m.nonce = parent_->account_nonce_view(address());
-  m.method = actors::sa_method::kSubmitCheckpoint;
-  m.params = encode(sc);
-  m.gas_limit = 1u << 26;
-  m.gas_price = TokenAmount::atto(1);
-  auto signed_msg = chain::SignedMessage::sign(std::move(m), key_);
-  network_.publish(net_id_, Topics::msgs(*config_.subnet.parent()),
-                   encode(signed_msg));
+  submit_to_parent(config_.sa_in_parent, actors::sa_method::kSubmitCheckpoint,
+                   encode(sc));
   if (retry.attempts > 0) c_checkpoint_retries_->inc();
   arm_retry(retry, head);
   c_checkpoints_submitted_->inc();
@@ -1209,22 +1135,12 @@ void SubnetNode::maybe_regossip_share() {
   const chain::Epoch epoch = cut_checkpoints_.begin()->first;
   if (wal_ != nullptr && !sig_shares_[epoch].contains(
                              key_.public_key().to_bytes()) &&
-      byzantine_ != ByzantineBehavior::kWithhold) {
+      !withholds()) {
     // Recovered duty (§15): WAL replay restored this cut but our share
     // died with the process (the constructor replays silently). Re-sign
     // the SAME cid — byte-identical signature, idempotent, NOT
     // equivocation — so small validator sets can still reach threshold.
-    const core::Checkpoint& cp = cut_checkpoints_.begin()->second;
-    SigShare share;
-    share.epoch = cp.epoch;
-    share.checkpoint_cid = cp.cid();
-    share.signer = key_.public_key();
-    share.signature = key_.sign(core::SignedCheckpoint::signing_payload(cp));
-    sig_shares_[epoch][share.signer.to_bytes()] = share;
-    on_fraud_proofs(watcher_.record_share(share.epoch, share.checkpoint_cid,
-                                          share.signer, share.signature));
-    network_.publish(net_id_, Topics::signatures(config_.subnet),
-                     encode(SigGossip{share, std::nullopt}));
+    sign_and_gossip_share(cut_checkpoints_.begin()->second);
   }
   auto shares_it = sig_shares_.find(epoch);
   if (shares_it == sig_shares_.end()) return;
@@ -1245,88 +1161,74 @@ void SubnetNode::maybe_regossip_share() {
   arm_retry(retry, head);
 }
 
+// ----------------------------------------------------- checkpoint duty
+
+SigShare SubnetNode::sign_share(const core::Checkpoint& cp) const {
+  SigShare share;
+  share.epoch = cp.epoch;
+  share.checkpoint_cid = cp.cid();
+  share.signer = key_.public_key();
+  share.signature = key_.sign(core::SignedCheckpoint::signing_payload(cp));
+  return share;
+}
+
+void SubnetNode::sign_and_gossip_share(const core::Checkpoint& cp) {
+  const SigShare share = sign_share(cp);
+  sig_shares_[cp.epoch][share.signer.to_bytes()] = share;
+  on_fraud_proofs(watcher_.record_share(share.epoch, share.checkpoint_cid,
+                                        share.signer, share.signature));
+  network_.publish(net_id_, Topics::signatures(config_.subnet),
+                   encode(SigGossip{share, std::nullopt}));
+}
+
+core::SignedCheckpoint SubnetNode::pooled_signatures(
+    const core::Checkpoint& cp,
+    const std::vector<crypto::PublicKey>* signers) const {
+  core::SignedCheckpoint sc;
+  sc.checkpoint = cp;
+  const auto shares_it = sig_shares_.find(cp.epoch);
+  if (shares_it == sig_shares_.end()) return sc;
+  const Cid cid = cp.cid();
+  for (const auto& [signer_bytes, share] : shares_it->second) {
+    if (share.checkpoint_cid != cid) continue;
+    if (signers != nullptr &&
+        std::find(signers->begin(), signers->end(), share.signer) ==
+            signers->end()) {
+      continue;
+    }
+    sc.signatures.push_back(
+        core::CheckpointSignature{share.signer, share.signature});
+  }
+  return sc;
+}
+
+void SubnetNode::submit_to_parent(const Address& to, chain::MethodNum method,
+                                  Bytes params) {
+  if (parent_ == nullptr) return;
+  chain::Message m;
+  m.from = address();
+  m.to = to;
+  m.nonce = parent_->account_nonce_view(address());
+  m.method = method;
+  m.params = std::move(params);
+  m.gas_limit = 1u << 26;
+  m.gas_price = TokenAmount::atto(1);
+  network_.publish(net_id_, Topics::msgs(*config_.subnet.parent()),
+                   encode(chain::SignedMessage::sign(std::move(m), key_)));
+}
+
+CheckpointAdversary::Context SubnetNode::adversary_context() {
+  return {net_id_, config_.subnet, address(), config_.sa_in_parent, obs_,
+          [this](const core::Checkpoint& cp) {
+            network_.publish(net_id_, Topics::signatures(config_.subnet),
+                             encode(SigGossip{sign_share(cp), cp}));
+          },
+          [this](const Address& to, chain::MethodNum method, Bytes params) {
+            submit_to_parent(to, method, std::move(params));
+          }};
+}
+
 // -------------------------------------------------------- fraud watchdog
-
-void SubnetNode::act_byzantine_on_cut(const core::Checkpoint& cp) {
-  obs_.metrics
-      .counter("node_byzantine_actions_total",
-               obs::Labels{{"node", std::to_string(net_id_)},
-                           {"subnet", config_.subnet.to_string()},
-                           {"behavior", to_string(byzantine_)}})
-      .inc();
-  switch (byzantine_) {
-    case ByzantineBehavior::kEquivocate:
-    case ByzantineBehavior::kForgeMeta: {
-      const core::Checkpoint forged = forge_checkpoint(cp);
-      SigShare share;
-      share.epoch = forged.epoch;
-      share.checkpoint_cid = forged.cid();
-      share.signer = key_.public_key();
-      share.signature =
-          key_.sign(core::SignedCheckpoint::signing_payload(forged));
-      // The forged side must carry its content: no honest replica can
-      // reconstruct it from its own chain, and the watcher needs both
-      // contents to assemble a proof.
-      network_.publish(net_id_, Topics::signatures(config_.subnet),
-                       encode(SigGossip{share, forged}));
-      // Detection-latency flow: provable fraud injected here, closed when
-      // a slash record for this (subnet, epoch, signer) lands on the
-      // parent chain.
-      obs_.tracer.flow_begin(
-          "fraud:" + config_.subnet.to_string() + ":" +
-              std::to_string(cp.epoch) + ":" + address().to_string(),
-          "fraud.detect", config_.subnet.to_string(),
-          {{"behavior", to_string(byzantine_)}});
-      break;
-    }
-    case ByzantineBehavior::kStaleResubmit: {
-      if (!stale_checkpoint_.has_value() || parent_ == nullptr) break;
-      chain::Message m;
-      m.from = address();
-      m.to = config_.sa_in_parent;
-      m.nonce = parent_->account_nonce_view(address());
-      m.method = actors::sa_method::kSubmitCheckpoint;
-      m.params = encode(*stale_checkpoint_);
-      m.gas_limit = 1u << 26;
-      m.gas_price = TokenAmount::atto(1);
-      auto signed_msg = chain::SignedMessage::sign(std::move(m), key_);
-      network_.publish(net_id_, Topics::msgs(*config_.subnet.parent()),
-                       encode(signed_msg));
-      break;
-    }
-    case ByzantineBehavior::kNone:
-    case ByzantineBehavior::kWithhold:
-      break;
-  }
-}
-
-core::Checkpoint SubnetNode::forge_checkpoint(
-    const core::Checkpoint& cp) const {
-  core::Checkpoint forged = cp;
-  if (byzantine_ == ByzantineBehavior::kForgeMeta) {
-    // Inflate the bottom-up value this checkpoint claims toward the
-    // parent. Were it accepted, the parent would release more than the
-    // child ever burned — the exact theft the firewall property (§II) and
-    // the supply invariants must catch.
-    if (forged.cross_meta.empty()) {
-      core::CrossMsgMeta meta;
-      meta.from = config_.subnet;
-      meta.to = config_.subnet.parent().value_or(core::SubnetId{});
-      meta.msg_count = 1;
-      meta.value = TokenAmount::whole(1'000'000);
-      forged.cross_meta.push_back(std::move(meta));
-    } else {
-      forged.cross_meta.front().value += TokenAmount::whole(1'000'000);
-    }
-  } else {
-    // Plain equivocation: same (source, epoch), different block proof —
-    // a second history for the same height.
-    Encoder e;
-    e.obj(cp.proof);
-    forged.proof = Cid::of(CidCodec::kRaw, std::move(e).take());
-  }
-  return forged;
-}
 
 void SubnetNode::on_fraud_proofs(std::vector<core::FraudProof> proofs) {
   bool added = false;
@@ -1359,8 +1261,7 @@ void SubnetNode::maybe_submit_fraud_proofs() {
   if (!sa.has_value()) return;
   const auto sa_keys = sa->validator_keys();
   const chain::Epoch head = store_->height();
-  const auto period = static_cast<chain::Epoch>(
-      std::max<std::uint32_t>(1, config_.params.checkpoint_period));
+  const chain::Epoch period = checkpoint_period();
 
   for (auto it = pending_proofs_.begin(); it != pending_proofs_.end();) {
     PendingProof& pending = it->second;
@@ -1399,17 +1300,9 @@ void SubnetNode::maybe_submit_fraud_proofs() {
       RetryState& retry = pending.retry;
       if (honest[designated] == key_.public_key() &&
           (retry.attempts == 0 || head >= retry.next_height)) {
-        chain::Message m;
-        m.from = address();
-        m.to = chain::kScaAddr;
-        m.nonce = parent_->account_nonce_view(address());
-        m.method = actors::sca_method::kSubmitFraudProof;
-        m.params = encode(pending.proof);
-        m.gas_limit = 1u << 26;
-        m.gas_price = TokenAmount::atto(1);
-        auto signed_msg = chain::SignedMessage::sign(std::move(m), key_);
-        network_.publish(net_id_, Topics::msgs(*config_.subnet.parent()),
-                         encode(signed_msg));
+        submit_to_parent(chain::kScaAddr,
+                         actors::sca_method::kSubmitFraudProof,
+                         encode(pending.proof));
         c_fraud_submitted_->inc();
         arm_retry(retry, head);
       }

@@ -6,6 +6,11 @@
 // protocol; and — per paper §II ("child subnet nodes also run full nodes on
 // the parent subnet") — holds a trusted read view of a parent node, which
 // the cross-msg pool polls for committed top-down messages.
+//
+// The node runs only the honest protocol. Fault injection may arm one
+// CheckpointAdversary (watcher.hpp) per node object; it is called at fixed
+// points of the checkpoint duty and acts only through that duty's helpers.
+// A restarted replica is a new object, so it comes back honest.
 #pragma once
 
 #include <functional>
@@ -33,7 +38,6 @@ struct NodeConfig {
   core::SubnetParams params;
   consensus::EngineConfig engine;
   std::size_t max_user_msgs_per_block = 500;
-  std::size_t max_cross_msgs_per_block = 200;
   /// Mempool caps (DESIGN.md §14). Defaults enforce only the nonce-gap
   /// admission window; benches and chaos runs tighten the totals.
   chain::MempoolConfig mempool;
@@ -41,12 +45,6 @@ struct NodeConfig {
   /// batches are re-fetchable through the resolution protocol, so the
   /// store degrades to a bounded cache. 0 fields = unbounded.
   common::CapacityPolicy content_store;
-  /// Max distinct epochs of checkpoint-signature evidence the fraud
-  /// watcher retains (0 = unbounded; see CheckpointWatcher).
-  std::size_t watcher_max_epochs = 64;
-  /// Push batches to destination subnets when checkpoints are cut
-  /// (paper §IV-C push approach). Pull always remains available.
-  bool push_resolution = true;
   /// Address of this subnet's SA in the parent chain (invalid for root).
   Address sa_in_parent;
   /// Re-wire an existing network id instead of registering a fresh one.
@@ -88,10 +86,6 @@ struct NodeStats {
   std::uint64_t pulls_sent = 0;
   std::uint64_t pushes_sent = 0;
   std::uint64_t resolves_served = 0;
-  /// Mempool admissions refused with kOverloaded (all shed reasons).
-  std::uint64_t mempool_shed = 0;
-  /// Residents displaced by higher-priority arrivals.
-  std::uint64_t mempool_evicted = 0;
 };
 
 class SubnetNode final : public consensus::BlockSource,
@@ -152,12 +146,9 @@ class SubnetNode final : public consensus::BlockSource,
   // window barrier, never through the live accessors above (DESIGN.md
   // §11). While no view has been published (raw single-lane usage without
   // a Hierarchy), these fall back to live state.
-  [[nodiscard]] std::uint64_t account_nonce_view(const Address& addr) const;
   /// Decoded once per published head and shared by every reader.
   [[nodiscard]] std::shared_ptr<const actors::ScaState> sca_state_view()
       const;
-  [[nodiscard]] std::optional<actors::SaState> sa_state_view(
-      const Address& sa) const;
 
   /// Publish the current head state as the parent view. The head is an
   /// immutable shared tree (ChainStore::state_ptr), so this shares it
@@ -182,23 +173,13 @@ class SubnetNode final : public consensus::BlockSource,
   [[nodiscard]] std::size_t mem_bytes() const;
 
   [[nodiscard]] NodeStats stats() const;
-  [[nodiscard]] const core::SubnetId& subnet() const {
-    return config_.subnet;
-  }
   [[nodiscard]] net::NodeId net_id() const { return net_id_; }
-  [[nodiscard]] const crypto::KeyPair& key() const { return key_; }
-  [[nodiscard]] Address address() const {
-    return Address::key(key_.public_key().to_bytes());
-  }
   [[nodiscard]] storage::ContentStore& content_store() { return resolved_; }
 
   /// Mempool occupancy/caps/shed ledger, exposed for invariant checks and
   /// benches (read from this node's lane, or driver context with lanes
   /// parked).
   [[nodiscard]] std::size_t mempool_size() const { return mempool_.size(); }
-  [[nodiscard]] const chain::MempoolConfig& mempool_config() const {
-    return mempool_.config();
-  }
   [[nodiscard]] const common::ShedStats& mempool_shed_stats() const {
     return mempool_.shed_stats();
   }
@@ -208,18 +189,16 @@ class SubnetNode final : public consensus::BlockSource,
     config_.max_user_msgs_per_block = n;
   }
 
-  /// Toggle the push leg of content resolution (paper §IV-C); pull always
-  /// remains available. Benches compare the two approaches.
-  void set_push_resolution(bool enabled) {
-    config_.push_resolution = enabled;
-  }
+  /// Toggle the push leg of content resolution (paper §IV-C; on by
+  /// default); pull always remains available. Benches compare the two.
+  void set_push_resolution(bool enabled) { push_resolution_ = enabled; }
 
-  /// Arm (or clear, with kNone) an adversary behavior on this validator.
-  /// Chaos plans flip this at runtime; consensus participation, block
-  /// validation and the equivocation watcher stay honest — only the
-  /// checkpoint signing/submission duty misbehaves.
-  void set_byzantine(ByzantineBehavior behavior) { byzantine_ = behavior; }
-  [[nodiscard]] ByzantineBehavior byzantine() const { return byzantine_; }
+  /// Arm (or clear, with nullptr) a checkpoint-duty adversary on this
+  /// validator. Fault plans flip it at runtime; it is not carried over a
+  /// crash-restart.
+  void set_adversary(std::unique_ptr<CheckpointAdversary> adversary) {
+    adversary_ = std::move(adversary);
+  }
 
   /// Fraud proofs this node has assembled and not yet seen resolved
   /// on-chain (exposed for tests).
@@ -305,8 +284,7 @@ class SubnetNode final : public consensus::BlockSource,
 
   /// Post-commit duties: signing freshly cut checkpoints, pushing batches,
   /// requesting pulls for unresolved metas, submitting quorum checkpoints.
-  void after_commit(const chain::Block& block,
-                    const std::vector<chain::Receipt>& receipts);
+  void after_commit(const std::vector<chain::Receipt>& receipts);
 
   void handle_msgs_topic(const net::Envelope& payload);
   void handle_sigs_topic(const net::Envelope& payload);
@@ -318,6 +296,28 @@ class SubnetNode final : public consensus::BlockSource,
   /// shares lost to partitions/crashes resurface after heal.
   void maybe_regossip_share();
 
+  [[nodiscard]] Address address() const {
+    return Address::key(key_.public_key().to_bytes());
+  }
+  /// This validator's signature share over `cp`.
+  [[nodiscard]] SigShare sign_share(const core::Checkpoint& cp) const;
+  /// Sign `cp`, pool the share, feed it to the watcher and gossip it.
+  void sign_and_gossip_share(const core::Checkpoint& cp);
+  /// `cp` with the pooled shares that sign exactly its CID, optionally
+  /// restricted to `signers`.
+  [[nodiscard]] core::SignedCheckpoint pooled_signatures(
+      const core::Checkpoint& cp,
+      const std::vector<crypto::PublicKey>* signers) const;
+  /// Sign a message from this validator's parent-chain account and publish
+  /// it on the parent's msgs topic (no-op without a parent view).
+  void submit_to_parent(const Address& to, chain::MethodNum method,
+                        Bytes params);
+  [[nodiscard]] bool withholds() const {
+    return adversary_ != nullptr && adversary_->withholds();
+  }
+  /// The armed adversary's view of this node.
+  [[nodiscard]] CheckpointAdversary::Context adversary_context();
+
   /// Register freshly assembled fraud proofs (watcher output) for
   /// submission; dedups by proof digest.
   void on_fraud_proofs(std::vector<core::FraudProof> proofs);
@@ -327,10 +327,6 @@ class SubnetNode final : public consensus::BlockSource,
   /// copies on-chain; the SCA's digest/slash-record dedup catches the
   /// residual races.
   void maybe_submit_fraud_proofs();
-  /// Byzantine duty hooks, called from the checkpoint-cut path.
-  void act_byzantine_on_cut(const core::Checkpoint& cp);
-  [[nodiscard]] core::Checkpoint forge_checkpoint(
-      const core::Checkpoint& cp) const;
   void push_own_batches(const core::Checkpoint& cp);
   void request_missing_batches();
 
@@ -346,6 +342,10 @@ class SubnetNode final : public consensus::BlockSource,
 
   /// The state tree the parent-facing _view accessors read from.
   [[nodiscard]] const chain::StateTree& view_tree() const;
+  /// Parent-view reads used by child nodes (see sca_state_view).
+  [[nodiscard]] std::uint64_t account_nonce_view(const Address& addr) const;
+  [[nodiscard]] std::optional<actors::SaState> sa_state_view(
+      const Address& sa) const;
   /// Decoded SCA state of the head. On a node with child readers it is
   /// cached per head tree (heads are immutable, §11), decoded once per head
   /// for every duty and shared with the published view; a leaf decodes per
@@ -359,6 +359,9 @@ class SubnetNode final : public consensus::BlockSource,
   /// genesis store, then physically truncate the damaged tail. Runs in the
   /// constructor, before the engine exists; no gossip, no signing.
   void recover_from_wal();
+  /// Append one record to the WAL (no fsync).
+  void wal_record(storage::WalRecordType type, chain::Epoch height,
+                  Bytes payload, Bytes aux = {});
   /// Append a committed block (+ proof) to the WAL, fsyncing lazily every
   /// `wal_fsync_every_blocks` commits.
   void wal_append_block(const chain::Block& block, const Bytes& proof);
@@ -420,8 +423,7 @@ class SubnetNode final : public consensus::BlockSource,
   std::vector<ExecutedBlock> executed_;
   static constexpr std::size_t kMaxExecuted = 4;
 
-  /// Proofs and receipts per height (height-1 indexed like blocks).
-  std::vector<Bytes> proofs_;
+  /// Receipts of the most recent committed heights.
   std::map<chain::Epoch, std::vector<chain::Receipt>> receipts_;
 
   /// Signature shares collected for pending checkpoints: epoch -> signer
@@ -443,6 +445,8 @@ class SubnetNode final : public consensus::BlockSource,
   /// plus uniform jitter in [0, period). Bounded so a stalled checkpoint
   /// is retried at least every 8 periods + jitter.
   void arm_retry(RetryState& retry, chain::Epoch head);
+  /// Checkpoint period in blocks, at least 1 (retry and rotation unit).
+  [[nodiscard]] chain::Epoch checkpoint_period() const;
   std::map<chain::Epoch, RetryState> submit_retry_;
   std::map<chain::Epoch, RetryState> share_retry_;
   /// Per-unresolved-batch pull backoff, keyed by msgs_cid digest. Bounds
@@ -452,12 +456,14 @@ class SubnetNode final : public consensus::BlockSource,
   std::map<Bytes, RetryState> pull_retry_;
   static constexpr std::size_t kMaxInflightPulls = 4;
 
+  /// Cap on implicit cross-msgs gathered into one block.
+  static constexpr std::size_t kMaxCrossMsgsPerBlock = 200;
+  /// Push batches to destination subnets when checkpoints are cut.
+  bool push_resolution_ = true;
+
   // ----------------------------------------------------- fraud watchdog
   CheckpointWatcher watcher_;
-  ByzantineBehavior byzantine_ = ByzantineBehavior::kNone;
-  /// Last parent-accepted checkpoint, stashed by the kStaleResubmit
-  /// behavior for replay.
-  std::optional<core::SignedCheckpoint> stale_checkpoint_;
+  std::unique_ptr<CheckpointAdversary> adversary_;
   struct PendingProof {
     core::FraudProof proof;
     std::vector<crypto::PublicKey> guilty;

@@ -10,34 +10,20 @@ Bytes cid_key(const Cid& cid) {
 
 }  // namespace
 
-const char* to_string(ByzantineBehavior b) {
-  switch (b) {
-    case ByzantineBehavior::kNone:
-      return "none";
-    case ByzantineBehavior::kEquivocate:
-      return "equivocate";
-    case ByzantineBehavior::kWithhold:
-      return "withhold";
-    case ByzantineBehavior::kForgeMeta:
-      return "forge-meta";
-    case ByzantineBehavior::kStaleResubmit:
-      return "stale-resubmit";
-  }
-  return "unknown";
+std::string fraud_flow_key(const core::SubnetId& subnet, chain::Epoch epoch,
+                           const Address& signer) {
+  return "fraud:" + subnet.to_string() + ":" + std::to_string(epoch) + ":" +
+         signer.to_string();
 }
 
 bool CheckpointWatcher::reserve_epoch(chain::Epoch epoch) {
-  if (max_epochs_ == 0 || evidence_.contains(epoch)) return true;
-  while (evidence_.size() >= max_epochs_) {
+  if (evidence_.contains(epoch)) return true;
+  while (evidence_.size() >= kMaxEpochs) {
     auto oldest = evidence_.begin();
-    if (oldest->first >= epoch) {
-      // The arrival is older than everything retained: shed it rather
-      // than displacing fresher evidence.
-      ++evidence_evicted_;
-      return false;
-    }
+    // The arrival is older than everything retained: shed it rather than
+    // displacing fresher evidence.
+    if (oldest->first >= epoch) return false;
     evidence_.erase(oldest);
-    ++evidence_evicted_;
   }
   return true;
 }

@@ -14,43 +14,28 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "chain/message.hpp"
 #include "core/fraud.hpp"
+#include "obs/obs.hpp"
+#include "sim/latency.hpp"
 
 namespace hc::runtime {
 
-/// Adversary behaviors a validator node can be armed with (chaos plans
-/// flip these at runtime; kNone restores honesty).
-enum class ByzantineBehavior : std::uint8_t {
-  kNone = 0,
-  /// Sign the honest cut AND a forged variant of it each period.
-  kEquivocate,
-  /// Sign nothing and never submit (omission; not provable fraud).
-  kWithhold,
-  /// Equivocate with a forged checkpoint carrying an inflated
-  /// CrossMsgMeta value (a firewall-bound attack, paper §II).
-  kForgeMeta,
-  /// Re-submit the last parent-accepted checkpoint every period.
-  kStaleResubmit,
-};
-
-[[nodiscard]] const char* to_string(ByzantineBehavior b);
-
 class CheckpointWatcher {
  public:
-  CheckpointWatcher() = default;
-  /// `max_epochs` caps how many distinct epochs of evidence are retained
-  /// at once (0 = unbounded). When a new epoch would exceed the cap the
-  /// oldest tracked epoch is evicted — deterministic, since the evidence
-  /// map is ordered — and counted in `evidence_evicted()`. Protects the
-  /// watcher from unbounded growth when parent acceptance stalls and the
-  /// prune_below horizon stops advancing (DESIGN.md §14).
-  explicit CheckpointWatcher(std::size_t max_epochs)
-      : max_epochs_(max_epochs) {}
+  /// Cap on distinct epochs of evidence retained at once. When a new epoch
+  /// would exceed it the oldest tracked epoch is evicted — deterministic,
+  /// since the evidence map is ordered. Protects the watcher from unbounded
+  /// growth when parent acceptance stalls and the prune_below horizon stops
+  /// advancing (DESIGN.md §14).
+  static constexpr std::size_t kMaxEpochs = 64;
 
   /// Record checkpoint content attributable to its cid. Returns any fraud
   /// proofs this observation completes.
@@ -67,20 +52,6 @@ class CheckpointWatcher {
   /// keeps a horizon of a few periods behind parent acceptance so late
   /// forged shares for recently-accepted epochs stay provable).
   void prune_below(chain::Epoch epoch);
-
-  /// Equivocating (epoch, signer) pairs this watcher has proven so far.
-  [[nodiscard]] std::size_t equivocations_detected() const {
-    return reported_.size();
-  }
-
-  /// Distinct epochs currently holding evidence.
-  [[nodiscard]] std::size_t evidence_epochs() const {
-    return evidence_.size();
-  }
-  /// Epochs evicted by the retention cap (not by prune_below).
-  [[nodiscard]] std::uint64_t evidence_evicted() const {
-    return evidence_evicted_;
-  }
 
  private:
   struct EpochEvidence {
@@ -99,11 +70,53 @@ class CheckpointWatcher {
   /// itself is older than everything retained and must be shed instead.
   [[nodiscard]] bool reserve_epoch(chain::Epoch epoch);
 
-  std::size_t max_epochs_ = 0;
-  std::uint64_t evidence_evicted_ = 0;
   std::map<chain::Epoch, EpochEvidence> evidence_;
   /// (epoch, signer key bytes) pairs already covered by an emitted proof.
   std::set<std::pair<chain::Epoch, Bytes>> reported_;
+};
+
+/// Trace-flow key of one provable offence: `signer` signed two checkpoints
+/// of `subnet` for `epoch`. Opened where fraud is injected, closed when the
+/// slash for it lands on the parent chain (fraud_detection_latency_us).
+[[nodiscard]] std::string fraud_flow_key(const core::SubnetId& subnet,
+                                         chain::Epoch epoch,
+                                         const Address& signer);
+
+/// A test-side hook that drives one validator's checkpoint duty off the
+/// honest path (DESIGN.md §10). The node stays honest everywhere else —
+/// consensus, validation, the watcher above — and calls the hook at three
+/// points of its duty. Implementations live in src/chaos/.
+class CheckpointAdversary {
+ public:
+  /// What a hook may use of its node: identity, exports and the node's
+  /// own duty helpers. Valid for the duration of one hook call.
+  struct Context {
+    sim::NodeId node;
+    const core::SubnetId& subnet;
+    Address address;  ///< this validator's account (the checkpoint signer)
+    const Address& sa_in_parent;  ///< this subnet's SA on the parent chain
+    obs::Obs& obs;
+    /// Sign a checkpoint and gossip the share with its content attached,
+    /// so every watcher can attribute the signed CID.
+    std::function<void(const core::Checkpoint&)> gossip_share_with_content;
+    /// Sign and publish a message to `to` on the parent chain.
+    std::function<void(const Address& to, chain::MethodNum, Bytes params)>
+        submit_to_parent;
+  };
+
+  CheckpointAdversary() = default;
+  CheckpointAdversary(const CheckpointAdversary&) = delete;
+  CheckpointAdversary& operator=(const CheckpointAdversary&) = delete;
+  virtual ~CheckpointAdversary() = default;
+
+  /// True while the validator signs no share and submits no checkpoint.
+  [[nodiscard]] virtual bool withholds() const { return false; }
+  /// A checkpoint `cp` was freshly cut; the honest share (unless withheld)
+  /// has already gone out.
+  virtual void on_cut(const Context& ctx, const core::Checkpoint& cp) = 0;
+  /// The parent SA accepted `accepted` as its latest checkpoint, carrying
+  /// the shares this node pooled for it before it erases them.
+  virtual void on_accepted(const core::SignedCheckpoint& /*accepted*/) {}
 };
 
 }  // namespace hc::runtime

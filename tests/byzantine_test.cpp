@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "chaos/runner.hpp"
 
@@ -36,6 +37,21 @@ std::vector<Scenario> flat_scenarios() {
   return scenarios;
 }
 
+/// Sum of every labelled series of counter `family` in a metrics export.
+std::uint64_t counter_total(const std::string& json,
+                            const std::string& family) {
+  const std::string key = "\"" + family + "\":{";
+  const std::size_t start = json.find(key);
+  if (start == std::string::npos) return 0;
+  const std::size_t end = json.find('}', start);
+  std::uint64_t total = 0;
+  for (std::size_t p = json.find("\":", start + key.size()); p < end;
+       p = json.find("\":", p + 2)) {
+    total += std::stoull(json.substr(p + 2));
+  }
+  return total;
+}
+
 TEST(ByzantineSmoke, EquivocatorIsSlashedExactlyOnce) {
   ChaosRunner runner(byz_runner_config());
   const auto scenarios = ChaosRunner::byzantine_scenarios();
@@ -51,6 +67,38 @@ TEST(ByzantineSmoke, EquivocatorIsSlashedExactlyOnce) {
     EXPECT_NE(r.metrics_json.find("validators_slashed_total"),
               std::string::npos);
   }
+}
+
+TEST(ByzantineSmoke, RestartedEquivocatorComesBackHonest) {
+  // Arming lives on the node object: a crash-restarted replica is honest.
+  // `restarted` brings the equivocator back mid-window; `held_down` keeps
+  // it crashed until heal, so its action count is frozen at the crash.
+  // Both timelines agree up to the restart, so equal counts mean the
+  // restarted replica never acted again.
+  const auto equivocate_then_crash = [](bool restart_mid_window) {
+    Scenario s;
+    s.name = restart_mid_window ? "byz-restart" : "byz-held-down";
+    s.plan = [restart_mid_window](const RunnerConfig& cfg) {
+      FaultPlan p;
+      p.byzantine(0, NodeRef{1, 0}, ByzantineBehavior::kEquivocate);
+      p.crash(cfg.fault_window / 4, NodeRef{1, 0});
+      if (restart_mid_window) p.restart(cfg.fault_window / 2, NodeRef{1, 0});
+      return p;
+    };
+    s.byzantine = ByzantineExpectation{{NodeRef{1, 0}}, {}};
+    return s;
+  };
+  ChaosRunner runner(byz_runner_config());
+  const RunResult restarted = runner.run(equivocate_then_crash(true), 7);
+  const RunResult held_down = runner.run(equivocate_then_crash(false), 7);
+  // check_byzantine: exactly the equivocator slashed, exactly once.
+  ASSERT_TRUE(restarted.ok()) << restarted.summary();
+  ASSERT_TRUE(held_down.ok()) << held_down.summary();
+  const std::uint64_t acts =
+      counter_total(restarted.metrics_json, "node_byzantine_actions_total");
+  EXPECT_GT(acts, 0u);
+  EXPECT_EQ(acts, counter_total(held_down.metrics_json,
+                                "node_byzantine_actions_total"));
 }
 
 TEST(ByzantineSweep, FlatScenariosHoldInvariantsAcrossSeeds) {

@@ -206,6 +206,11 @@ TEST(StaticTreeRetention, BoundedWindowAndMemGauges) {
       EXPECT_GT(chain.base_height(), 0) << s->id.to_string();
       EXPECT_LE(chain.height() - chain.base_height() + 1, 8)
           << s->id.to_string();
+      // Finality proofs are retained and pruned with their blocks.
+      EXPECT_FALSE(s->node(i).proof_at(chain.height()).empty())
+          << s->id.to_string();
+      EXPECT_TRUE(s->node(i).proof_at(chain.base_height() - 1).empty())
+          << s->id.to_string();
       EXPECT_GT(s->node(i).mem_bytes(), 0u);
     }
   }
