@@ -3,11 +3,12 @@
 // Unlike the figure benches, this one measures wall-clock time per call
 // with google-benchmark's automatic iteration count: field multiply,
 // square and inverse, scalar multiply, fixed- and variable-base point
-// multiplication, and Schnorr sign/verify. It reproduces the cost table of
-// ROADMAP item 2. Inputs are derived from SHA-256 of a counter at run
-// time, so no operand is a compile-time constant. The multiply and square
-// benches feed each result into the next call, so they time latency, not
-// throughput.
+// multiplication, Schnorr sign/verify, and SHA-256 throughput for the
+// portable, SHA-NI and dispatched compression kernels. It reproduces the
+// cost table of ROADMAP item 2. Inputs are derived from SHA-256 of a
+// counter at run time, so no operand is a compile-time constant. The
+// multiply and square benches feed each result into the next call, so they
+// time latency, not throughput.
 //
 //   build/bench/bench_crypto [--benchmark_filter=<regex>]
 #include <benchmark/benchmark.h>
@@ -155,6 +156,33 @@ void BM_Verify(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Verify)->Unit(benchmark::kMicrosecond);
+
+// SHA-256 throughput per kernel (DESIGN.md §16): one-shot hashes of 64 B,
+// 1 KiB and 64 KiB inputs, reported as bytes per second.
+void BM_Sha256(benchmark::State& state, Sha256::Kernel kernel) {
+  if (kernel == nullptr) {
+    state.SkipWithError("CPU lacks SHA-NI");
+    return;
+  }
+  const auto len = static_cast<std::size_t>(state.range(0));
+  const Digest seed = input_digest("sha", 0);
+  Bytes data(len);
+  for (std::size_t i = 0; i < len; ++i) data[i] = seed[i % seed.size()];
+  for (auto _ : state) {
+    Sha256 h(kernel);
+    h.update(data);
+    Digest d = h.finalize();
+    benchmark::DoNotOptimize(d);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK_CAPTURE(BM_Sha256, portable, Sha256::portable_kernel())
+    ->Arg(64)->Arg(1024)->Arg(65536);
+BENCHMARK_CAPTURE(BM_Sha256, shani, Sha256::shani_kernel())
+    ->Arg(64)->Arg(1024)->Arg(65536);
+BENCHMARK_CAPTURE(BM_Sha256, dispatched, Sha256::dispatched_kernel())
+    ->Arg(64)->Arg(1024)->Arg(65536);
 
 }  // namespace
 }  // namespace hc::crypto

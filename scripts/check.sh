@@ -25,9 +25,11 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 # Crypto stage first: the U256/field/scalar differential tests, GLV split,
 # curve and Schnorr known-answer suites under the sanitizers. The folded
 # reductions are __int128 carry chains and limb shifts, exactly where a
-# UBSan finding (an over-wide shift, a bad index) would hide.
+# UBSan finding (an over-wide shift, a bad index) would hide. The SHA-256
+# suite runs the portable and SHA-NI kernels (DESIGN.md §16): unaligned
+# 16-byte loads and the multi-block loop are where an overread would hide.
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R '^(U256|Field|Scalar|Curve|Schnorr|BatchVerify)\.'
+  -R '^(U256|Field|Scalar|Curve|Schnorr|BatchVerify|Sha256)\.'
 
 # Chaos smoke next: the standard fault scenarios x 3 seeds (DESIGN.md §9)
 # under the sanitizers — fault-handling regressions fail fast, before the
@@ -63,9 +65,12 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure \
 # out-of-bounds read, so it runs under ASan explicitly. The execute-once
 # suite moves kept post-state trees from build/validate into the chain
 # store and drops them when the head moves — a use-after-move or a dangling
-# kept entry would surface here.
+# kept entry would surface here. The state-memo suite checks that every
+# decoded memo equals a fresh decode of the shared blob it rides with, and
+# that journal reverts restore blob and memo together; in this Debug build
+# every load_state memo hit across the whole suite is cross-checked too.
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'StateCommitment|IncrementalMerkle|ExecuteOnce'
+  -R 'StateCommitment|IncrementalMerkle|ExecuteOnce|StateMemo'
 
 # Scale smoke (DESIGN.md §17): the interned-identity invariants (hash,
 # codec, growth bounds), the static-tree boot + retention/viewer-gating
@@ -104,6 +109,11 @@ ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$(nproc)" \
 # keeps committing; the execute-once suite runs on two worker lanes.
 ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$(nproc)" \
   -R '^ExecuteOnce\.'
+# Shared actor-state blobs (DESIGN.md §12): a parent's published head and
+# the child lanes reading it share one immutable blob and decoded memo per
+# actor; nothing may write a blob after construction.
+ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$(nproc)" \
+  -R '^StateMemo\.'
 # Intern determinism (DESIGN.md §17): concurrent interning from worker
 # lanes must be race-free AND unobservable (byte-identical fingerprints at
 # 1/2/4 threads).

@@ -17,16 +17,16 @@ Bytes registry_key(const Cid& cid) {
 
 }  // namespace
 
-Bytes make_sca_ctor_state(const core::SubnetId& self,
-                          std::uint32_t checkpoint_period,
-                          std::uint64_t topdown_window_cap,
-                          chain::Epoch breaker_stall_epochs) {
+chain::StateBlob make_sca_ctor_state(const core::SubnetId& self,
+                                     std::uint32_t checkpoint_period,
+                                     std::uint64_t topdown_window_cap,
+                                     chain::Epoch breaker_stall_epochs) {
   ScaState state;
   state.self = self;
   state.checkpoint_period = checkpoint_period;
   state.topdown_window_cap = topdown_window_cap;
   state.breaker_stall_epochs = breaker_stall_epochs;
-  return encode(state);
+  return state_blob(std::move(state));
 }
 
 bool breaker_open(const ScaState& s, const SubnetEntry& child,
@@ -113,7 +113,7 @@ Result<Bytes> ScaActor::invoke(chain::Runtime& rt, chain::MethodNum method,
       return Error(Errc::kInvalidArgument, "SCA: unknown method");
   }
   if (!result) return result;
-  HC_TRY_STATUS(save_state(rt, state));
+  HC_TRY_STATUS(save_state(rt, std::move(state)));
   return result;
 }
 

@@ -208,11 +208,12 @@ struct AtomicNotice {
 
 /// Build the initial SCA state for a chain with the given identity.
 /// `topdown_window_cap` / `breaker_stall_epochs` configure the top-down
-/// circuit breaker (DESIGN.md §14); 0 disables each trip condition.
-[[nodiscard]] Bytes make_sca_ctor_state(const core::SubnetId& self,
-                                        std::uint32_t checkpoint_period,
-                                        std::uint64_t topdown_window_cap = 0,
-                                        chain::Epoch breaker_stall_epochs = 0);
+/// circuit breaker (DESIGN.md §14); 0 disables each trip condition. The
+/// blob carries the decoded state as its memo.
+[[nodiscard]] chain::StateBlob make_sca_ctor_state(
+    const core::SubnetId& self, std::uint32_t checkpoint_period,
+    std::uint64_t topdown_window_cap = 0,
+    chain::Epoch breaker_stall_epochs = 0);
 
 /// Whether the top-down circuit breaker refuses new cross-msgs toward
 /// `child` at epoch `now`: the unacknowledged backlog reached the window

@@ -80,7 +80,7 @@ Result<Bytes> SubnetActor::join(chain::Runtime& rt, SaState state,
     HC_TRY_STATUS(to_status(
         rt.send(chain::kScaAddr, sca_method::kAddStake, {}, stake)));
   }
-  HC_TRY_STATUS(save_state(rt, state));
+  HC_TRY_STATUS(save_state(rt, std::move(state)));
   rt.emit_event("sa/joined", p.pubkey.to_bytes());
   return Bytes{};
 }
@@ -106,7 +106,7 @@ Result<Bytes> SubnetActor::leave(chain::Runtime& rt, SaState state) {
     // Never registered: funds still sit in this SA; refund directly.
     HC_TRY_STATUS(to_status(rt.send(rt.caller(), 0, {}, refund)));
   }
-  HC_TRY_STATUS(save_state(rt, state));
+  HC_TRY_STATUS(save_state(rt, std::move(state)));
   rt.emit_event("sa/left", encode(rt.caller()));
   return Bytes{};
 }
@@ -190,7 +190,7 @@ Result<Bytes> SubnetActor::slash(chain::Runtime& rt, SaState state,
       policy.threshold > state.validators.size()) {
     policy.threshold = static_cast<std::uint32_t>(state.validators.size());
   }
-  HC_TRY_STATUS(save_state(rt, state));
+  HC_TRY_STATUS(save_state(rt, std::move(state)));
   rt.emit_event("sa/slashed", encode(slashed));
   Encoder ret;
   ret.vec(removed);

@@ -3,9 +3,13 @@
 // Mirrors the Filecoin actor model the paper assumes (§III-A: "a new
 // instance of the Virtual Machine ... system actors, i.e., smart contracts
 // in Filecoin terminology"). Actor *logic* is stateless C++ registered per
-// CodeId; actor *state* lives in the StateTree as opaque bytes that the
-// logic encodes/decodes. The Runtime interface is the only capability an
-// actor gets — no ambient access to the tree, the network, or the clock.
+// CodeId; actor *state* lives in the StateTree as an immutable StateBlob:
+// the canonical bytes the logic encodes/decodes, shared (never copied) by
+// tree copies and journal priors. A blob written by actors::save_state also
+// carries the decoded object it was encoded from, so the next
+// actors::load_state copies that memo instead of decoding the bytes again
+// (DESIGN.md §12). The Runtime interface is the only capability an actor
+// gets — no ambient access to the tree, the network, or the clock.
 #pragma once
 
 #include <cstdint>
@@ -34,10 +38,12 @@ class Runtime {
   [[nodiscard]] virtual Epoch current_epoch() const = 0;
 
   // ---------------------------------------------------------------- state
-  /// This actor's serialized state (charges storage_read gas).
-  [[nodiscard]] virtual Result<Bytes> get_state() = 0;
-  /// Replace this actor's serialized state (charges storage_write gas).
-  [[nodiscard]] virtual Status set_state(Bytes state) = 0;
+  /// This actor's serialized state (charges storage_read gas). Shares the
+  /// tree's blob; no bytes are copied.
+  [[nodiscard]] virtual Result<StateBlob> get_state() = 0;
+  /// Replace this actor's serialized state (charges storage_write gas per
+  /// encoded byte).
+  [[nodiscard]] virtual Status set_state(StateBlob state) = 0;
   /// This actor's current balance.
   [[nodiscard]] virtual TokenAmount balance() const = 0;
 

@@ -47,7 +47,7 @@ class ExecRuntime final : public Runtime {
   [[nodiscard]] TokenAmount value_received() const override { return value_; }
   [[nodiscard]] Epoch current_epoch() const override { return ctx_.height; }
 
-  [[nodiscard]] Result<Bytes> get_state() override {
+  [[nodiscard]] Result<StateBlob> get_state() override {
     HC_TRY_STATUS(meter_.charge(meter_.schedule().storage_read));
     const ActorEntry* entry = tree_.get(self_);
     if (entry == nullptr) {
@@ -56,7 +56,7 @@ class ExecRuntime final : public Runtime {
     return entry->state;
   }
 
-  [[nodiscard]] Status set_state(Bytes state) override {
+  [[nodiscard]] Status set_state(StateBlob state) override {
     HC_TRY_STATUS(meter_.charge(meter_.schedule().storage_write_base +
                                 meter_.schedule().storage_per_byte *
                                     static_cast<Gas>(state.size())));

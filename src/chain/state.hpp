@@ -13,15 +13,18 @@
 //   - journal_mark()/journal_revert(): an undo log of prior entry values,
 //     used by the executor for per-message and nested-send revert without
 //     copying the tree;
-//   - snapshot()/revert_to(): a deep copy, kept for long-lived forks
-//     (genesis templates, the head copy a block executes on, the paper's
-//     SCA `save()` §III-C).
+//   - snapshot()/revert_to(): a copy of the actor map, kept for long-lived
+//     forks (genesis templates, the head copy a block executes on, the
+//     paper's SCA `save()` §III-C). Actor state is an immutable shared
+//     StateBlob, so neither a copy nor a journal prior copies state bytes.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
+#include <typeinfo>
 #include <vector>
 
 #include "common/address.hpp"
@@ -55,14 +58,83 @@ inline const Address kBurnAddr = Address::id(99);    // burnt-funds sink
 /// circulating-supply accounting for this subnet's edge.
 inline const Address kSlashPotAddr = Address::id(97);
 
+/// An actor's serialized state: immutable bytes shared by every tree copy,
+/// journal prior and Runtime::get_state() result that holds it, so none of
+/// those copies the bytes (DESIGN.md §12). A blob may also carry a memo —
+/// the decoded object its bytes encode — attached only when the blob is
+/// constructed (actors::save_state hands over the state it just encoded).
+/// Nothing mutates a blob after construction, so a published head tree's
+/// blobs and memos are safe to read from any lane.
+class StateBlob {
+ public:
+  /// Empty state (an actor on first touch).
+  StateBlob() = default;
+  /// Adopt bytes with no memo (constructor params, wire bytes, test
+  /// fixtures). Implicit so that `entry.state = encode(x)` reads naturally.
+  StateBlob(Bytes bytes)  // NOLINT
+      : rep_(bytes.empty() ? nullptr
+                           : std::make_shared<const Rep>(std::move(bytes))) {}
+
+  /// Bytes plus the object they encode. The caller guarantees that
+  /// `decoded` is exactly what decoding `bytes` yields.
+  template <typename T>
+  [[nodiscard]] static StateBlob with_memo(Bytes bytes, T decoded) {
+    StateBlob b;
+    b.rep_ = std::make_shared<const MemoRep<T>>(std::move(bytes),
+                                                std::move(decoded));
+    return b;
+  }
+
+  [[nodiscard]] const Bytes& bytes() const {
+    static const Bytes kEmpty;
+    return rep_ == nullptr ? kEmpty : rep_->bytes;
+  }
+  [[nodiscard]] BytesView view() const { return bytes(); }
+  [[nodiscard]] std::size_t size() const { return bytes().size(); }
+  [[nodiscard]] bool empty() const { return bytes().empty(); }
+
+  /// The decoded object attached at construction, when it is a T; null
+  /// otherwise. Shares ownership with the blob.
+  template <typename T>
+  [[nodiscard]] std::shared_ptr<const T> memo() const {
+    if (rep_ == nullptr || typeid(*rep_) != typeid(MemoRep<T>)) return nullptr;
+    const auto* rep = static_cast<const MemoRep<T>*>(rep_.get());
+    return std::shared_ptr<const T>(rep_, &rep->value);
+  }
+
+  /// True when both hold the same shared bytes (not merely equal ones).
+  [[nodiscard]] bool shares(const StateBlob& other) const {
+    return rep_ == other.rep_;
+  }
+
+  /// Equal bytes; the memo never takes part.
+  bool operator==(const StateBlob& other) const {
+    return rep_ == other.rep_ || bytes() == other.bytes();
+  }
+
+ private:
+  struct Rep {
+    explicit Rep(Bytes b) : bytes(std::move(b)) {}
+    virtual ~Rep() = default;
+    const Bytes bytes;
+  };
+  template <typename T>
+  struct MemoRep final : Rep {
+    MemoRep(Bytes b, T v) : Rep(std::move(b)), value(std::move(v)) {}
+    const T value;
+  };
+
+  std::shared_ptr<const Rep> rep_;  // null: empty bytes, no memo
+};
+
 struct ActorEntry {
   CodeId code = kCodeNone;
   TokenAmount balance;
   std::uint64_t nonce = 0;  // meaningful for account actors
-  Bytes state;              // actor-specific serialized state
+  StateBlob state;          // actor-specific serialized state
 
   void encode_to(Encoder& e) const {
-    e.varint(code).obj(balance).varint(nonce).bytes(state);
+    e.varint(code).obj(balance).varint(nonce).bytes(state.view());
   }
   [[nodiscard]] static Result<ActorEntry> decode_from(Decoder& d) {
     ActorEntry a;
@@ -162,7 +234,8 @@ class StateTree {
 
   [[nodiscard]] std::size_t journal_depth() const { return journal_.size(); }
 
-  /// Deep-copy snapshot / revert, for long-lived forks (SCA save()).
+  /// Snapshot / revert for long-lived forks (SCA save()): copies the actor
+  /// map and shares every entry's state blob.
   [[nodiscard]] StateTree snapshot() const { return *this; }
   void revert_to(StateTree snapshot);
 

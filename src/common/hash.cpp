@@ -1,7 +1,12 @@
 #include "common/hash.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 namespace hc {
 
@@ -27,10 +32,146 @@ constexpr std::uint32_t rotr(std::uint32_t x, int n) {
   return std::rotr(x, n);
 }
 
+void compress_portable(std::uint32_t* state, const std::uint8_t* data,
+                       std::size_t blocks) {
+  for (; blocks > 0; --blocks, data += 64) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<std::uint32_t>(data[4 * i]) << 24) |
+             (static_cast<std::uint32_t>(data[4 * i + 1]) << 16) |
+             (static_cast<std::uint32_t>(data[4 * i + 2]) << 8) |
+             static_cast<std::uint32_t>(data[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 =
+          rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 =
+          rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t t1 = h + s1 + ch + kK[i] + w[i];
+      const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t t2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + t1;
+      d = c;
+      c = b;
+      b = a;
+      a = t1 + t2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+#if defined(__x86_64__)
+
+// SHA-NI kernel. The state lives in two registers in the order the
+// sha256rnds2 instruction wants (ABEF and CDGH); each of the 16 groups
+// below runs four rounds (two rnds2 of two rounds each) on message words
+// W[4g..4g+3] held in msg[g % 4], while sha256msg1/msg2 extend the schedule
+// three groups ahead. The loop is fully unrolled so msg[] stays in
+// registers.
+__attribute__((target("sha,sse4.1"))) void compress_shani(
+    std::uint32_t* state, const std::uint8_t* data, std::size_t blocks) {
+  // Byte swap within each 32-bit word (the message is big-endian).
+  const __m128i kBswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+
+  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  __m128i state1 =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  tmp = _mm_shuffle_epi32(tmp, 0xB1);              // CDAB
+  state1 = _mm_shuffle_epi32(state1, 0x1B);        // EFGH
+  __m128i state0 = _mm_alignr_epi8(tmp, state1, 8);  // ABEF
+  state1 = _mm_blend_epi16(state1, tmp, 0xF0);       // CDGH
+
+  for (; blocks > 0; --blocks, data += 64) {
+    const __m128i abef = state0;
+    const __m128i cdgh = state1;
+    __m128i msg[4];
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      __m128i& cur = msg[g % 4];
+      if (g < 4) {
+        cur = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * g)),
+            kBswap);
+      }
+      __m128i wk = _mm_add_epi32(
+          cur, _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK + 4 * g)));
+      state1 = _mm_sha256rnds2_epu32(state1, state0, wk);
+      if (g >= 3 && g <= 14) {
+        // Finish W[4(g+1)..] = msg1-part + W[t-7] + sigma1(W[t-2]).
+        __m128i& next = msg[(g + 1) % 4];
+        next = _mm_add_epi32(next, _mm_alignr_epi8(cur, msg[(g + 3) % 4], 4));
+        next = _mm_sha256msg2_epu32(next, cur);
+      }
+      wk = _mm_shuffle_epi32(wk, 0x0E);
+      state0 = _mm_sha256rnds2_epu32(state0, state1, wk);
+      if (g >= 1 && g <= 12) {
+        __m128i& prev = msg[(g + 3) % 4];
+        prev = _mm_sha256msg1_epu32(prev, cur);
+      }
+    }
+    state0 = _mm_add_epi32(state0, abef);
+    state1 = _mm_add_epi32(state1, cdgh);
+  }
+
+  tmp = _mm_shuffle_epi32(state0, 0x1B);          // FEBA
+  state1 = _mm_shuffle_epi32(state1, 0xB1);       // DCHG
+  state0 = _mm_blend_epi16(tmp, state1, 0xF0);    // DCBA
+  state1 = _mm_alignr_epi8(state1, tmp, 8);       // HGFE
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), state0);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), state1);
+}
+
+bool cpu_has_shani() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1");
+}
+
+#endif  // __x86_64__
+
 }  // namespace
 
-Sha256::Sha256()
-    : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+Sha256::Kernel Sha256::portable_kernel() { return &compress_portable; }
+
+Sha256::Kernel Sha256::shani_kernel() {
+#if defined(__x86_64__)
+  static const bool supported = cpu_has_shani();
+  return supported ? &compress_shani : nullptr;
+#else
+  return nullptr;
+#endif
+}
+
+Sha256::Kernel Sha256::dispatched_kernel() {
+  static const Kernel kernel =
+      shani_kernel() != nullptr ? shani_kernel() : portable_kernel();
+  return kernel;
+}
+
+Sha256::Sha256() : Sha256(dispatched_kernel()) {}
+
+Sha256::Sha256(Kernel kernel)
+    : kernel_(kernel),
+      state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
              0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19},
       buffer_{} {}
 
@@ -45,13 +186,13 @@ Sha256& Sha256::update(BytesView data) {
     buffer_len_ += take;
     off = take;
     if (buffer_len_ == 64) {
-      compress(buffer_.data());
+      kernel_(state_.data(), buffer_.data(), 1);
       buffer_len_ = 0;
     }
   }
-  while (data.size() - off >= 64) {
-    compress(data.data() + off);
-    off += 64;
+  if (const std::size_t blocks = (data.size() - off) / 64; blocks > 0) {
+    kernel_(state_.data(), data.data() + off, blocks);
+    off += 64 * blocks;
   }
   if (off < data.size()) {
     std::memcpy(buffer_.data(), data.data() + off, data.size() - off);
@@ -83,50 +224,6 @@ Digest Sha256::finalize() {
     out[4 * i + 3] = static_cast<std::uint8_t>(state_[i]);
   }
   return out;
-}
-
-void Sha256::compress(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
-           (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<std::uint32_t>(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 =
-        rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 =
-        rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t t1 = h + s1 + ch + kK[i] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t t2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
-  }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
 }
 
 Digest Sha256::hash(BytesView data) {

@@ -4,6 +4,11 @@
 // the backbone of the whole system — are hash-derived, and every module
 // depends on them. Higher-level primitives (HMAC, signatures, Merkle trees)
 // live in `crypto`.
+//
+// The block compression runs on the x86 SHA extensions (SHA-NI) when the
+// CPU has them and on portable C++ otherwise; the choice is made once per
+// process from CPUID (DESIGN.md §16). Both kernels produce identical
+// digests.
 #pragma once
 
 #include <array>
@@ -19,7 +24,16 @@ using Digest = std::array<std::uint8_t, 32>;
 /// Incremental SHA-256 hasher.
 class Sha256 {
  public:
+  /// A compression kernel: folds `blocks` consecutive 64-byte blocks into
+  /// the eight-word chaining state.
+  using Kernel = void (*)(std::uint32_t* state, const std::uint8_t* data,
+                          std::size_t blocks);
+
+  /// Hashes with the kernel dispatched for this CPU.
   Sha256();
+  /// Hashes with a specific kernel. Test and bench entry point: production
+  /// code uses the default constructor.
+  explicit Sha256(Kernel kernel);
 
   /// Absorb more input.
   Sha256& update(BytesView data);
@@ -33,9 +47,15 @@ class Sha256 {
   /// One-shot over the concatenation of several views.
   [[nodiscard]] static Digest hash_all(std::initializer_list<BytesView> parts);
 
- private:
-  void compress(const std::uint8_t* block);
+  /// The portable kernel (any CPU).
+  [[nodiscard]] static Kernel portable_kernel();
+  /// The SHA-NI kernel, or nullptr when this CPU lacks SHA-NI or SSE4.1.
+  [[nodiscard]] static Kernel shani_kernel();
+  /// The kernel the default constructor uses: SHA-NI when available.
+  [[nodiscard]] static Kernel dispatched_kernel();
 
+ private:
+  Kernel kernel_;
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;
   std::uint64_t total_len_ = 0;   // bytes absorbed

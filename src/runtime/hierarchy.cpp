@@ -8,6 +8,7 @@
 #include "actors/registry.hpp"
 #include "actors/sa_state.hpp"
 #include "actors/sca_state.hpp"
+#include "actors/util.hpp"
 #include "common/log.hpp"
 
 namespace hc::runtime {
@@ -280,8 +281,8 @@ Hierarchy::Staged Hierarchy::compose_static(const TreeSpec& spec,
     genesis.set(chain::kInitAddr, init);
 
     chain::ActorEntry sca_entry = *genesis.get(chain::kScaAddr);
-    auto sca_r = decode<actors::ScaState>(sca_entry.state);
-    actors::ScaState sca = std::move(sca_r).value();
+    actors::ScaState sca =
+        *actors::state_of<actors::ScaState>(sca_entry.state);
     TokenAmount escrowed;
     for (std::size_t k = 0; k < spec.children.size(); ++k) {
       const TreeSpec& child_spec = spec.children[k];
@@ -299,7 +300,7 @@ Hierarchy::Staged Hierarchy::compose_static(const TreeSpec& spec,
       }
       chain::ActorEntry sa_actor;
       sa_actor.code = chain::kCodeSubnetActor;
-      sa_actor.state = encode(sa_state);
+      sa_actor.state = actors::state_blob(sa_state);
       genesis.set(child_sa, sa_actor);
 
       // Child validators submit checkpoints to this SA as parent-chain
@@ -324,7 +325,7 @@ Hierarchy::Staged Hierarchy::compose_static(const TreeSpec& spec,
       sca.subnets[child_sa] = entry;
       escrowed += sa_state.total_stake + child.total;
     }
-    sca_entry.state = encode(sca);
+    sca_entry.state = actors::state_blob(std::move(sca));
     sca_entry.balance += escrowed;
     genesis.set(chain::kScaAddr, sca_entry);
   }

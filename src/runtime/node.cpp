@@ -4,6 +4,7 @@
 #include <algorithm>
 
 #include "actors/methods.hpp"
+#include "actors/util.hpp"
 #include "common/log.hpp"
 #include "obs/profile.hpp"
 
@@ -69,15 +70,27 @@ std::uint64_t nonce_in(const chain::StateTree& tree, const Address& addr) {
   return entry == nullptr ? 0 : entry->nonce;
 }
 
+/// The tree's SCA state: the blob's memo when it has one (every blob the
+/// SCA itself wrote does), else a decode; empty when absent or undecodable.
+std::shared_ptr<const actors::ScaState> sca_in(const chain::StateTree& tree) {
+  const auto* entry = tree.get(chain::kScaAddr);
+  if (entry != nullptr) {
+    if (auto sca = actors::state_of<actors::ScaState>(entry->state)) {
+      return sca;
+    }
+  }
+  return std::make_shared<const actors::ScaState>();
+}
+
 std::optional<actors::SaState> sa_in(const chain::StateTree& tree,
                                      const Address& sa) {
   const auto* entry = tree.get(sa);
   if (entry == nullptr || entry->code != chain::kCodeSubnetActor) {
     return std::nullopt;
   }
-  auto decoded = decode<actors::SaState>(entry->state);
-  if (!decoded) return std::nullopt;
-  return std::move(decoded).value();
+  const auto decoded = actors::state_of<actors::SaState>(entry->state);
+  if (decoded == nullptr) return std::nullopt;
+  return *decoded;
 }
 
 }  // namespace
@@ -216,7 +229,9 @@ void SubnetNode::add_viewer() {
   // First viewer while windowed snapshots are live: publish immediately
   // (we are in driver context, lanes parked) so the child never reads
   // cross-lane live state.
-  if (views_enabled_ && view_published_ == nullptr) share_view();
+  if (views_enabled_ && view_published_ == nullptr) {
+    view_published_ = store_->state_ptr();
+  }
 }
 
 void SubnetNode::remove_viewer() {
@@ -224,9 +239,6 @@ void SubnetNode::remove_viewer() {
     // Last reader gone: release the view. A later attach publishes the
     // then-current head instead of serving a stale one.
     view_published_.reset();
-    view_sca_.reset();
-    sca_.reset();
-    sca_tree_.reset();
   }
 }
 
@@ -329,21 +341,7 @@ std::uint64_t SubnetNode::account_nonce(const Address& addr) const {
 actors::ScaState SubnetNode::sca_state() const { return *head_sca(); }
 
 std::shared_ptr<const actors::ScaState> SubnetNode::head_sca() const {
-  const std::shared_ptr<const chain::StateTree>& head = store_->state_ptr();
-  if (sca_tree_.lock() == head) return sca_;
-  actors::ScaState sca;
-  const auto* entry = head->get(chain::kScaAddr);
-  if (entry != nullptr && !entry->state.empty()) {
-    if (auto decoded = decode<actors::ScaState>(entry->state)) {
-      sca = std::move(decoded).value();
-    }
-  }
-  auto decoded = std::make_shared<const actors::ScaState>(std::move(sca));
-  if (viewers_ > 0) {  // the view will share it; leaves keep no copy
-    sca_ = decoded;
-    sca_tree_ = head;
-  }
-  return decoded;
+  return sca_in(store_->state());
 }
 
 std::optional<actors::SaState> SubnetNode::sa_state(const Address& sa) const {
@@ -361,7 +359,7 @@ std::uint64_t SubnetNode::account_nonce_view(const Address& addr) const {
 }
 
 std::shared_ptr<const actors::ScaState> SubnetNode::sca_state_view() const {
-  return view_sca_ != nullptr ? view_sca_ : head_sca();
+  return sca_in(view_tree());
 }
 
 std::optional<actors::SaState> SubnetNode::sa_state_view(
@@ -372,12 +370,7 @@ std::optional<actors::SaState> SubnetNode::sa_state_view(
 void SubnetNode::publish_view() {
   views_enabled_ = true;
   if (viewers_ == 0) return;  // leaf: no child reader, publish nothing
-  share_view();
-}
-
-void SubnetNode::share_view() {
   view_published_ = store_->state_ptr();
-  view_sca_ = head_sca();  // usually already decoded by this head's commit
 }
 
 std::size_t SubnetNode::mem_bytes() const {

@@ -146,7 +146,8 @@ class SubnetNode final : public consensus::BlockSource,
   // window barrier, never through the live accessors above (DESIGN.md
   // §11). While no view has been published (raw single-lane usage without
   // a Hierarchy), these fall back to live state.
-  /// Decoded once per published head and shared by every reader.
+  /// The published head's SCA state: its blob's memo, shared by every
+  /// reader.
   [[nodiscard]] std::shared_ptr<const actors::ScaState> sca_state_view()
       const;
 
@@ -346,14 +347,10 @@ class SubnetNode final : public consensus::BlockSource,
   [[nodiscard]] std::uint64_t account_nonce_view(const Address& addr) const;
   [[nodiscard]] std::optional<actors::SaState> sa_state_view(
       const Address& sa) const;
-  /// Decoded SCA state of the head. On a node with child readers it is
-  /// cached per head tree (heads are immutable, §11), decoded once per head
-  /// for every duty and shared with the published view; a leaf decodes per
-  /// call and keeps no copy. Owner lane or driver context only, like the
-  /// other live accessors.
+  /// Decoded SCA state of the head: the memo of the head's SCA blob,
+  /// shared, not copied (DESIGN.md §12). Owner lane or driver context only,
+  /// like the other live accessors.
   [[nodiscard]] std::shared_ptr<const actors::ScaState> head_sca() const;
-  /// Publish the head and its decoded SCA state as the parent view.
-  void share_view();
 
   /// Replay the WAL (blocks, checkpoints, vote state) into a freshly built
   /// genesis store, then physically truncate the damaged tail. Runs in the
@@ -395,13 +392,6 @@ class SubnetNode final : public consensus::BlockSource,
   /// install a new head and never touch the published tree. Null until a
   /// child attaches (viewer gating, §17) or for raw single-lane usage.
   std::shared_ptr<const chain::StateTree> view_published_;
-  /// view_published_'s decoded SCA state: the child replicas reading the
-  /// view share one decode instead of each decoding the same bytes.
-  std::shared_ptr<const actors::ScaState> view_sca_;
-  /// head_sca() cache while viewers_ > 0, and the head tree it was
-  /// decoded from (weak: a superseded head is not kept alive by the cache).
-  mutable std::weak_ptr<const chain::StateTree> sca_tree_;
-  mutable std::shared_ptr<const actors::ScaState> sca_;
   /// Child nodes holding this node as parent view; maintained by
   /// attach_parent()/~SubnetNode from driver context. The view above is
   /// only published while this is > 0.

@@ -86,8 +86,10 @@ std::vector<core::FraudProof> CheckpointWatcher::try_assemble(
 
 void CheckpointWatcher::prune_below(chain::Epoch epoch) {
   evidence_.erase(evidence_.begin(), evidence_.lower_bound(epoch));
-  reported_.erase(reported_.begin(),
-                  reported_.lower_bound({epoch, Bytes{}}));
+  // reported_ is ordered by epoch first: drop from the front.
+  while (!reported_.empty() && reported_.begin()->first < epoch) {
+    reported_.erase(reported_.begin());
+  }
 }
 
 }  // namespace hc::runtime

@@ -3,7 +3,11 @@
 // collateral, cross-msgs, firewall, checkpoint window, atomic execution).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <random>
+
 #include "harness.hpp"
+#include "memo_check.hpp"
 
 namespace hc::testing {
 namespace {
@@ -915,6 +919,146 @@ TEST_F(AtomicFixture, InitRequiresTwoPartiesAndMatchingInputs) {
                        encode(actors::AtomicInitParams{parties, {inputs[0]}}),
                        TokenAmount());
   EXPECT_FALSE(r2.ok());
+}
+
+
+// ------------------------------------------------------------ state memos
+// save_state keeps the state it encoded as the new blob's memo, and
+// load_state/head reads copy that memo instead of decoding (DESIGN.md §12).
+// These check the memo never drifts from the bytes it rides with.
+
+/// The cross-net fixture under the suite name the CI stages select.
+struct StateMemo : CrossFixture {};
+
+TEST_F(StateMemo, MatchesFreshDecodeAfterEveryStep) {
+  // A seeded mix of SCA, SA and KV operations on a root chain and one of
+  // its children, successful and failing alike.
+  ChainWorld cw(child);
+  User& alice = world.user("alice");
+  User& carol = cw.user("carol");
+  std::vector<User*> joiners = {&world.user("j0"), &world.user("j1"),
+                                &world.user("j2")};
+  actors::ExecParams kv_exec;
+  kv_exec.code = chain::kCodeKvApp;
+  const auto dep = cw.call(carol, chain::kInitAddr, actors::init_method::kExec,
+                           encode(kv_exec), TokenAmount());
+  ASSERT_TRUE(dep.ok());
+  const Address app = decode<Address>(dep.ret).value();
+
+  std::mt19937_64 rng(0x3e30);
+  std::uint64_t topdown_nonce = 0;
+  chain::Epoch cut_epoch = 0;
+  std::size_t memos_checked = 0;
+  for (int step = 0; step < 200; ++step) {
+    const auto amount = TokenAmount::whole(1 + rng() % 5);
+    switch (rng() % 7) {
+      case 0: {  // top-down fund on the root, applied on the child
+        actors::CrossParams p;
+        p.dest = child;
+        p.to = carol.addr;
+        if (world.call(alice, chain::kScaAddr, sca::kFund, encode(p), amount)
+                .ok()) {
+          core::CrossMsg cross;
+          cross.from_subnet = core::SubnetId::root();
+          cross.to_subnet = child;
+          cross.msg.from = alice.addr;
+          cross.msg.to = carol.addr;
+          cross.msg.value = amount;
+          cross.nonce = topdown_nonce++;
+          EXPECT_TRUE(cw.implicit(chain::kScaAddr, sca::kApplyTopDown,
+                                  encode(cross), amount)
+                          .ok());
+        }
+        break;
+      }
+      case 1: {  // bottom-up release on the child (may lack funds)
+        actors::CrossParams p;
+        p.dest = core::SubnetId::root();
+        p.to = alice.addr;
+        (void)cw.call(carol, chain::kScaAddr, sca::kRelease, encode(p),
+                      amount);
+        break;
+      }
+      case 2: {  // checkpoint cut on the child; a repeated epoch fails
+        actors::CutParams cut;
+        cut.epoch = (rng() % 4 == 0) ? cut_epoch : cut_epoch + 10;
+        cut.proof = Cid::of(CidCodec::kBlock,
+                            to_bytes("blk" + std::to_string(cut.epoch)));
+        if (cw.implicit(chain::kScaAddr, sca::kCutCheckpoint, encode(cut),
+                        TokenAmount())
+                .ok()) {
+          cut_epoch = cut.epoch;
+        }
+        break;
+      }
+      case 3: {  // SA join (stake may be below the minimum)
+        User& j = *joiners[rng() % joiners.size()];
+        (void)world.call(j, sa, kJoin, join_params(j),
+                         TokenAmount::whole(rng() % 8));
+        break;
+      }
+      case 4: {  // SA leave (fails for non-validators)
+        User& j = *joiners[rng() % joiners.size()];
+        (void)world.call(j, sa, kLeave, {}, TokenAmount());
+        break;
+      }
+      case 5: {  // fund toward a subnet that does not exist: fails
+        actors::CrossParams p;
+        p.dest = core::SubnetId::root().child(Address::id(4242));
+        p.to = alice.addr;
+        EXPECT_FALSE(world
+                         .call(alice, chain::kScaAddr, sca::kFund, encode(p),
+                               amount)
+                         .ok());
+        break;
+      }
+      default: {  // KV put / lock / unlock on the child
+        const Bytes key = to_bytes("k" + std::to_string(rng() % 3));
+        const chain::MethodNum m =
+            std::array{kv::kPut, kv::kLock, kv::kUnlock}[rng() % 3];
+        (void)cw.call(carol, app, m,
+                      encode(actors::KvParams{key, to_bytes("v")}), {});
+        break;
+      }
+    }
+    SCOPED_TRACE("step " + std::to_string(step));
+    memos_checked += check_memos(world.tree()) + check_memos(cw.tree());
+    if (::testing::Test::HasFailure()) return;
+  }
+  // Both SCAs wrote at least once, so their blobs carry memos.
+  EXPECT_NE(world.tree().get(chain::kScaAddr)->state.memo<actors::ScaState>(),
+            nullptr);
+  EXPECT_NE(cw.tree().get(chain::kScaAddr)->state.memo<actors::ScaState>(),
+            nullptr);
+  EXPECT_GT(memos_checked, 400u);
+}
+
+TEST_F(StateMemo, FailedCallKeepsTheBlobAndSaveReplacesIt) {
+  // A read-only call leaves the SCA blob (and its memo) untouched; a write
+  // installs a new blob whose memo is the state it encoded.
+  const chain::StateBlob before = world.tree().get(chain::kScaAddr)->state;
+  ASSERT_NE(before.memo<actors::ScaState>(), nullptr);
+  User& alice = world.user("alice");
+  actors::CrossParams bad;
+  bad.dest = core::SubnetId::root().child(Address::id(4242));
+  bad.to = alice.addr;
+  ASSERT_FALSE(world.call(alice, chain::kScaAddr, sca::kFund, encode(bad),
+                          TokenAmount::whole(1))
+                   .ok());
+  EXPECT_TRUE(world.tree().get(chain::kScaAddr)->state.shares(before));
+
+  actors::CrossParams good;
+  good.dest = child;
+  good.to = alice.addr;
+  ASSERT_TRUE(world.call(alice, chain::kScaAddr, sca::kFund, encode(good),
+                         TokenAmount::whole(2))
+                  .ok());
+  const chain::StateBlob& after = world.tree().get(chain::kScaAddr)->state;
+  EXPECT_FALSE(after.shares(before));
+  const auto memo = after.memo<actors::ScaState>();
+  ASSERT_NE(memo, nullptr);
+  EXPECT_EQ(memo->subnets.begin()->second.topdown_nonce, 1u);
+  EXPECT_EQ(*memo, world.sca_state());
 }
 
 }  // namespace

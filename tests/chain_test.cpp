@@ -7,6 +7,7 @@
 
 #include <random>
 
+#include "actors/util.hpp"
 #include "chain/actor.hpp"
 #include "chain/block.hpp"
 #include "chain/chainstore.hpp"
@@ -37,7 +38,7 @@ class CounterActor final : public ActorLogic {
         HC_TRY(state, rt.get_state());
         std::uint64_t count = 0;
         if (!state.empty()) {
-          Decoder d(state);
+          Decoder d(state.view());
           HC_TRY(c, d.varint());
           count = c;
         }
@@ -117,6 +118,179 @@ struct ChainFixture : ::testing::Test {
     return SignedMessage::sign(std::move(m), alice);
   }
 };
+
+// ------------------------------------------------------- state memos
+
+constexpr CodeId kTallyCode = 51;
+constexpr MethodNum kTallyBump = 1;
+constexpr MethodNum kTallySaveThenFail = 2;
+constexpr MethodNum kTallyForwardAndSwallow = 3;
+
+/// A u64 tally persisted through actors::load_state/save_state, so its
+/// blobs carry memos.
+struct Tally {
+  std::uint64_t count = 0;
+  void encode_to(Encoder& e) const { e.varint(count); }
+  [[nodiscard]] static Result<Tally> decode_from(Decoder& d) {
+    HC_TRY(count, d.varint());
+    return Tally{count};
+  }
+  bool operator==(const Tally&) const = default;
+};
+
+class TallyActor final : public ActorLogic {
+ public:
+  Result<Bytes> invoke(Runtime& rt, MethodNum method,
+                       const Bytes& params) override {
+    switch (method) {
+      case kTallyBump: {
+        HC_TRY(state, actors::load_state<Tally>(rt));
+        ++state.count;
+        HC_TRY_STATUS(actors::save_state(rt, state));
+        return Bytes{};
+      }
+      case kTallySaveThenFail: {
+        // A successful save, then a failure: both must be rolled back.
+        HC_TRY(state, actors::load_state<Tally>(rt));
+        state.count += 100;
+        HC_TRY_STATUS(actors::save_state(rt, state));
+        return Error(Errc::kInvalidArgument, "intentional failure");
+      }
+      case kTallyForwardAndSwallow: {
+        // Nested send to a peer that fails; this actor still succeeds.
+        Decoder d(params);
+        HC_TRY(peer, d.obj<Address>());
+        EXPECT_FALSE(rt.send(peer, kTallySaveThenFail, {}, TokenAmount()).ok());
+        return Bytes{};
+      }
+      default:
+        return Error(Errc::kInvalidArgument, "unknown method");
+    }
+  }
+};
+
+/// Chain fixture plus two tally actors at ids 210 and 211.
+struct StateMemo : ChainFixture {
+  const Address a = Address::id(210);
+  const Address b = Address::id(211);
+
+  StateMemo() {
+    registry.install(kTallyCode, std::make_unique<TallyActor>());
+    ActorEntry tally;
+    tally.code = kTallyCode;
+    tree.set(a, tally);
+    tree.set(b, tally);
+  }
+
+  Receipt call(MethodNum method, const Address& to, Bytes params = {}) {
+    auto exec = make_executor();
+    return exec.apply(
+        tree, make_msg(method, std::move(params), TokenAmount(), nonce++, to),
+        ctx);
+  }
+
+  std::uint64_t nonce = 0;
+};
+
+TEST_F(StateMemo, SaveAttachesTheEncodedStateAsMemo) {
+  ASSERT_TRUE(call(kTallyBump, b).ok());
+  ASSERT_TRUE(call(kTallyBump, b).ok());
+  const StateBlob& blob = tree.get(b)->state;
+  const auto memo = blob.memo<Tally>();
+  ASSERT_NE(memo, nullptr);
+  EXPECT_EQ(*memo, Tally{2});
+  EXPECT_EQ(decode<Tally>(blob.view()).value(), *memo);
+  EXPECT_EQ(blob.bytes(), encode(Tally{2}));
+  // A memo answers only for its own type.
+  EXPECT_EQ(blob.memo<std::uint64_t>(), nullptr);
+}
+
+TEST_F(StateMemo, NestedSendFailureRestoresBlobAndMemo) {
+  ASSERT_TRUE(call(kTallyBump, b).ok());
+  const StateBlob before = tree.get(b)->state;
+  const auto memo_before = before.memo<Tally>();
+  ASSERT_NE(memo_before, nullptr);
+
+  Encoder peer;
+  peer.obj(b);
+  ASSERT_TRUE(call(kTallyForwardAndSwallow, a, peer.data()).ok());
+  // b saved Tally{101} and then failed: its previous blob is back, memo
+  // included, not merely equal bytes.
+  EXPECT_TRUE(tree.get(b)->state.shares(before));
+  EXPECT_EQ(tree.get(b)->state.memo<Tally>(), memo_before);
+
+  // The same holds when the failing call is the top-level message.
+  EXPECT_FALSE(call(kTallySaveThenFail, b).ok());
+  EXPECT_TRUE(tree.get(b)->state.shares(before));
+  ASSERT_TRUE(call(kTallyBump, b).ok());
+  EXPECT_EQ(*tree.get(b)->state.memo<Tally>(), Tally{2});
+}
+
+TEST_F(StateMemo, TreeCopySharesBlobsNotBytes) {
+  ASSERT_TRUE(call(kTallyBump, a).ok());
+  ASSERT_TRUE(call(kTallyBump, b).ok());
+  const StateTree copy = tree.snapshot();
+  std::size_t shared = 0;
+  for (const auto& [addr, entry] : tree) {
+    const ActorEntry* other = copy.get(addr);
+    ASSERT_NE(other, nullptr);
+    EXPECT_TRUE(other->state.shares(entry.state)) << addr.to_string();
+    if (!entry.state.empty()) {
+      EXPECT_EQ(other->state.bytes().data(), entry.state.bytes().data());
+      ++shared;
+    }
+  }
+  EXPECT_EQ(shared, 2u);
+  EXPECT_EQ(copy.get(a)->state.memo<Tally>(), tree.get(a)->state.memo<Tally>());
+}
+
+TEST_F(StateMemo, GoldenLeafBytesRootAndMemBytes) {
+  // A fixed tree mixing empty, raw and memo-carrying state. Commitments and
+  // the logical footprint depend on the state bytes alone: the golden
+  // values hold whether or not a blob carries a memo or is shared.
+  StateTree fixed;
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    ActorEntry e;
+    e.code = 1 + i % 3;
+    e.balance = TokenAmount::whole(i);
+    e.nonce = i;
+    switch (i % 4) {
+      case 0:
+        break;
+      case 1:
+        e.state = to_bytes("s" + std::to_string(i));
+        break;
+      case 2:
+        e.state = actors::state_blob(Tally{i});
+        break;
+      default:
+        e.state = Bytes(i * 7, static_cast<std::uint8_t>(i));
+        break;
+    }
+    fixed.set(Address::id(100 + i), e);
+  }
+  fixed.journal_reset();
+  Sha256 leaves;
+  for (const auto& [addr, entry] : fixed) {
+    leaves.update(StateTree::leaf_bytes(addr, entry));
+  }
+  EXPECT_EQ(to_hex(digest_view(leaves.finalize())),
+            "fbb4c110a34ef704d2d0e18926dd17f9dcd964a10c058eff25501d668e86d27f");
+  EXPECT_EQ(fixed.mem_bytes(), 3922u);
+  EXPECT_EQ(fixed.flush().to_hex(),
+            "f94091a21c4ca2c77cd4118b2f60f6bdc43252ac3d888955de27aef17329be7f");
+  EXPECT_EQ(fixed.mem_bytes(), 5202u);
+
+  // Journal priors count too.
+  ActorEntry e = *fixed.get(Address::id(105));
+  e.state = actors::state_blob(Tally{77});
+  fixed.set(Address::id(105), e);
+  fixed.remove(Address::id(110));
+  EXPECT_EQ(fixed.mem_bytes(), 5443u);
+  EXPECT_EQ(fixed.flush().to_hex(),
+            "bbba5fdd2943b7f2a80745286fcc87303d10c4f6f24caa0b294a1cd292416a37");
+  EXPECT_EQ(fixed.mem_bytes(), 5235u);
+}
 
 // ------------------------------------------------------------ encoding
 

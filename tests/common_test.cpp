@@ -2,7 +2,9 @@
 // SHA-256 FIPS vectors, CIDs, addresses and token arithmetic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <random>
 
 #include "common/address.hpp"
 #include "common/arena.hpp"
@@ -316,6 +318,65 @@ TEST(Sha256, PaddingBoundaries) {
     for (std::size_t j = i + 1; j < digests.size(); ++j) {
       EXPECT_NE(digests[i], digests[j]);
     }
+  }
+}
+
+// Both compression kernels against the FIPS 180-4 vectors above: the
+// portable one always, SHA-NI where this CPU has it.
+void expect_fips_vectors(Sha256::Kernel kernel) {
+  const auto hex = [&](const Bytes& data) {
+    Sha256 h(kernel);
+    h.update(data);
+    return to_hex(digest_view(h.finalize()));
+  };
+  EXPECT_EQ(hex(Bytes{}),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(hex(to_bytes("abc")),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(
+      hex(to_bytes(
+          "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
+      "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  EXPECT_EQ(hex(Bytes(1000000, 'a')),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST(Sha256, PortableKernelMatchesFipsVectors) {
+  expect_fips_vectors(Sha256::portable_kernel());
+}
+
+TEST(Sha256, ShaNiKernelMatchesFipsVectors) {
+  if (Sha256::shani_kernel() == nullptr) {
+    GTEST_SKIP() << "CPU lacks SHA-NI/SSE4.1; only the portable kernel runs";
+  }
+  expect_fips_vectors(Sha256::shani_kernel());
+}
+
+TEST(Sha256, DispatchPrefersShaNi) {
+  const Sha256::Kernel expected = Sha256::shani_kernel() != nullptr
+                                      ? Sha256::shani_kernel()
+                                      : Sha256::portable_kernel();
+  EXPECT_EQ(Sha256::dispatched_kernel(), expected);
+}
+
+TEST(Sha256, DispatchedMatchesPortableAcrossLengthsAndSplits) {
+  // Seeded differential: every length 0..4 KiB, fed to the dispatched
+  // hasher in random-sized update() pieces and to the portable one whole.
+  std::mt19937_64 rng(0x5a256);
+  Bytes data(4096);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng());
+  for (std::size_t len = 0; len <= data.size(); ++len) {
+    const BytesView msg(data.data(), len);
+    Sha256 portable(Sha256::portable_kernel());
+    portable.update(msg);
+    Sha256 dispatched;
+    std::size_t off = 0;
+    while (off < len) {
+      const std::size_t piece = std::min<std::size_t>(len - off, rng() % 200);
+      dispatched.update(msg.subspan(off, piece));
+      off += piece;
+    }
+    ASSERT_EQ(dispatched.finalize(), portable.finalize()) << "length " << len;
   }
 }
 

@@ -106,13 +106,13 @@ class ChainWorld {
 
   /// Decode the SCA state.
   [[nodiscard]] actors::ScaState sca_state() const {
-    auto s = decode<actors::ScaState>(tree_.get(chain::kScaAddr)->state);
+    auto s = decode<actors::ScaState>(tree_.get(chain::kScaAddr)->state.view());
     return s.ok() ? std::move(s).value() : actors::ScaState{};
   }
 
   /// Decode an SA's state.
   [[nodiscard]] actors::SaState sa_state(const Address& sa) const {
-    auto s = decode<actors::SaState>(tree_.get(sa)->state);
+    auto s = decode<actors::SaState>(tree_.get(sa)->state.view());
     return s.ok() ? std::move(s).value() : actors::SaState{};
   }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "actors/methods.hpp"
+#include "memo_check.hpp"
 #include "obs/profile.hpp"
 #include "runtime/hierarchy.hpp"
 
@@ -469,14 +470,17 @@ TEST(ExecuteOnce, QuorumCertificateCommitWithoutValidateExecutesOnce) {
 }
 
 TEST(ExecuteOnce, ParentViewSharesTheHeadAndItsDecodedSca) {
-  // The published view IS the committed head tree (no copy) and carries
-  // one decode of its SCA state that every child reader shares.
+  // The published view IS the committed head tree (no copy), and its SCA
+  // state is the head SCA blob's memo, which every child reader shares.
   ExecuteOnceWorld w(core::ConsensusType::kPoaRoundRobin);
   w.h.run_for(sim::kSecond);
   SubnetNode& parent = w.h.root().node(0);
   ASSERT_GT(parent.viewer_count(), 0u);
   const auto view = parent.sca_state_view();
-  EXPECT_EQ(parent.sca_state_view(), view);  // shared, not re-decoded
+  const chain::StateBlob blob =
+      parent.chain().state().get(chain::kScaAddr)->state;
+  EXPECT_EQ(view, blob.memo<actors::ScaState>());  // shared, not decoded
+  EXPECT_EQ(parent.sca_state_view(), view);
   EXPECT_EQ(encode(*view), encode(parent.sca_state()));
   // The view is the head, so the footprint counts that tree once.
   EXPECT_EQ(parent.mem_bytes(),
@@ -486,8 +490,31 @@ TEST(ExecuteOnce, ParentViewSharesTheHeadAndItsDecodedSca) {
   ASSERT_TRUE(w.h.run_until(
       [&] { return parent.chain().height() > height; }, 5 * sim::kSecond));
   const auto next = parent.sca_state_view();
-  EXPECT_NE(next, view);
+  const chain::StateBlob& next_blob =
+      parent.chain().state().get(chain::kScaAddr)->state;
+  EXPECT_EQ(next, next_blob.memo<actors::ScaState>());
+  // A head that rewrote the SCA carries a new memo; one that did not
+  // shares the previous blob and with it the same decoded state.
+  EXPECT_EQ(next == view, next_blob.shares(blob));
   EXPECT_EQ(encode(*next), encode(parent.sca_state()));
+}
+
+TEST(StateMemo, HeadMemosMatchTheirBytesAcrossLanes) {
+  // Two worker lanes: the child replicas read the root's published head
+  // and share its SCA memo while the root lane keeps committing new heads.
+  ExecuteOnceWorld w(core::ConsensusType::kPoaRoundRobin);
+  w.drive_traffic();
+  for (Subnet* subnet : {&w.h.root(), w.child}) {
+    for (std::size_t i = 0; i < subnet->size(); ++i) {
+      const SubnetNode& node = subnet->node(i);
+      // Every replica's SCA has written, so at least that blob has a memo.
+      EXPECT_GT(testing::check_memos(node.chain().state()), 0u);
+      EXPECT_EQ(node.sca_state(),
+                decode<actors::ScaState>(
+                    node.chain().state().get(chain::kScaAddr)->state.view())
+                    .value());
+    }
+  }
 }
 
 /// Root replicas paused at one head, for direct build/validate/commit
