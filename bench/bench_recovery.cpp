@@ -6,7 +6,8 @@
 //                node rejoins at its pre-crash height with no network help,
 //   disk-lost    media gone (kLoseDisk): recovery finds nothing, the node
 //                restarts from genesis and refetches the whole chain from
-//                peers through consensus catch-up (8 blocks per block time).
+//                peers through BlockSync (16 blocks per request, at most
+//                one request per block time).
 // Reported per (mode, blocks) case:
 //   resync_sim_ms     simulated time from restart until the node is back at
 //                     the pre-crash head — the paper-facing recovery-time

@@ -50,13 +50,14 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure \
   -R 'MempoolOverload|OverloadSurge|NetQueue'
 
 # Recovery smoke (DESIGN.md §15): the durable-log corruption/property
-# cases, the WAL round-trips, the engine vote-restore suite and the full
-# crash/restart recovery scenarios — all under the sanitizers. Recovery
+# cases, the WAL round-trips, the engine vote-restore suite, the full
+# crash/restart recovery scenarios, the block-sync buffer/proof suite and
+# the BFT crash-restart catch-up — all under the sanitizers. Recovery
 # parses CRC-framed bytes off a (simulated) damaged disk and rebuilds
 # chain state from them, which is exactly where an out-of-bounds read or
 # use-after-free of a torn frame would hide.
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'DurableLog|DurableStore|Wal\.|VoteRestore|DurableRecovery'
+  -R 'DurableLog|DurableStore|Wal\.|VoteRestore|DurableRecovery|BlockSync|BftRecovery'
 
 # State-commitment stage (DESIGN.md §12): the differential suite drives
 # random mutate/remove/journal-revert/snapshot sequences against a

@@ -44,6 +44,13 @@ class ValidatorSet {
   [[nodiscard]] std::size_t size() const { return members_.size(); }
   [[nodiscard]] std::uint64_t total_power() const;
 
+  /// The rotating leader of (height, round): member (height + round) % n.
+  [[nodiscard]] const Validator& leader(chain::Epoch height,
+                                        std::uint32_t round = 0) const {
+    return members_[(static_cast<std::size_t>(height) + round) %
+                    members_.size()];
+  }
+
   /// Index of a key in the set; nullopt when absent.
   [[nodiscard]] std::optional<std::size_t> index_of(
       const crypto::PublicKey& key) const;
@@ -137,6 +144,18 @@ struct EngineContext {
   std::string scope;
 };
 
+/// The vote state an engine persisted last before the crash it restarts
+/// from; nullopt for a volatile engine, a fresh start or undecodable bytes.
+template <typename State>
+[[nodiscard]] std::optional<State> recovered_votes(const EngineContext& ctx) {
+  if (ctx.votes == nullptr) return std::nullopt;
+  const auto blob = ctx.votes->recovered();
+  if (!blob) return std::nullopt;
+  auto state = decode<State>(*blob);
+  if (!state) return std::nullopt;
+  return std::move(state).value();
+}
+
 /// Registry-backed progress counters shared by every engine, labeled
 /// {engine=<name>, subnet=<ctx.scope>}. Resolved once at engine
 /// construction so the hot path is a single pointer bump.
@@ -182,10 +201,6 @@ class Engine {
   virtual void on_message(net::NodeId from, const net::Envelope& payload) = 0;
 
   [[nodiscard]] virtual std::string_view name() const = 0;
-
-  /// Blocks needing `n` confirmations before being final; 0 = instant
-  /// finality (BFT engines). Used by benches reporting time-to-finality.
-  [[nodiscard]] virtual int finality_depth() const { return 0; }
 
  protected:
   /// Wrap a timer callback so it dies with the engine. Engines leave timers

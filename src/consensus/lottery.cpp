@@ -48,15 +48,10 @@ PowerLottery::PowerLottery(EngineContext context, EngineConfig config)
 
 void PowerLottery::start() {
   running_ = true;
-  if (ctx_.votes != nullptr) {
-    if (const auto blob = ctx_.votes->recovered()) {
-      if (auto st = decode<LotteryVoteState>(*blob)) {
-        // Never propose again for a height the pre-crash self already
-        // mined (its block may survive only in peers' chains).
-        proposed_height_ =
-            std::max(proposed_height_, st.value().proposed_height);
-      }
-    }
+  if (const auto st = recovered_votes<LotteryVoteState>(ctx_)) {
+    // Never propose again for a height the pre-crash self already mined
+    // (its block may survive only in peers' chains).
+    proposed_height_ = std::max(proposed_height_, st->proposed_height);
   }
   slot_start_ = ctx_.scheduler->now();
   slot_height_ = ctx_.source->head_height() + 1;

@@ -42,7 +42,6 @@ class PowerLottery final : public Engine {
   [[nodiscard]] std::string_view name() const override {
     return "power-lottery";
   }
-  [[nodiscard]] int finality_depth() const override { return 5; }
 
   /// Deterministic ranking of validator indices for (prev, height):
   /// index 0 is the expected leader. Exposed for tests/benches to verify

@@ -8,8 +8,7 @@
 // use cases (§I "new use cases ... highly-customized environments") map to.
 #pragma once
 
-#include <map>
-
+#include "consensus/block_sync.hpp"
 #include "consensus/engine.hpp"
 #include "consensus/wire.hpp"
 
@@ -43,29 +42,21 @@ class PoaRoundRobin final : public Engine {
   }
 
  private:
-  /// Leader for a given height.
-  [[nodiscard]] const Validator& leader(chain::Epoch height) const;
   void tick();
-  void try_commit_pending();
-  /// Ask peers for blocks starting at head+1 (recovering validator).
-  void request_catch_up();
-  /// Serve a catch-up request for heights >= `from`.
-  void serve_catch_up(chain::Epoch from);
-
-  struct PendingBlock {
-    chain::Block block;
-    Bytes proof;    // the height leader's signature
-    bool relayed;   // arrived as a catch-up copy, not straight from leader
-  };
+  /// BlockSync hook: `proof` is the height leader's signature over the
+  /// block it produced.
+  [[nodiscard]] bool verify_proof(chain::Epoch height, const Cid& block_cid,
+                                  BytesView proof) const;
+  /// Re-arm no_produce_before_ when a sync step committed a relayed copy.
+  void hold_production(BlockSync::Committed committed);
 
   EngineContext ctx_;
   EngineConfig cfg_;
   EngineMetrics metrics_;
+  BlockSync sync_;
   bool running_ = false;
   sim::EventId timer_ = 0;
   chain::Epoch last_produced_ = 0;
-  /// Out-of-order blocks buffered by height (gossip may reorder).
-  std::map<chain::Epoch, PendingBlock> pending_;
   /// Stall detection for catch-up requests.
   chain::Epoch last_seen_head_ = 0;
   int stalled_ticks_ = 0;
@@ -75,11 +66,6 @@ class PoaRoundRobin final : public Engine {
   /// fork it off permanently (PoA has no reorg). The window is re-armed on
   /// every relayed commit, so it only expires once replay has drained.
   sim::Time no_produce_before_ = 0;
-  /// Rate limit: at most one catch-up request per block time. Without it a
-  /// burst of out-of-order served blocks triggers one request each, every
-  /// request makes every peer sign and broadcast a full batch, and the
-  /// feedback loop amplifies exponentially.
-  sim::Time last_catch_up_request_ = -1;
 };
 
 }  // namespace hc::consensus

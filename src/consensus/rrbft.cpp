@@ -5,23 +5,16 @@ namespace hc::consensus {
 RoundRobinBft::RoundRobinBft(EngineContext context, EngineConfig config)
     : ctx_(std::move(context)),
       cfg_(config),
-      metrics_(ctx_, "round-robin-bft") {}
-
-const Validator& RoundRobinBft::leader(chain::Epoch height,
-                                       std::uint32_t round) const {
-  const auto& members = ctx_.validators.members();
-  return members[(static_cast<std::size_t>(height) + round) % members.size()];
-}
+      metrics_(ctx_, "round-robin-bft"),
+      sync_(ctx_, cfg_.block_time, metrics_,
+            [this](chain::Epoch height, const Cid& cid, BytesView proof) {
+              return verify_quorum_proof(ctx_.validators, WireKind::kAck,
+                                         height, cid, proof);
+            }) {}
 
 void RoundRobinBft::start() {
   running_ = true;
-  if (ctx_.votes != nullptr) {
-    if (const auto blob = ctx_.votes->recovered()) {
-      if (auto st = decode<RrBftVoteState>(*blob)) {
-        restored_ = std::move(st).value();
-      }
-    }
-  }
+  restored_ = recovered_votes<RrBftVoteState>(ctx_);
   new_height();
 }
 
@@ -65,7 +58,10 @@ void RoundRobinBft::resume_round() {
   proposed_this_round_ = st.proposed;
   acked_this_round_ = st.acked;
   metrics_.round();
-  const std::uint64_t epoch = ++timer_epoch_;
+  arm_round_timeout(++timer_epoch_);
+}
+
+void RoundRobinBft::arm_round_timeout(std::uint64_t epoch) {
   const std::uint32_t round = round_;
   const sim::Duration timeout =
       cfg_.block_time + cfg_.timeout_base +
@@ -88,7 +84,7 @@ void RoundRobinBft::start_round(std::uint32_t round) {
   if (round > 0) metrics_.view_change();
   const std::uint64_t epoch = ++timer_epoch_;
 
-  if (leader(height_, round).key == ctx_.key.public_key()) {
+  if (ctx_.validators.leader(height_, round).key == ctx_.key.public_key()) {
     // Pace block production: leaders wait out the block time before
     // proposing (round > 0 backups fire immediately — they are already
     // late).
@@ -105,17 +101,7 @@ void RoundRobinBft::start_round(std::uint32_t round) {
                               block.cid(), encode(block), ctx_.key));
     }));
   }
-  // Leader-failure timeout.
-  const sim::Duration timeout =
-      cfg_.block_time + cfg_.timeout_base +
-      static_cast<sim::Duration>(round) * (cfg_.timeout_base / 2);
-  ctx_.scheduler->schedule(timeout, guarded([this, epoch, round] {
-    if (!running_ || timer_epoch_ != epoch) return;
-    if (round == round_) {
-      metrics_.timeout();
-      start_round(round + 1);
-    }
-  }));
+  arm_round_timeout(epoch);
 }
 
 void RoundRobinBft::broadcast(WireMsg msg) {
@@ -135,23 +121,19 @@ void RoundRobinBft::on_message(net::NodeId from,
 void RoundRobinBft::handle(WireMsg msg) {
   obs::ProfileScope prof(metrics_.step_phase());
   if (!msg.verify()) return;
-  if (msg.height < height_) {
-    // A proposal or ACK below our height means a live validator is behind
-    // (typically crash-restarted with a lost chain tail): serve it the
-    // committed blocks. Stale kBlock relays don't indicate anyone behind.
-    if (msg.kind != WireKind::kBlock) serve_catch_up(msg.height);
+  if (BlockSync::owns(msg)) {
+    if (sync_.on_message(msg).blocks > 0) new_height();
     return;
   }
+  if (msg.height < height_) return;  // stale
   if (msg.height > height_) {
+    // Two heights ahead: peers committed a block this replica never saw.
+    if (msg.height > height_ + 1) sync_.request();
     if (future_.size() < 4096) future_.push_back(std::move(msg));
     return;
   }
-  if (msg.kind == WireKind::kBlock) {
-    on_committed_block(msg);
-    return;
-  }
   if (msg.kind == WireKind::kProposal) {
-    if (!(leader(height_, msg.round).key == msg.sender)) return;
+    if (!(ctx_.validators.leader(height_, msg.round).key == msg.sender)) return;
     auto block = decode<chain::Block>(msg.block);
     if (!block || block.value().cid() != msg.block_cid) return;
     proposals_[msg.round] = std::move(block).value();
@@ -188,70 +170,11 @@ void RoundRobinBft::maybe_commit(std::uint32_t round, const Cid& cid) {
 
   auto pit = proposals_.find(round);
   if (pit == proposals_.end() || pit->second.cid() != cid) return;
-  chain::Block block = pit->second;
-  if (block.header.parent != ctx_.source->head_cid()) return;
-
-  QuorumCert cert;
-  cert.height = height_;
-  cert.round = round;
-  cert.block_cid = cid;
-  for (const auto& [index, sig] : cit->second) {
-    cert.signers.push_back(ctx_.validators.members()[index].key);
-    cert.signatures.push_back(sig);
-  }
-  const Bytes proof = encode(cert);
-  ctx_.source->commit_block(std::move(block), proof);
-
-  // Catch-up announce: a peer that missed the ACK quorum (down, partitioned,
-  // or freshly restarted) commits from the certificate alone.
-  WireMsg announce = WireMsg::make(WireKind::kBlock, cert.height, round, cid,
-                                   encode(pit->second), ctx_.key);
-  announce.extra = proof;
-  ctx_.network->publish(ctx_.node, ctx_.topic, encode(announce));
-
-  new_height();
-}
-
-void RoundRobinBft::serve_catch_up(chain::Epoch from) {
-  // One batch per block time: every peer sees every stale message, and an
-  // unthrottled response would answer each straggler with a full batch.
-  const sim::Time now = ctx_.scheduler->now();
-  if (last_catch_up_serve_ >= 0 &&
-      now < last_catch_up_serve_ + cfg_.block_time) {
-    return;
-  }
-  last_catch_up_serve_ = now;
-  metrics_.catch_up();
-  constexpr chain::Epoch kMaxServe = 8;
-  const chain::Epoch to =
-      std::min(ctx_.source->head_height(), from + kMaxServe - 1);
-  for (chain::Epoch h = from; h <= to; ++h) {
-    auto block = ctx_.source->block_at(h);
-    const Bytes proof = ctx_.source->proof_at(h);
-    if (!block.has_value() || proof.empty()) continue;
-    WireMsg relay = WireMsg::make(WireKind::kBlock, h, 0, block->cid(),
-                                  encode(*block), ctx_.key);
-    relay.extra = proof;
-    ctx_.network->publish(ctx_.node, ctx_.topic, encode(relay));
-  }
-}
-
-void RoundRobinBft::on_committed_block(const WireMsg& msg) {
-  if (msg.height != ctx_.source->head_height() + 1) return;
-  auto cert_r = decode<QuorumCert>(msg.extra);
-  if (!cert_r) return;
-  const QuorumCert cert = std::move(cert_r).value();
-  if (cert.block_cid != msg.block_cid || cert.height != msg.height) return;
-  for (const auto& key : cert.signers) {
-    if (!ctx_.validators.index_of(key).has_value()) return;
-  }
-  if (!cert.verify(WireKind::kAck, ctx_.validators.quorum())) return;
-  auto block_r = decode<chain::Block>(msg.block);
-  if (!block_r || block_r.value().cid() != msg.block_cid) return;
-  chain::Block block = std::move(block_r).value();
-  if (block.header.parent != ctx_.source->head_cid()) return;
-  if (!ctx_.source->validate_block(block).ok()) return;
-  ctx_.source->commit_block(std::move(block), msg.extra);
+  if (pit->second.header.parent != ctx_.source->head_cid()) return;
+  // The ACK signatures form the commit certificate.
+  sync_.commit_and_announce(
+      pit->second, round,
+      quorum_proof(ctx_.validators, height_, round, cid, cit->second));
   new_height();
 }
 

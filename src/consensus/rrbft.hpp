@@ -12,6 +12,7 @@
 
 #include <map>
 
+#include "consensus/block_sync.hpp"
 #include "consensus/engine.hpp"
 #include "consensus/wire.hpp"
 
@@ -55,21 +56,13 @@ class RoundRobinBft final : public Engine {
   }
 
  private:
-  using VoteSet = std::map<std::size_t, crypto::Signature>;
-
-  [[nodiscard]] const Validator& leader(chain::Epoch height,
-                                        std::uint32_t round) const;
   void new_height();
   void start_round(std::uint32_t round);
+  /// Leader-failure timeout: move to round+1 unless this round ends first.
+  void arm_round_timeout(std::uint64_t epoch);
   void broadcast(WireMsg msg);
   void handle(WireMsg msg);
   void maybe_commit(std::uint32_t round, const Cid& cid);
-  /// Re-broadcast committed blocks (with their ACK quorum certificates)
-  /// from `from` on, for a peer observed signing at an already-committed
-  /// height — e.g. a crash-restarted validator whose chain tail was lost.
-  void serve_catch_up(chain::Epoch from);
-  /// Commit a caught-up block on the strength of its certificate alone.
-  void on_committed_block(const WireMsg& msg);
 
   /// Write-ahead barrier: durably record the current vote state before a
   /// signed broadcast (no-op without a VoteStore).
@@ -83,6 +76,7 @@ class RoundRobinBft final : public Engine {
   EngineContext ctx_;
   EngineConfig cfg_;
   EngineMetrics metrics_;
+  BlockSync sync_;
   bool running_ = false;
   chain::Epoch height_ = 0;
   std::uint32_t round_ = 0;
@@ -94,8 +88,6 @@ class RoundRobinBft final : public Engine {
   std::map<std::uint32_t, chain::Block> proposals_;
   std::map<std::uint32_t, std::map<Cid, VoteSet>> acks_;
   std::vector<WireMsg> future_;
-  /// Throttle for serve_catch_up (at most one batch per block time).
-  sim::Time last_catch_up_serve_ = -1;
 };
 
 }  // namespace hc::consensus

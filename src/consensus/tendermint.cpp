@@ -1,19 +1,17 @@
 #include "consensus/tendermint.hpp"
 
-#include <algorithm>
-
-#include "common/log.hpp"
-
 namespace hc::consensus {
 
 Tendermint::Tendermint(EngineContext context, EngineConfig config)
-    : ctx_(std::move(context)), cfg_(config), metrics_(ctx_, "tendermint") {}
-
-const Validator& Tendermint::proposer(chain::Epoch height,
-                                      std::uint32_t round) const {
-  const auto& members = ctx_.validators.members();
-  return members[(static_cast<std::size_t>(height) + round) % members.size()];
-}
+    : ctx_(std::move(context)),
+      cfg_(config),
+      metrics_(ctx_, "tendermint"),
+      sync_(ctx_, cfg_.block_time, metrics_,
+            [this](chain::Epoch height, const Cid& cid, BytesView proof) {
+              return verify_quorum_proof(ctx_.validators,
+                                         WireKind::kPrecommit, height, cid,
+                                         proof);
+            }) {}
 
 sim::Duration Tendermint::timeout_for(std::uint32_t round) const {
   return cfg_.timeout_base +
@@ -22,13 +20,7 @@ sim::Duration Tendermint::timeout_for(std::uint32_t round) const {
 
 void Tendermint::start() {
   running_ = true;
-  if (ctx_.votes != nullptr) {
-    if (const auto blob = ctx_.votes->recovered()) {
-      if (auto st = decode<TendermintVoteState>(*blob)) {
-        restored_ = std::move(st).value();
-      }
-    }
-  }
+  restored_ = recovered_votes<TendermintVoteState>(ctx_);
   new_height();
 }
 
@@ -90,10 +82,12 @@ void Tendermint::resume_round() {
           : st.prevoted   ? Step::kPrevote
                           : Step::kPropose;
   metrics_.round();
-  const std::uint64_t epoch = ++timer_epoch_;
+  arm_next_round(++timer_epoch_, cfg_.block_time + timeout_for(round_));
+}
+
+void Tendermint::arm_next_round(std::uint64_t epoch, sim::Duration delay) {
   const std::uint32_t round = round_;
-  ctx_.scheduler->schedule(cfg_.block_time + timeout_for(round),
-                           guarded([this, epoch, round] {
+  ctx_.scheduler->schedule(delay, guarded([this, epoch, round] {
     if (!running_ || timer_epoch_ != epoch) return;
     if (round == round_) {
       metrics_.timeout();
@@ -110,13 +104,10 @@ void Tendermint::start_round(std::uint32_t round) {
   prevoted_this_round_ = false;
   precommitted_this_round_ = false;
   metrics_.round();
-  if (round > 0) {
-    ++rounds_skipped_;
-    metrics_.view_change();
-  }
+  if (round > 0) metrics_.view_change();
   const std::uint64_t epoch = ++timer_epoch_;
 
-  if (i_am(proposer(height_, round))) {
+  if (ctx_.validators.leader(height_, round).key == ctx_.key.public_key()) {
     // Pace block production to the configured block time (round-0 only;
     // backup rounds are already late). Scheduling also bounds recursion:
     // commit -> new height -> proposal never nests inside a vote handler.
@@ -164,12 +155,14 @@ void Tendermint::on_message(net::NodeId from, const net::Envelope& payload) {
 void Tendermint::handle(WireMsg msg) {
   obs::ProfileScope prof(metrics_.step_phase());
   if (!msg.verify()) return;
-  if (msg.kind == WireKind::kBlock) {
-    on_committed_block(std::move(msg));
+  if (BlockSync::owns(msg)) {
+    if (sync_.on_message(msg).blocks > 0) new_height();
     return;
   }
   if (msg.height < height_) return;  // stale
   if (msg.height > height_) {
+    // Two heights ahead: peers committed a block this replica never saw.
+    if (msg.height > height_ + 1) sync_.request();
     if (future_.size() < 4096) future_.push_back(std::move(msg));
     return;
   }
@@ -190,7 +183,7 @@ void Tendermint::handle(WireMsg msg) {
 
 void Tendermint::on_proposal(WireMsg msg) {
   // Only the legitimate proposer for (height, round) is accepted.
-  if (!(proposer(height_, msg.round).key == msg.sender)) return;
+  if (!(ctx_.validators.leader(height_, msg.round).key == msg.sender)) return;
   auto block = decode<chain::Block>(msg.block);
   if (!block || block.value().cid() != msg.block_cid) return;
   proposals_[msg.round] = std::move(block).value();
@@ -267,14 +260,7 @@ void Tendermint::do_precommit(std::uint32_t round, const Cid& cid) {
       WireMsg::make(WireKind::kPrecommit, height_, round, cid, {}, ctx_.key));
 
   // Precommit timeout: move to the next round if nothing commits.
-  const std::uint64_t epoch = timer_epoch_;
-  ctx_.scheduler->schedule(timeout_for(round), guarded([this, epoch, round] {
-    if (!running_ || timer_epoch_ != epoch) return;
-    if (round == round_) {
-      metrics_.timeout();
-      start_round(round + 1);
-    }
-  }));
+  arm_next_round(timer_epoch_, timeout_for(round));
 }
 
 void Tendermint::on_precommit(const WireMsg& msg) {
@@ -298,51 +284,16 @@ void Tendermint::on_precommit(const WireMsg& msg) {
 void Tendermint::try_commit(std::uint32_t round, const Cid& cid) {
   auto it = proposals_.find(round);
   if (it == proposals_.end() || it->second.cid() != cid) {
-    // We saw the quorum but miss the block; a kBlock catch-up broadcast
-    // from a committing peer will bring it.
+    // We saw the quorum but miss the block; a committing peer's announce
+    // brings it through BlockSync.
     return;
   }
-  chain::Block block = it->second;
-  if (block.header.parent != ctx_.source->head_cid()) return;
-
-  // Assemble the commit certificate from the precommit signatures.
-  QuorumCert cert;
-  cert.height = height_;
-  cert.round = round;
-  cert.block_cid = cid;
-  for (const auto& [index, sig] : precommits_[round][cid]) {
-    cert.signers.push_back(ctx_.validators.members()[index].key);
-    cert.signatures.push_back(sig);
-  }
-  const Bytes proof = encode(cert);
-  ctx_.source->commit_block(block, proof);
-
-  // Catch-up broadcast for lagging peers.
-  WireMsg announce = WireMsg::make(WireKind::kBlock, cert.height, round, cid,
-                                   encode(block), ctx_.key);
-  announce.extra = proof;
-  ctx_.network->publish(ctx_.node, ctx_.topic, encode(announce));
-
-  new_height();
-}
-
-void Tendermint::on_committed_block(WireMsg msg) {
-  if (msg.height != ctx_.source->head_height() + 1) return;
-  auto cert_r = decode<QuorumCert>(msg.extra);
-  if (!cert_r) return;
-  const QuorumCert cert = std::move(cert_r).value();
-  if (cert.block_cid != msg.block_cid || cert.height != msg.height) return;
-  // Every signer must be a validator.
-  for (const auto& key : cert.signers) {
-    if (!ctx_.validators.index_of(key).has_value()) return;
-  }
-  if (!cert.verify(WireKind::kPrecommit, ctx_.validators.quorum())) return;
-  auto block_r = decode<chain::Block>(msg.block);
-  if (!block_r || block_r.value().cid() != msg.block_cid) return;
-  chain::Block block = std::move(block_r).value();
-  if (block.header.parent != ctx_.source->head_cid()) return;
-  if (!ctx_.source->validate_block(block).ok()) return;
-  ctx_.source->commit_block(std::move(block), msg.extra);
+  if (it->second.header.parent != ctx_.source->head_cid()) return;
+  // The precommit signatures form the commit certificate.
+  sync_.commit_and_announce(
+      it->second, round,
+      quorum_proof(ctx_.validators, height_, round, cid,
+                   precommits_[round][cid]));
   new_height();
 }
 

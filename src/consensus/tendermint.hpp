@@ -11,8 +11,8 @@
 
 #include <map>
 #include <optional>
-#include <set>
 
+#include "consensus/block_sync.hpp"
 #include "consensus/engine.hpp"
 #include "consensus/wire.hpp"
 
@@ -69,34 +69,21 @@ class Tendermint final : public Engine {
   void on_message(net::NodeId from, const net::Envelope& payload) override;
   [[nodiscard]] std::string_view name() const override { return "tendermint"; }
 
-  /// Rounds this node has burned waiting for silent/faulty proposers —
-  /// visible to benches measuring liveness under faults.
-  [[nodiscard]] std::uint64_t rounds_skipped() const {
-    return rounds_skipped_;
-  }
-
  private:
   enum class Step { kPropose, kPrevote, kPrecommit };
 
-  /// Vote bookkeeping for one (round, cid): validator index -> signature.
-  using VoteSet = std::map<std::size_t, crypto::Signature>;
-
-  [[nodiscard]] const Validator& proposer(chain::Epoch height,
-                                          std::uint32_t round) const;
-  [[nodiscard]] bool i_am(const Validator& v) const {
-    return v.key == ctx_.key.public_key();
-  }
   [[nodiscard]] sim::Duration timeout_for(std::uint32_t round) const;
 
   void new_height();
   void start_round(std::uint32_t round);
+  /// Move to round_+1 after `delay` unless this round ends first.
+  void arm_next_round(std::uint64_t epoch, sim::Duration delay);
   void broadcast(WireMsg msg);
   void handle(WireMsg msg);
 
   void on_proposal(WireMsg msg);
   void on_prevote(const WireMsg& msg);
   void on_precommit(const WireMsg& msg);
-  void on_committed_block(WireMsg msg);
 
   void do_prevote(std::uint32_t round);
   void do_precommit(std::uint32_t round, const Cid& cid);
@@ -120,6 +107,7 @@ class Tendermint final : public Engine {
   EngineContext ctx_;
   EngineConfig cfg_;
   EngineMetrics metrics_;
+  BlockSync sync_;
   bool running_ = false;
 
   chain::Epoch height_ = 0;
@@ -141,7 +129,6 @@ class Tendermint final : public Engine {
 
   /// Messages for future heights, replayed after commit.
   std::vector<WireMsg> future_;
-  std::uint64_t rounds_skipped_ = 0;
 };
 
 }  // namespace hc::consensus

@@ -13,7 +13,7 @@ enum class WireKind : std::uint8_t {
   kProposal = 1,   // BFT proposal carrying a block
   kPrevote = 2,    // Tendermint prevote
   kPrecommit = 3,  // Tendermint precommit
-  kAck = 4,        // RRBFT acknowledgement
+  kAck = 4,        // RRBFT acknowledgement; null CID = BlockSync request
 };
 
 /// One consensus message. Votes reference blocks by CID; kBlock/kProposal

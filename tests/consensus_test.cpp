@@ -7,6 +7,7 @@
 #include <set>
 
 #include "chain/chainstore.hpp"
+#include "consensus/block_sync.hpp"
 #include "consensus/engine.hpp"
 #include "consensus/lottery.hpp"
 #include "consensus/poa.hpp"
@@ -263,8 +264,9 @@ TEST(Poa, StallsWhileLeaderDownAndRecovers) {
   }
   EXPECT_EQ(during, 3);  // heights 1..3 by leaders 1..3; height 4 stalls
 
-  // Recovery: bring validator 0 up; it syncs nothing (PoA has no catch-up
-  // in this engine for missed past blocks, but it IS the next producer).
+  // Recovery: bring validator 0 up. Its stall detection requests heights
+  // 1..3 through BlockSync; once the relayed-commit production hold
+  // expires it produces height 4, the slot the chain is waiting for.
   c.net.set_node_down(c.ids[0], false);
   c.engines[0]->start();
   c.sched.run_until(10 * sim::kSecond);
@@ -413,6 +415,272 @@ TEST(Rrbft, ProofsAreQuorumCerts) {
     ++checked;
   }
   EXPECT_GT(checked, 0);
+}
+
+// ------------------------------------------------------------- block sync
+
+/// A standalone BlockSync over an EmptySource follower, fed relays of a
+/// reference chain whose blocks one authority signed, PoA style: `extra`
+/// is its signature over the block's kBlock payload.
+struct SyncRig {
+  sim::Scheduler sched;
+  net::Network net{sched, sim::LatencyModel(5 * sim::kMillisecond, 0), 7};
+  crypto::KeyPair authority = crypto::KeyPair::from_label("sync-authority");
+  crypto::KeyPair relayer = crypto::KeyPair::from_label("sync-relayer");
+  obs::Obs obs;
+  EmptySource reference;
+  EmptySource follower;
+  EngineContext ctx;
+  EngineMetrics metrics;
+  BlockSync sync;
+  std::vector<WireMsg> relays;  // relays[h - 1] carries height h
+
+  explicit SyncRig(int n)
+      : ctx(make_context()),
+        metrics(ctx, "sync-test"),
+        sync(ctx, 100 * sim::kMillisecond, metrics,
+             [this](chain::Epoch h, const Cid& cid, BytesView proof) {
+               auto sig = decode<crypto::Signature>(proof);
+               return sig &&
+                      crypto::verify(authority.public_key(),
+                                     WireMsg::signing_payload(
+                                         WireKind::kBlock, h, 0, cid),
+                                     sig.value());
+             }) {
+    for (int i = 0; i < n; ++i) {
+      chain::Block b = reference.build_block(
+          Address::key(authority.public_key().to_bytes()), {});
+      const chain::Epoch h = b.header.height;
+      const Cid cid = b.cid();
+      const Bytes proof = encode(authority.sign(
+          WireMsg::signing_payload(WireKind::kBlock, h, 0, cid)));
+      WireMsg relay =
+          WireMsg::make(WireKind::kBlock, h, 0, cid, encode(b), relayer);
+      relay.extra = proof;
+      relays.push_back(std::move(relay));
+      reference.commit_block(std::move(b), proof);
+    }
+  }
+
+  EngineContext make_context() {
+    EngineContext c;
+    c.scheduler = &sched;
+    c.network = &net;
+    c.node = net.add_node();
+    c.topic = "sync/test";
+    c.key = crypto::KeyPair::from_label("sync-follower");
+    c.validators = ValidatorSet({Validator{authority.public_key(), 1}});
+    c.source = &follower;
+    c.obs = &obs;
+    return c;
+  }
+
+  [[nodiscard]] std::uint64_t requests() const {
+    const auto* c = obs.metrics.find_counter(
+        "consensus_catchup_requests_total",
+        {{"engine", "sync-test"}, {"subnet", ""}});
+    return c == nullptr ? 0 : c->value();
+  }
+
+  /// The follower holds exactly the reference chain up to its head.
+  [[nodiscard]] bool matches_reference() const {
+    for (chain::Epoch h = 1; h <= follower.head_height(); ++h) {
+      if (follower.store_.block_at(h)->cid() !=
+              reference.store_.block_at(h)->cid() ||
+          follower.proof_at(h) != reference.proof_at(h)) {
+        return false;
+      }
+    }
+    return true;
+  }
+};
+
+TEST(BlockSync, ReverseOrderCommitsInOrder) {
+  SyncRig rig(20);
+  for (std::size_t i = rig.relays.size(); i-- > 1;) {
+    rig.sync.on_message(rig.relays[i]);
+    EXPECT_EQ(rig.follower.head_height(), 0);  // height 1 still missing
+  }
+  EXPECT_EQ(rig.sync.buffered(), 19u);
+  const auto done = rig.sync.on_message(rig.relays[0]);
+  EXPECT_EQ(done.blocks, 20u);
+  EXPECT_TRUE(done.relayed);
+  EXPECT_EQ(rig.follower.head_height(), 20);
+  EXPECT_EQ(rig.sync.buffered(), 0u);
+  EXPECT_TRUE(rig.matches_reference());
+  // The gap is noticed at once, and the rate limit keeps it one request.
+  EXPECT_EQ(rig.requests(), 1u);
+}
+
+TEST(BlockSync, ShuffledOrderCommitsInOrder) {
+  SyncRig rig(40);
+  std::vector<std::size_t> order(rig.relays.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  sim::Rng rng(11);
+  for (std::size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.uniform(i)]);
+  }
+  std::vector<bool> seen(order.size(), false);
+  for (std::size_t i : order) {
+    rig.sync.on_message(rig.relays[i]);
+    seen[i] = true;
+    // The head is always exactly the contiguous delivered prefix.
+    chain::Epoch prefix = 0;
+    while (prefix < static_cast<chain::Epoch>(seen.size()) &&
+           seen[static_cast<std::size_t>(prefix)]) {
+      ++prefix;
+    }
+    ASSERT_EQ(rig.follower.head_height(), prefix);
+  }
+  EXPECT_EQ(rig.follower.head_height(), 40);
+  EXPECT_TRUE(rig.matches_reference());
+  // Duplicates of committed heights are ignored.
+  EXPECT_EQ(rig.sync.on_message(rig.relays[5]).blocks, 0u);
+  EXPECT_EQ(rig.follower.head_height(), 40);
+}
+
+TEST(BlockSync, BufferBoundHoldsUnderFarFutureFlood) {
+  constexpr chain::Epoch kAhead = BlockSync::kMaxAhead;
+  SyncRig rig(static_cast<int>(kAhead) + 200);
+  for (std::size_t i = 1; i < rig.relays.size(); ++i) {
+    rig.sync.on_message(rig.relays[i]);
+    ASSERT_LE(rig.sync.buffered(), static_cast<std::size_t>(kAhead));
+  }
+  EXPECT_EQ(rig.follower.head_height(), 0);
+  EXPECT_EQ(rig.sync.buffered(), static_cast<std::size_t>(kAhead) - 1);
+  EXPECT_EQ(rig.requests(), 1u);  // the whole flood sends one request
+
+  // The gap fills: everything within the window commits, the rest was
+  // dropped and must be served again.
+  rig.sync.on_message(rig.relays[0]);
+  EXPECT_EQ(rig.follower.head_height(), kAhead);
+  EXPECT_EQ(rig.sync.buffered(), 0u);
+  for (std::size_t i = static_cast<std::size_t>(kAhead);
+       i < rig.relays.size(); ++i) {
+    rig.sync.on_message(rig.relays[i]);
+  }
+  EXPECT_EQ(rig.follower.head_height(), kAhead + 200);
+  EXPECT_TRUE(rig.matches_reference());
+}
+
+TEST(BlockSync, ServesUpToSixteenBlocksOnRequest) {
+  SyncRig rig(20);
+  for (const auto& r : rig.relays) rig.sync.on_message(r);
+  ASSERT_EQ(rig.follower.head_height(), 20);
+  const net::NodeId peer = rig.net.add_node();
+  rig.net.subscribe(rig.ctx.node, rig.ctx.topic);
+  rig.net.subscribe(peer, rig.ctx.topic);
+  std::vector<WireMsg> served;
+  rig.net.set_topic_handler(peer, [&](net::NodeId, const std::string&,
+                                      const net::Envelope& payload) {
+    served.push_back(*payload.decoded<WireMsg>().value());
+  });
+  rig.sync.on_message(WireMsg::make(WireKind::kAck, 3, 0, Cid(), {},
+                                    crypto::KeyPair::from_label("asker")));
+  rig.sched.run_until(sim::kSecond);
+  ASSERT_EQ(served.size(), static_cast<std::size_t>(BlockSync::kMaxServe));
+  std::set<chain::Epoch> heights;
+  for (const auto& m : served) {
+    heights.insert(m.height);
+    EXPECT_EQ(m.extra, rig.reference.proof_at(m.height));
+  }
+  EXPECT_EQ(*heights.begin(), 3);
+  EXPECT_EQ(*heights.rbegin(), 18);
+}
+
+/// A kBlock relay of `block` at height 1 from a non-validator relayer.
+WireMsg relay_of(const chain::Block& block, Bytes proof) {
+  WireMsg m = WireMsg::make(WireKind::kBlock, 1, 0, block.cid(),
+                            encode(block),
+                            crypto::KeyPair::from_label("relayer"));
+  m.extra = std::move(proof);
+  return m;
+}
+
+void deliver(Cluster& c, std::size_t to, const WireMsg& msg) {
+  c.engines[to]->on_message(c.ids[(to + 1) % c.ids.size()],
+                            net::Envelope(encode(msg)));
+}
+
+TEST(BlockSync, PoaRejectsForgedLeaderSignature) {
+  // Only validator 0 runs, so nothing but the injected relays can move its
+  // chain. Height 1's leader is validator 1.
+  Cluster c(core::ConsensusType::kPoaRoundRobin, 4);
+  c.engines[0]->start();
+  EmptySource scratch;
+  const chain::Block block =
+      scratch.build_block(c.validators.members()[1].address(), {});
+  const Bytes payload =
+      WireMsg::signing_payload(WireKind::kBlock, 1, 0, block.cid());
+
+  // Signed by a validator that does not lead height 1, by an outsider, and
+  // by the leader over a different height: all rejected.
+  const Bytes other_height =
+      WireMsg::signing_payload(WireKind::kBlock, 2, 0, block.cid());
+  deliver(c, 0, relay_of(block, encode(c.keys[2].sign(payload))));
+  deliver(c, 0, relay_of(block, encode(crypto::KeyPair::from_label("x")
+                                           .sign(payload))));
+  deliver(c, 0, relay_of(block, encode(c.keys[1].sign(other_height))));
+  deliver(c, 0, relay_of(block, {}));
+  EXPECT_EQ(c.sources[0]->head_height(), 0);
+
+  // The leader's own signature commits it.
+  deliver(c, 0, relay_of(block, encode(c.keys[1].sign(payload))));
+  EXPECT_EQ(c.sources[0]->head_height(), 1);
+}
+
+/// A QuorumCert for `block` at height 1 signed by `signers` over `vote`.
+Bytes cert_for(const chain::Block& block, WireKind vote,
+               const std::vector<crypto::KeyPair>& signers) {
+  QuorumCert qc;
+  qc.height = 1;
+  qc.block_cid = block.cid();
+  const Bytes payload = WireMsg::signing_payload(vote, 1, 0, block.cid());
+  for (const auto& k : signers) {
+    qc.signers.push_back(k.public_key());
+    qc.signatures.push_back(k.sign(payload));
+  }
+  return encode(qc);
+}
+
+TEST(BlockSync, BftRejectsSubQuorumAndNonMemberCerts) {
+  for (const auto& [type, vote] :
+       {std::pair{core::ConsensusType::kTendermint, WireKind::kPrecommit},
+        std::pair{core::ConsensusType::kRoundRobinBft, WireKind::kAck}}) {
+    SCOPED_TRACE(std::string(core::consensus_name(type)));
+    Cluster c(type, 4);  // quorum 3
+    c.engines[0]->start();
+    EmptySource scratch;
+    const chain::Block block =
+        scratch.build_block(c.validators.members()[1].address(), {});
+    const std::vector<crypto::KeyPair> outsiders = {
+        crypto::KeyPair::from_label("o1"), crypto::KeyPair::from_label("o2"),
+        crypto::KeyPair::from_label("o3")};
+
+    const std::vector<crypto::KeyPair> members = {c.keys[1], c.keys[2],
+                                                  c.keys[3]};
+    auto members_plus = [&](const crypto::KeyPair& k) {
+      auto out = members;
+      out.push_back(k);
+      return out;
+    };
+
+    // Two of four members: below the quorum.
+    deliver(c, 0, relay_of(block, cert_for(block, vote, {c.keys[1],
+                                                         c.keys[2]})));
+    // Quorum-sized, but nobody in it is a member.
+    deliver(c, 0, relay_of(block, cert_for(block, vote, outsiders)));
+    // A member quorum plus one outsider: every signer must be a member.
+    deliver(c, 0, relay_of(block, cert_for(block, vote,
+                                           members_plus(outsiders[0]))));
+    // A member quorum over the wrong vote kind.
+    deliver(c, 0,
+            relay_of(block, cert_for(block, WireKind::kPrevote, members)));
+    EXPECT_EQ(c.sources[0]->head_height(), 0);
+
+    deliver(c, 0, relay_of(block, cert_for(block, vote, members)));
+    EXPECT_EQ(c.sources[0]->head_height(), 1);
+  }
 }
 
 // ----------------------------------------------- durable vote state (§15)

@@ -476,5 +476,84 @@ TEST(DurableRecovery, TwoValidatorsRestartSameEpochWithoutConflict) {
   EXPECT_TRUE(w.h.root().node(0).sca_state().slash_records.empty());
 }
 
+// -------------------------------- BFT crash recovery through BlockSync
+
+/// Blocks the peers may commit after the restart before the restarted
+/// validator must have reached their head.
+constexpr chain::Epoch kCatchUpBlocks = 5;
+
+struct BftCrash {
+  core::ConsensusType engine;
+  storage::DiskFault::Kind fault;
+};
+
+class BftRecovery : public ::testing::TestWithParam<BftCrash> {};
+
+TEST_P(BftRecovery, RestartedValidatorReachesPeersHead) {
+  const BftCrash param = GetParam();
+  runtime::Hierarchy h(durable_cfg(211));
+  core::SubnetParams params = h.config().root_params;
+  params.consensus = param.engine;
+  consensus::EngineConfig fast;
+  fast.block_time = 100 * sim::kMillisecond;
+  auto spawned = h.spawn_subnet(h.root(), "bft", params, 10,
+                                TokenAmount::whole(6), fast);
+  ASSERT_TRUE(spawned.ok()) << spawned.error().to_string();
+  runtime::Subnet& s = *spawned.value();
+  h.run_for(2 * sim::kSecond);
+
+  // A non-proposer: not the next height's proposer, and not slot 0, the
+  // reference replica.
+  const std::size_t n = s.size();
+  const auto head = static_cast<std::size_t>(s.node(0).chain().height());
+  std::size_t victim = (head + 1 + n / 2) % n;
+  if (victim == 0) victim = 1;
+  storage::DiskFault fault;
+  fault.kind = param.fault;
+  fault.seed = 5;
+  ASSERT_TRUE(h.crash_node(s, victim, fault).ok());
+  h.run_for(sim::kSecond);
+  ASSERT_TRUE(h.restart_node(s, victim).ok());
+
+  const chain::Epoch at_restart = s.node(0).chain().height();
+  ASSERT_LT(s.node(victim).chain().height(), at_restart);  // it is behind
+  // Measured in blocks, not time: a height whose proposer is the victim
+  // stalls its peers too until the round times out.
+  ASSERT_TRUE(h.run_until(
+      [&] {
+        return s.node(victim).chain().height() >=
+               s.node(0).chain().height();
+      },
+      30 * sim::kSecond, 10 * sim::kMillisecond));
+  EXPECT_LE(s.node(0).chain().height() - at_restart, kCatchUpBlocks);
+
+  // Caught up onto the same chain, and it keeps up afterwards.
+  h.run_for(sim::kSecond);
+  const chain::Epoch common =
+      std::min(s.node(0).chain().height(), s.node(victim).chain().height());
+  EXPECT_GE(common, s.node(0).chain().height() - 1);
+  EXPECT_EQ(s.node(victim).chain().block_at(common)->cid(),
+            s.node(0).chain().block_at(common)->cid());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllBft, BftRecovery,
+    ::testing::Values(
+        BftCrash{core::ConsensusType::kTendermint,
+                 storage::DiskFault::Kind::kKeepAll},
+        BftCrash{core::ConsensusType::kTendermint,
+                 storage::DiskFault::Kind::kLoseSuffix},
+        BftCrash{core::ConsensusType::kRoundRobinBft,
+                 storage::DiskFault::Kind::kKeepAll},
+        BftCrash{core::ConsensusType::kRoundRobinBft,
+                 storage::DiskFault::Kind::kLoseSuffix}),
+    [](const ::testing::TestParamInfo<BftCrash>& info) {
+      std::string name(core::consensus_name(info.param.engine));
+      std::erase(name, '-');
+      return name + (info.param.fault == storage::DiskFault::Kind::kKeepAll
+                         ? "KeepAll"
+                         : "LoseSuffix");
+    });
+
 }  // namespace
 }  // namespace hc::testing
