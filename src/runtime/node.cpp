@@ -1149,7 +1149,7 @@ void SubnetNode::maybe_regossip_share() {
   }
   if (head < retry.next_height) return;
   network_.publish(net_id_, Topics::signatures(config_.subnet),
-                   encode(own_it->second));
+                   encode(SigGossip{own_it->second, std::nullopt}));
   c_share_regossips_->inc();
   arm_retry(retry, head);
 }

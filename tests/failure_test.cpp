@@ -220,6 +220,94 @@ TEST_F(FailureFixture, PartitionDuringSigningWindowHealsWithBackoff) {
   EXPECT_GT(retries, 0u);
 }
 
+/// Honest checkpoint duty that records, for every checkpoint the parent
+/// accepted, the shares its node had pooled for it.
+struct PoolProbe final : CheckpointAdversary {
+  explicit PoolProbe(std::vector<core::SignedCheckpoint>* out) : out(out) {}
+  void on_cut(const Context&, const core::Checkpoint&) override {}
+  void on_accepted(const core::SignedCheckpoint& accepted) override {
+    out->push_back(accepted);
+  }
+  std::vector<core::SignedCheckpoint>* out;
+};
+
+TEST_F(FailureFixture, ShareLostToPartitionIsReGossipedAndPooled) {
+  std::vector<std::vector<core::SignedCheckpoint>> pooled(child->size());
+  for (std::size_t i = 0; i < child->size(); ++i) {
+    child->node(i).set_adversary(std::make_unique<PoolProbe>(&pooled[i]));
+  }
+  auto accepted = [&] {
+    return h.root().node(0).sca_state().subnets.at(child->sa)
+        .last_checkpoint_epoch;
+  };
+  auto height = [&](std::size_t i) { return child->node(i).chain().height(); };
+  const chain::Epoch period = child->params.checkpoint_period;
+
+  // Stop one block short of a checkpoint boundary E whose predecessors the
+  // parent has all accepted, so E is the earliest outstanding checkpoint.
+  chain::Epoch boundary = 0;
+  ASSERT_TRUE(h.run_until(
+      [&] {
+        const chain::Epoch head = height(0);
+        boundary = (head / period + 1) * period;
+        return accepted() == boundary - period && head == boundary - 1 &&
+               height(1) == head && height(2) == head;
+      },
+      120 * sim::kSecond, 5 * sim::kMillisecond));
+
+  // Isolate every child validator (and the parent): only the leader of E
+  // commits E, and the share it signs for the cut is lost.
+  std::vector<std::vector<net::NodeId>> alone;
+  for (std::size_t i = 0; i < child->size(); ++i) {
+    alone.push_back({child->node(i).net_id()});
+  }
+  h.network().set_partition(alone);
+  h.run_for(sim::kSecond);
+  std::size_t leader = child->size();
+  for (std::size_t i = 0; i < child->size(); ++i) {
+    if (height(i) == boundary) leader = i;
+  }
+  ASSERT_LT(leader, child->size());
+
+  // Heal the child but keep the parent away, so E stays outstanding: the
+  // peers sync E and cut it; the leader's share resurfaces only through
+  // its backoff re-gossip.
+  std::vector<net::NodeId> child_nodes;
+  for (std::size_t i = 0; i < child->size(); ++i) {
+    child_nodes.push_back(child->node(i).net_id());
+  }
+  h.network().set_partition({child_nodes});
+  const obs::Counter& regossips = h.obs().metrics.counter(
+      "node_share_regossips_total",
+      obs::Labels{{"node", std::to_string(child->node(leader).net_id())},
+                  {"subnet", child->id.to_string()}});
+  ASSERT_TRUE(h.run_until([&] { return regossips.value() > 0; },
+                          30 * sim::kSecond));
+  h.run_for(500 * sim::kMillisecond);
+
+  // Once the parent accepts E, every peer's pool held the leader's share.
+  h.network().heal_partition();
+  ASSERT_TRUE(h.run_until([&] { return accepted() > boundary; },
+                          120 * sim::kSecond));
+  const Address leader_addr = Address::key(
+      child->validator_keys[leader].public_key().to_bytes());
+  std::size_t peers_checked = 0;
+  for (std::size_t i = 0; i < child->size(); ++i) {
+    if (i == leader) continue;
+    for (const auto& sc : pooled[i]) {
+      if (sc.checkpoint.epoch != boundary) continue;
+      ++peers_checked;
+      bool has_leader = false;
+      for (const auto& sig : sc.signatures) {
+        has_leader = has_leader ||
+                     Address::key(sig.signer.to_bytes()) == leader_addr;
+      }
+      EXPECT_TRUE(has_leader) << "peer " << i << " never pooled the share";
+    }
+  }
+  EXPECT_GT(peers_checked, 0u);
+}
+
 TEST_F(FailureFixture, CrashedCheckpointSignerResumesAfterRestart) {
   // A child whose checkpoint policy needs ALL three signatures: while one
   // signer is crashed, no checkpoint can reach quorum, so recovery depends
