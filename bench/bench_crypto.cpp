@@ -3,12 +3,13 @@
 // Unlike the figure benches, this one measures wall-clock time per call
 // with google-benchmark's automatic iteration count: field multiply,
 // square and inverse, scalar multiply, fixed- and variable-base point
-// multiplication, Schnorr sign/verify, and SHA-256 throughput for the
-// portable, SHA-NI and dispatched compression kernels. It reproduces the
-// cost table of ROADMAP item 2. Inputs are derived from SHA-256 of a
-// counter at run time, so no operand is a compile-time constant. The
-// multiply and square benches feed each result into the next call, so they
-// time latency, not throughput.
+// multiplication, a key's comb-table build, Schnorr sign, verify with a
+// recurring key (table warm) and with a key seen for the first time, and
+// SHA-256 throughput for the portable, SHA-NI and dispatched compression
+// kernels. It reproduces the cost table of ROADMAP item 7. Inputs are
+// derived from SHA-256 of a counter at run time, so no operand is a
+// compile-time constant. The multiply and square benches feed each result
+// into the next call, so they time latency, not throughput.
 //
 //   build/bench/bench_crypto [--benchmark_filter=<regex>]
 #include <benchmark/benchmark.h>
@@ -18,6 +19,7 @@
 
 #include "common/hash.hpp"
 #include "crypto/ec.hpp"
+#include "crypto/keytable.hpp"
 #include "crypto/schnorr.hpp"
 
 namespace hc::crypto {
@@ -140,22 +142,68 @@ void BM_Sign(benchmark::State& state) {
 }
 BENCHMARK(BM_Sign)->Unit(benchmark::kMicrosecond);
 
-void BM_Verify(benchmark::State& state) {
-  std::vector<Signed> triples;
+void BM_KeyTableBuild(benchmark::State& state) {
+  std::vector<Point> bases;
   for (const KeyPair& kp : bench_keys()) {
+    bases.push_back(Point::from_affine(kp.public_key().x(),
+                                       kp.public_key().y()));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    KeyTable table(bases[++i & (kInputs - 1)]);
+    benchmark::DoNotOptimize(table);
+  }
+}
+BENCHMARK(BM_KeyTableBuild)->Unit(benchmark::kMicrosecond);
+
+std::vector<Signed> signed_by(const std::vector<KeyPair>& keys) {
+  std::vector<Signed> triples;
+  for (const KeyPair& kp : keys) {
     Bytes msg = bench_message(triples.size());
     const Signature sig = kp.sign(msg);
     triples.push_back(Signed{kp.public_key(), std::move(msg), sig});
   }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const Signed& t = triples[++i & (kInputs - 1)];
-    bool ok = verify(t.pub, t.message, t.sig);
-    benchmark::DoNotOptimize(ok);
-    if (!ok) state.SkipWithError("honest signature rejected");
-  }
+  return triples;
 }
-BENCHMARK(BM_Verify)->Unit(benchmark::kMicrosecond);
+
+void verify_one(benchmark::State& state, const Signed& t) {
+  bool ok = verify(t.pub, t.message, t.sig);
+  benchmark::DoNotOptimize(ok);
+  if (!ok) state.SkipWithError("honest signature rejected");
+}
+
+// The steady state of a validator set: 64 keys that recur, each with its
+// KeyTable built before timing starts.
+void BM_VerifyRecurringKey(benchmark::State& state) {
+  const std::vector<Signed> triples = signed_by(bench_keys());
+  for (const Signed& t : triples) {
+    (void)verify(t.pub, t.message, t.sig);
+    (void)verify(t.pub, t.message, t.sig);
+  }
+  std::size_t i = 0;
+  for (auto _ : state) verify_one(state, triples[++i & (kInputs - 1)]);
+}
+BENCHMARK(BM_VerifyRecurringKey)->Unit(benchmark::kMicrosecond);
+
+// A key seen for the first time (a one-shot sender): no table, the
+// Point::mul path. Every key is verified once, so the iteration count is
+// fixed at the pool size, and the labels never repeat within the process.
+constexpr std::size_t kFirstSightKeys = 2000;
+
+void BM_VerifyFirstSight(benchmark::State& state) {
+  static std::size_t next_label = 0;
+  std::vector<KeyPair> keys;
+  for (std::size_t i = 0; i < kFirstSightKeys; ++i) {
+    keys.push_back(KeyPair::from_label("first-sight-" +
+                                       std::to_string(next_label++)));
+  }
+  const std::vector<Signed> triples = signed_by(keys);
+  std::size_t i = 0;
+  for (auto _ : state) verify_one(state, triples[i++ % triples.size()]);
+}
+BENCHMARK(BM_VerifyFirstSight)
+    ->Iterations(kFirstSightKeys)
+    ->Unit(benchmark::kMicrosecond);
 
 // SHA-256 throughput per kernel (DESIGN.md §16): one-shot hashes of 64 B,
 // 1 KiB and 64 KiB inputs, reported as bytes per second.

@@ -28,8 +28,10 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 # UBSan finding (an over-wide shift, a bad index) would hide. The SHA-256
 # suite runs the portable and SHA-NI kernels (DESIGN.md §16): unaligned
 # 16-byte loads and the multi-block loop are where an overread would hide.
+# The per-key comb suite (KeyTable) indexes a 63-entry table by bits
+# gathered from both GLV halves, and its cache hands tables across threads.
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R '^(U256|Field|Scalar|Curve|Schnorr|BatchVerify|Sha256)\.'
+  -R '^(U256|Field|Scalar|Curve|Schnorr|BatchVerify|Sha256|KeyTable)\.'
 
 # Chaos smoke next: the standard fault scenarios x 3 seeds (DESIGN.md §9)
 # under the sanitizers — fault-handling regressions fail fast, before the
@@ -119,6 +121,10 @@ ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$(nproc)" \
 # lanes must be race-free AND unobservable (byte-identical fingerprints at
 # 1/2/4 threads).
 ctest --test-dir "$TSAN_DIR" --output-on-failure -R '^InternDeterminism\.'
+# Per-key comb tables (DESIGN.md §16): four threads verify the same keys
+# while the process-wide cache builds and publishes their tables.
+ctest --test-dir "$TSAN_DIR" --output-on-failure \
+  -R '^KeyTable\.ConcurrentVerifyWhileBuilding$'
 ctest --test-dir "$TSAN_DIR" --output-on-failure -R '^ChaosSweep\.'
 ctest --test-dir "$TSAN_DIR" --output-on-failure -R '^ByzantineSmoke\.'
 

@@ -1,5 +1,7 @@
 #include "consensus/poa.hpp"
 
+#include "crypto/sigcache.hpp"
+
 namespace hc::consensus {
 
 PoaRoundRobin::PoaRoundRobin(EngineContext context, EngineConfig config)
@@ -87,7 +89,10 @@ void PoaRoundRobin::on_message(net::NodeId from,
 bool PoaRoundRobin::verify_proof(chain::Epoch height, const Cid& block_cid,
                                  BytesView proof) const {
   auto sig = decode<crypto::Signature>(proof);
-  return sig && crypto::verify(ctx_.validators.leader(height).key,
+  // The leader gossiped this signature over the same payload, so a replica
+  // that saw the gossip finds the outcome in the SigCache.
+  return sig &&
+         crypto::verify_cached(ctx_.validators.leader(height).key,
                                WireMsg::signing_payload(WireKind::kBlock,
                                                         height, 0, block_cid),
                                sig.value());

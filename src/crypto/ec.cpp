@@ -121,6 +121,8 @@ const U256& P() { return kP; }
 
 U256 reduce(const U256& a) { return reduce_once(a, 0, U256(kPFold)); }
 
+const U256& beta() { return kBeta; }
+
 U256 add(const U256& a, const U256& b) {
   using u256_detail::add_carry;
   std::uint64_t c = 0;
@@ -322,63 +324,56 @@ const Point& Point::generator() {
 
 Point Point::negated() const { return Point(x_, fp::neg(y_), z_); }
 
+std::vector<Point::Affine> Point::batch_to_affine(
+    const std::vector<Point>& points) {
+  // prefix[i] = Z_0 * ... * Z_i, one inversion of the full product, then
+  // walk back peeling one Z off per point.
+  std::vector<U256> prefix(points.size());
+  U256 running(1);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    assert(!points[i].is_infinity());
+    running = fp::mul(running, points[i].z_);
+    prefix[i] = running;
+  }
+  U256 inv_all = fp::inv(running);
+  std::vector<Affine> out(points.size());
+  for (std::size_t i = points.size(); i-- > 0;) {
+    const U256 zinv = i == 0 ? inv_all : fp::mul(inv_all, prefix[i - 1]);
+    inv_all = fp::mul(inv_all, points[i].z_);
+    const U256 zinv2 = fp::sqr(zinv);
+    out[i].x = fp::mul(points[i].x_, zinv2);
+    out[i].y = fp::mul(points[i].y_, fp::mul(zinv2, zinv));
+  }
+  return out;
+}
+
 namespace {
 
-/// One normalized entry of the fixed-base comb table.
-struct AffineEntry {
-  U256 x;
-  U256 y;
-};
+/// The mul_generator comb: 32 byte windows * 255 multiples (entry
+/// [j][v-1] = v * 2^(8j) * G), normalized with one shared inversion so
+/// process start-up stays in the low milliseconds.
+constexpr std::size_t kGenWindows = 32;
+constexpr std::size_t kGenPerWindow = 255;
 
-}  // namespace
-
-/// Builds the mul_generator comb: 32 byte windows * 255 multiples
-/// (entry [j][v-1] = v * 2^(8j) * G), all normalized to affine with ONE
-/// shared field inversion (Montgomery's trick) so process start-up stays
-/// in the low milliseconds. Friend of Point for raw Jacobian access.
-struct GenTableBuilder {
-  static constexpr std::size_t kWindows = 32;
-  static constexpr std::size_t kPerWindow = 255;
-
-  [[nodiscard]] static std::vector<AffineEntry> build() {
-    std::vector<Point> jac;
-    jac.reserve(kWindows * kPerWindow);
-    Point base = Point::generator();  // 2^(8j) * G for the current window
-    for (std::size_t j = 0; j < kWindows; ++j) {
-      Point acc = base;
-      for (std::size_t v = 1; v <= kPerWindow; ++v) {
-        jac.push_back(acc);
-        acc = acc.add(base);
-      }
-      base = acc;  // 256 * (2^(8j) * G) = 2^(8(j+1)) * G
+std::vector<Point::Affine> build_gen_table() {
+  std::vector<Point> jac;
+  jac.reserve(kGenWindows * kGenPerWindow);
+  Point base = Point::generator();  // 2^(8j) * G for the current window
+  for (std::size_t j = 0; j < kGenWindows; ++j) {
+    Point acc = base;
+    for (std::size_t v = 1; v <= kGenPerWindow; ++v) {
+      jac.push_back(acc);
+      acc = acc.add(base);
     }
-    // Batch inversion: prefix[i] = Z_0 * ... * Z_i, one inv, walk back.
-    std::vector<U256> prefix(jac.size());
-    U256 running(1);
-    for (std::size_t i = 0; i < jac.size(); ++i) {
-      running = fp::mul(running, jac[i].z_);
-      prefix[i] = running;
-    }
-    U256 inv_all = fp::inv(running);
-    std::vector<AffineEntry> out(jac.size());
-    for (std::size_t i = jac.size(); i-- > 0;) {
-      const U256 zinv =
-          i == 0 ? inv_all : fp::mul(inv_all, prefix[i - 1]);
-      inv_all = fp::mul(inv_all, jac[i].z_);
-      const U256 zinv2 = fp::sqr(zinv);
-      out[i].x = fp::mul(jac[i].x_, zinv2);
-      out[i].y = fp::mul(jac[i].y_, fp::mul(zinv2, zinv));
-    }
-    return out;
+    base = acc;  // 256 * (2^(8j) * G) = 2^(8(j+1)) * G
   }
+  return Point::batch_to_affine(jac);
+}
 
-  [[nodiscard]] static const std::vector<AffineEntry>& table() {
-    static const std::vector<AffineEntry> t = build();
-    return t;
-  }
-};
-
-namespace {
+const std::vector<Point::Affine>& gen_table() {
+  static const std::vector<Point::Affine> t = build_gen_table();
+  return t;
+}
 
 /// Bits [i, i + 5) of k, zero past bit 255.
 unsigned window5(const U256& k, int i) {
@@ -451,14 +446,13 @@ Point Point::mul(const U256& k) const {
 }
 
 Point Point::mul_generator(const U256& k) {
-  const std::vector<AffineEntry>& table = GenTableBuilder::table();
+  const std::vector<Affine>& table = gen_table();
   Point acc;  // infinity
-  for (std::size_t j = 0; j < GenTableBuilder::kWindows; ++j) {
+  for (std::size_t j = 0; j < kGenWindows; ++j) {
     const std::uint64_t v = (k.limb(static_cast<int>(j / 8)) >>
                              ((j % 8) * 8)) & 0xFFu;
     if (v != 0) {
-      const AffineEntry& e =
-          table[j * GenTableBuilder::kPerWindow + (v - 1)];
+      const Affine& e = table[j * kGenPerWindow + (v - 1)];
       acc = acc.add_affine(e.x, e.y);
     }
   }

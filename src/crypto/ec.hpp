@@ -11,6 +11,7 @@
 #pragma once
 
 #include <optional>
+#include <vector>
 
 #include "crypto/u256.hpp"
 
@@ -31,6 +32,9 @@ namespace fp {
 [[nodiscard]] U256 inv(const U256& a);
 /// Reduce an arbitrary 256-bit value into [0, p).
 [[nodiscard]] U256 reduce(const U256& a);
+/// β, the cube root of unity mod p behind the GLV endomorphism:
+/// λ·(x, y) = (β·x, y).
+[[nodiscard]] const U256& beta();
 }  // namespace fp
 
 /// Scalar arithmetic modulo the group order n. add/sub need inputs < n;
@@ -82,7 +86,8 @@ class Point {
   [[nodiscard]] Point add_affine(const U256& x, const U256& y) const;
   /// Group negation (X, -Y, Z).
   [[nodiscard]] Point negated() const;
-  /// Scalar multiplication k * this, the e*P term of verification. k is
+  /// Scalar multiplication k * this: the e*P term of verification for a
+  /// key seen once (a recurring key uses its KeyTable, keytable.hpp). k is
   /// split by fn::split_lambda into two ~128-bit halves, k1*P + k2*λ(P),
   /// evaluated Strauss–Shamir style: one shared chain of ~128 doublings
   /// with width-5 wNAF digits of both halves added from the odd multiples
@@ -102,6 +107,11 @@ class Point {
     U256 y;
   };
   [[nodiscard]] std::optional<Affine> to_affine() const;
+  /// Affine coordinates of every point (none may be infinity) for ONE
+  /// field inversion, by Montgomery's trick: how the fixed-base tables
+  /// (mul_generator's and each KeyTable) are normalized.
+  [[nodiscard]] static std::vector<Affine> batch_to_affine(
+      const std::vector<Point>& points);
 
   /// True when both coordinates are canonical (< p) and satisfy the curve
   /// equation. Rejecting x or y >= p keeps every point to one encoding.
@@ -111,8 +121,6 @@ class Point {
   [[nodiscard]] bool equals(const Point& other) const;
 
  private:
-  friend struct GenTableBuilder;  // batch-normalizes the fixed-base table
-
   Point(const U256& x, const U256& y, const U256& z) : x_(x), y_(y), z_(z) {}
 
   U256 x_;

@@ -1,6 +1,9 @@
 #include "crypto/schnorr.hpp"
 
 #include <cassert>
+#include <memory>
+
+#include "crypto/keytable.hpp"
 
 namespace hc::crypto {
 
@@ -128,12 +131,17 @@ bool verify(const PublicKey& pub, BytesView message, const Signature& sig) {
   if (!pub.valid()) return false;
   if (!Point::is_on_curve(sig.rx(), sig.ry())) return false;
   if (sig.s() >= fn::N()) return false;
-  const U256 e = challenge(sig.rx(), sig.ry(), pub, message);
-  // s*G - e*P == R: s*G from the comb, -e*P as one GLV/Strauss–Shamir
-  // multiplication, compared with R in Jacobian form (no inversion).
-  const Point lhs =
-      Point::mul_generator(sig.s())
-          .add(Point::from_affine(pub.x(), pub.y()).mul(fn::sub(U256(), e)));
+  const U256 minus_e =
+      fn::sub(U256(), challenge(sig.rx(), sig.ry(), pub, message));
+  // s*G - e*P == R: s*G from the generator comb, -e*P from the key's own
+  // comb once it recurs (else one GLV/Strauss–Shamir multiplication),
+  // compared with R in Jacobian form (no inversion).
+  const std::shared_ptr<const KeyTable> table =
+      KeyTableCache::instance().lookup(pub);
+  const Point minus_ep =
+      table ? table->mul(minus_e)
+            : Point::from_affine(pub.x(), pub.y()).mul(minus_e);
+  const Point lhs = Point::mul_generator(sig.s()).add(minus_ep);
   return lhs.equals(Point::from_affine(sig.rx(), sig.ry()));
 }
 

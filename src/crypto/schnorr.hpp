@@ -10,7 +10,8 @@
 //   sign(d, m):  k = H_tag("hc/nonce", d, m) mod n;  R = k*G
 //                e = H_tag("hc/chal", R, P, m) mod n; s = k + e*d mod n
 //                signature = (R, s)
-//   verify:      s*G - e*P == R   (e*P by GLV + Strauss–Shamir, Point::mul)
+//   verify:      s*G - e*P == R   (e*P from the key's comb once the key
+//                recurs, else by GLV + Strauss–Shamir; crypto/keytable.hpp)
 //
 // Both verify and PublicKey::from_bytes reject a coordinate >= p, so every
 // key and nonce point has exactly one accepted encoding.

@@ -13,6 +13,7 @@
 #include "consensus/poa.hpp"
 #include "consensus/rrbft.hpp"
 #include "consensus/tendermint.hpp"
+#include "crypto/sigcache.hpp"
 
 namespace hc::consensus {
 namespace {
@@ -627,6 +628,30 @@ TEST(BlockSync, PoaRejectsForgedLeaderSignature) {
   // The leader's own signature commits it.
   deliver(c, 0, relay_of(block, encode(c.keys[1].sign(payload))));
   EXPECT_EQ(c.sources[0]->head_height(), 1);
+}
+
+TEST(BlockSync, PoaRelayedProofHitsTheSigCache) {
+  // All replicas share one process, so a lagging replica's relayed copy of
+  // a block carries the leader signature its peers already verified on the
+  // gossip copy: checking that proof must be a SigCache hit, not a fresh
+  // verification.
+  Cluster c(core::ConsensusType::kPoaRoundRobin, 4);
+  c.engines[0]->start();
+  EmptySource scratch;
+  const chain::Block block =
+      scratch.build_block(c.validators.members()[1].address(), {});
+  const WireMsg gossip = WireMsg::make(WireKind::kBlock, 1, 0, block.cid(),
+                                       encode(block), c.keys[1]);
+  ASSERT_TRUE(gossip.verify());  // a peer's receipt of the leader's copy
+  const WireMsg relay = relay_of(block, encode(gossip.signature));
+  ASSERT_TRUE(relay.verify());  // so only the proof is left to check
+  const std::uint64_t hits = crypto::SigCache::instance().hits();
+  const std::uint64_t misses = crypto::SigCache::instance().misses();
+  deliver(c, 0, relay);
+  EXPECT_EQ(c.sources[0]->head_height(), 1);
+  // The relay's own signature and the proof, both cached.
+  EXPECT_EQ(crypto::SigCache::instance().hits(), hits + 2);
+  EXPECT_EQ(crypto::SigCache::instance().misses(), misses);
 }
 
 /// A QuorumCert for `block` at height 1 signed by `signers` over `vote`.

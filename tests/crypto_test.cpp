@@ -4,17 +4,24 @@
 // signing is pinned by known-answer vectors.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <memory>
 #include <random>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
 #include "crypto/batchverify.hpp"
 #include "crypto/ec.hpp"
+#include "crypto/keytable.hpp"
 #include "crypto/merkle.hpp"
 #include "crypto/schnorr.hpp"
 #include "crypto/sigcache.hpp"
 #include "crypto/u256.hpp"
+#include "obs/obs.hpp"
 
 namespace hc::crypto {
 namespace {
@@ -391,11 +398,32 @@ TEST(Schnorr, RejectsWrongMessage) {
   EXPECT_FALSE(verify(kp.public_key(), to_bytes("message B"), sig));
 }
 
+/// Give `pub` its KeyTable now (a second sighting builds one), so verify
+/// takes the table path for it from here on.
+void warm_table(const PublicKey& pub) {
+  (void)KeyTableCache::instance().lookup(pub);
+  ASSERT_NE(KeyTableCache::instance().lookup(pub), nullptr);
+}
+
+/// The label with a suffix on the warm pass, so the cold pass's keys are
+/// seen there for the first time.
+std::string pass_label(const std::string& label, bool warm) {
+  return warm ? label + "-warm" : label;
+}
+
 TEST(Schnorr, RejectsWrongKey) {
-  const KeyPair alice = KeyPair::from_label("alice");
-  const KeyPair bob = KeyPair::from_label("bob");
-  const Bytes msg = to_bytes("message");
-  EXPECT_FALSE(verify(bob.public_key(), msg, alice.sign(msg)));
+  // First-sight keys, then keys whose tables are warm.
+  for (const bool warm : {false, true}) {
+    const KeyPair alice = KeyPair::from_label(pass_label("alice", warm));
+    const KeyPair bob = KeyPair::from_label(pass_label("bob", warm));
+    if (warm) {
+      warm_table(alice.public_key());
+      warm_table(bob.public_key());
+    }
+    const Bytes msg = to_bytes("message");
+    EXPECT_FALSE(verify(bob.public_key(), msg, alice.sign(msg))) << warm;
+    EXPECT_TRUE(verify(alice.public_key(), msg, alice.sign(msg))) << warm;
+  }
 }
 
 TEST(Schnorr, RejectsTamperedSignature) {
@@ -503,8 +531,12 @@ TEST(Schnorr, TaggedHashKnownAnswer) {
 }
 
 TEST(Schnorr, VerifyRejectsEveryBitFlip) {
-  for (int i = 0; i < 16; ++i) {
-    const KeyPair kp = KeyPair::from_label("flip-" + std::to_string(i));
+  for (int i = 0; i < 32; ++i) {
+    // Keys 16..31 have their tables warm before the first verify.
+    const bool warm = i >= 16;
+    const KeyPair kp = KeyPair::from_label(
+        pass_label("flip-" + std::to_string(i % 16), warm));
+    if (warm) warm_table(kp.public_key());
     const Bytes msg = to_bytes("flip message " + std::to_string(i));
     const Signature sig = kp.sign(msg);
     ASSERT_TRUE(verify(kp.public_key(), msg, sig)) << i;
@@ -557,17 +589,135 @@ TEST(Schnorr, RejectsNonCanonicalCoordinates) {
   append(alias, y.to_be_bytes());
   EXPECT_FALSE(PublicKey::from_bytes(alias).ok());
 
-  // verify refuses the aliased point as a key and as R.
-  const KeyPair kp = KeyPair::from_label("canonical");
-  const Bytes msg = to_bytes("message");
-  const Signature sig = kp.sign(msg);
-  EXPECT_FALSE(verify(PublicKey(x_alias, y), msg, sig));
-  EXPECT_FALSE(verify(kp.public_key(), msg, Signature(x_alias, y, sig.s())));
+  // verify refuses the aliased point as a key and as R, also once the
+  // signer and the canonical point have tables.
+  for (const bool warm : {false, true}) {
+    const KeyPair kp = KeyPair::from_label(pass_label("canonical", warm));
+    if (warm) {
+      warm_table(kp.public_key());
+      warm_table(PublicKey(x, y));
+    }
+    const Bytes msg = to_bytes("message");
+    const Signature sig = kp.sign(msg);
+    EXPECT_FALSE(verify(PublicKey(x_alias, y), msg, sig)) << warm;
+    EXPECT_FALSE(verify(kp.public_key(), msg, Signature(x_alias, y, sig.s())))
+        << warm;
+  }
 }
 
 TEST(Schnorr, TaggedHashDomainSeparation) {
   const Bytes m = to_bytes("same input");
   EXPECT_NE(TaggedHash("tag-a")({m}), TaggedHash("tag-b")({m}));
+}
+
+// ------------------------------------------------------------- key tables
+
+std::uint64_t key_table_counter(const char* name) {
+  return obs::default_obs().metrics.counter(name).value();
+}
+
+/// Bases for the differential suites: G, a small multiple and a random one.
+std::vector<Point> table_bases() {
+  return {Point::generator(), Point::mul_generator(U256(0xC0FFEEull)),
+          Point::mul_generator(random_values(1, 21)[0])};
+}
+
+TEST(KeyTable, MatchesPointMulOnEdgeScalars) {
+  const U256& n = fn::N();
+  std::vector<U256> ks = edge_values(n);  // 0, 1, n - 1, limb boundaries
+  ks.push_back(U256::from_limbs_be(0, 0, ~0ull, ~0ull));  // 2^128 - 1
+  ks.push_back(U256::from_limbs_be(0, 1, 0, 0));          // 2^128
+  ks.push_back(fn::lambda());
+  ks.push_back(kAllOnes);  // unreduced
+  for (const Point& base : table_bases()) {
+    const KeyTable table(base);
+    for (const U256& k : ks) {
+      EXPECT_TRUE(table.mul(k).equals(base.mul(k))) << k.to_hex();
+    }
+  }
+}
+
+TEST(KeyTable, MatchesPointMulWithNegativeHalves) {
+  // Seeded scalars until every sign combination of the two GLV halves has
+  // turned up four times.
+  std::array<int, 4> found{};
+  std::vector<U256> ks;
+  for (const U256& v : random_values(4096, 22)) {
+    const U256 k = ref_reduce(v, fn::N());
+    const fn::LambdaSplit s = fn::split_lambda(k);
+    int& count = found[static_cast<std::size_t>(s.k1_neg) * 2 + s.k2_neg];
+    if (count < 4) {
+      ++count;
+      ks.push_back(k);
+    }
+  }
+  ASSERT_EQ(ks.size(), 16u);
+  for (const Point& base : table_bases()) {
+    const KeyTable table(base);
+    for (const U256& k : ks) {
+      EXPECT_TRUE(table.mul(k).equals(base.mul(k))) << k.to_hex();
+    }
+  }
+}
+
+TEST(KeyTable, MatchesPointMulOnSeededScalars) {
+  const Point base = Point::mul_generator(random_values(1, 23)[0]);
+  const KeyTable table(base);
+  for (const U256& k : random_values(10000, 24)) {
+    ASSERT_TRUE(table.mul(k).equals(base.mul(k))) << k.to_hex();
+  }
+}
+
+TEST(KeyTable, BuiltOnSecondSightingThenShared) {
+  const PublicKey pub = KeyPair::from_label("table-sighting").public_key();
+  const std::uint64_t builds =
+      key_table_counter("crypto_key_table_builds_total");
+  const std::uint64_t hits = key_table_counter("crypto_key_table_hits_total");
+  KeyTableCache& cache = KeyTableCache::instance();
+  EXPECT_EQ(cache.lookup(pub), nullptr);  // first sight: no table
+  const std::shared_ptr<const KeyTable> built = cache.lookup(pub);
+  ASSERT_NE(built, nullptr);
+  EXPECT_EQ(cache.lookup(pub), built);  // one table, shared
+  EXPECT_EQ(key_table_counter("crypto_key_table_builds_total"), builds + 1);
+  EXPECT_EQ(key_table_counter("crypto_key_table_hits_total"), hits + 1);
+}
+
+TEST(KeyTable, ConcurrentVerifyWhileBuilding) {
+  // Four threads verify the same fresh keys in different orders, so first
+  // sightings, builds and table hits of one key interleave across threads.
+  struct Triple {
+    PublicKey pub;
+    Bytes msg;
+    Signature sig;
+    bool valid;
+  };
+  std::vector<Triple> triples;
+  for (int k = 0; k < 6; ++k) {
+    const KeyPair kp = KeyPair::from_label("concurrent-" + std::to_string(k));
+    for (int m = 0; m < 6; ++m) {
+      const Bytes msg = to_bytes("msg-" + std::to_string(m));
+      Signature sig = kp.sign(msg);
+      // Every third triple is verified against a message it never signed.
+      const bool valid = m % 3 != 0;
+      triples.push_back(Triple{kp.public_key(),
+                               valid ? msg : to_bytes("other"), sig, valid});
+    }
+  }
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&triples, &wrong, t] {
+      for (std::size_t i = 0; i < triples.size(); ++i) {
+        const Triple& x = triples[(i * 5 + t * 7) % triples.size()];
+        if (verify(x.pub, x.msg, x.sig) != x.valid) ++wrong;
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(wrong.load(), 0);
+  for (const Triple& x : triples) {
+    EXPECT_NE(KeyTableCache::instance().lookup(x.pub), nullptr);
+  }
 }
 
 // ---------------------------------------------------------------- merkle
