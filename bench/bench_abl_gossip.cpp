@@ -10,10 +10,6 @@
 namespace hc::bench {
 namespace {
 
-// Raw-Network ablation (no Hierarchy): profile sidecar + hotspot table
-// only, covering the net/deliver phase.
-ObsExporter profile_sidecar("abl_gossip");
-
 void run_gossip(benchmark::State& state) {
   const auto degree = static_cast<std::size_t>(state.range(0));
   const int subscribers = static_cast<int>(state.range(1));

@@ -13,7 +13,8 @@
 // fingerprints and metric snapshots — fraud_detection_latency_us histograms, slash and
 // deactivation counters, byzantine action counters — for offline analysis
 // of detection latency distributions.
-#include "chaos_sidecar.hpp"
+#include "bench_common.hpp"
+#include "chaos/runner.hpp"
 
 namespace hc::bench {
 namespace {
@@ -33,7 +34,7 @@ chaos::RunnerConfig byz_config() {
   return cfg;
 }
 
-ChaosSidecar sidecar("byzantine");
+SidecarWriter sidecar("byzantine");
 
 void run_byzantine_scenario(benchmark::State& state) {
   const auto scenarios = chaos::ChaosRunner::byzantine_scenarios();
@@ -53,7 +54,8 @@ void run_byzantine_scenario(benchmark::State& state) {
       const chaos::RunResult r = runner.run(scenario, seed);
       converged += r.converged ? 1 : 0;
       ok += r.report.ok() ? 1 : 0;
-      sidecar.capture(r);
+      sidecar.add(r.scenario + "/seed-" + std::to_string(r.seed), r.seed,
+                  r.metrics_json, r.fingerprint);
     }
     state.counters["seeds"] = static_cast<double>(bench_seeds().size());
     state.counters["converged"] = static_cast<double>(converged);

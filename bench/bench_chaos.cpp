@@ -10,7 +10,8 @@
 // Sidecar: BENCH_chaos.metrics.json accumulates the per-run fingerprints
 // and metric snapshots (reason-labelled drop counters, checkpoint retry
 // counters, chaos_faults_injected_total).
-#include "chaos_sidecar.hpp"
+#include "bench_common.hpp"
+#include "chaos/runner.hpp"
 
 namespace hc::bench {
 namespace {
@@ -30,7 +31,7 @@ chaos::RunnerConfig chaos_config() {
   return cfg;
 }
 
-ChaosSidecar sidecar("chaos");
+SidecarWriter sidecar("chaos");
 
 void run_chaos_scenario(benchmark::State& state) {
   const auto scenarios = chaos::ChaosRunner::standard_scenarios();
@@ -48,7 +49,8 @@ void run_chaos_scenario(benchmark::State& state) {
       converged += r.converged ? 1 : 0;
       invariants_ok += r.report.ok() ? 1 : 0;
       faults += r.faults_injected;
-      sidecar.capture(r);
+      sidecar.add(r.scenario + "/seed-" + std::to_string(r.seed), r.seed,
+                  r.metrics_json, r.fingerprint);
     }
     state.counters["seeds"] = static_cast<double>(bench_seeds().size());
     state.counters["converged"] = static_cast<double>(converged);

@@ -11,8 +11,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,7 +23,6 @@
 #include "actors/basic.hpp"
 #include "common/log.hpp"
 #include "obs/export.hpp"
-#include "obs/profile.hpp"
 #include "runtime/atomic.hpp"
 #include "runtime/hierarchy.hpp"
 
@@ -227,100 +228,81 @@ struct QuietLogs {
   QuietLogs() { Log::set_level(LogLevel::kOff); }
 };
 
-/// Common sidecar meta block (schema 2): host_cpus, worker threads, git
-/// SHA and wall-clock runtime since `start`. Shared by ObsExporter and the
-/// custom sidecars (bench_state, bench_chaos, bench_byzantine) so every
-/// BENCH_*.json records the same environment fields.
-inline std::string bench_meta_json(
-    std::chrono::steady_clock::time_point start) {
-  const double wall =
-      std::chrono::duration_cast<std::chrono::duration<double>>(
-          std::chrono::steady_clock::now() - start)
-          .count();
-  char wall_buf[32];
-  std::snprintf(wall_buf, sizeof(wall_buf), "%.3f", wall);
-  return std::string("{\"schema\": 2, \"host_cpus\": ") +
-         std::to_string(std::thread::hardware_concurrency()) +
-         ", \"threads\": " + std::to_string(bench_threads()) +
-         ", \"git_sha\": \"" + obs::json_escape(HC_GIT_SHA) +
-         "\", \"wall_seconds\": " + wall_buf + "}";
-}
+/// Process start, for the sidecar's meta.wall_seconds: initialised during
+/// static initialisation, before main and before any benchmark row.
+inline const std::chrono::steady_clock::time_point kProcessStart =
+    std::chrono::steady_clock::now();
 
-/// Collects each run's observability state and writes sidecar files next to
-/// the google-benchmark output when the binary exits:
-///   BENCH_<name>.metrics.json  — labeled per-run metric snapshots
-///                                (schema 2: meta block + per-run seed),
-///   BENCH_<name>.prom          — Prometheus text of the last run,
+/// The bench harness's one sidecar writer. Collects one entry per run and,
+/// when the binary exits, writes
+///   BENCH_<name>.metrics.json  — schema 2: a meta block (host_cpus, worker
+///                                threads, git SHA, wall seconds from
+///                                process start) and the runs,
+///   BENCH_<name>.prom          — Prometheus text of the last captured
+///                                registry (if any),
 ///   BENCH_<name>.trace.json    — Chrome trace (chrome://tracing) of the
-///                                last captured run,
-///   BENCH_<name>.profile.json  — wall-clock profiler report + per-lane
-///                                cost attribution (hot phases, scope tree),
-///   BENCH_<name>.folded        — folded stacks for flamegraph.pl /
-///                                inferno / speedscope.
-/// Metric values are integers of simulated microseconds, so two runs with
-/// the same seed produce identical "runs" arrays; only the meta block
-/// (wall_seconds, git_sha) and the profile sidecars vary with the
-/// environment. scripts/bench_diff.py compares the runs, not the meta.
-/// The flush also prints the profiler's top-N hotspot table to stderr.
-class ObsExporter {
+///                                last captured hierarchy (if any).
+/// Metric values are integers of simulated time, so two runs with the same
+/// seed produce identical "runs" arrays, .prom and .trace.json; only the
+/// meta block varies with the environment. scripts/bench_diff.py compares
+/// the runs, not the meta. Wall-clock attribution is perfbench's job
+/// (`perfbench/run.py --trace 1`); nothing here reads the Profiler.
+class SidecarWriter {
  public:
-  explicit ObsExporter(std::string bench_name)
-      : name_(std::move(bench_name)),
-        start_(std::chrono::steady_clock::now()) {}
+  explicit SidecarWriter(std::string bench_name)
+      : name_(std::move(bench_name)) {}
+  SidecarWriter(const SidecarWriter&) = delete;
+  SidecarWriter& operator=(const SidecarWriter&) = delete;
 
-  ObsExporter(const ObsExporter&) = delete;
-  ObsExporter& operator=(const ObsExporter&) = delete;
-
-  /// Snapshot the hierarchy's metrics registry under `label` and keep its
-  /// trace as the latest one. Call once per benchmark run, after run_until.
-  /// `seed` is recorded in the sidecar so a run can be reproduced.
-  void capture(runtime::Hierarchy& h, const std::string& label,
-               std::uint64_t seed = 0) {
-    Run run;
-    run.label = label;
-    run.seed = seed;
-    run.metrics = obs::metrics_to_json(h.obs().metrics);
-    runs_.push_back(std::move(run));
-    last_prom_ = obs::metrics_to_prometheus(h.obs().metrics);
-    last_trace_ = obs::trace_to_chrome_json(h.obs().tracer);
-    last_lanes_ = lanes_json(h);
+  /// Writes the sidecars; nothing when no run was recorded.
+  ~SidecarWriter() {
+    if (runs_.empty()) return;
+    const std::string path = "BENCH_" + name_;
+    std::string json = "{\n  \"bench\": \"" + obs::json_escape(name_) +
+                       "\",\n  \"meta\": " + meta_json() +
+                       ",\n  \"runs\": [\n";
+    for (std::size_t i = 0; i < runs_.size(); ++i) {
+      const Run& r = runs_[i];
+      json += "    {\"label\": \"" + obs::json_escape(r.label) +
+              "\", \"seed\": " + std::to_string(r.seed);
+      if (r.fingerprint) {
+        char fp[19];
+        std::snprintf(fp, sizeof fp, "0x%016" PRIx64, *r.fingerprint);
+        json += std::string(", \"fingerprint\": \"") + fp + "\"";
+      }
+      json += ", \"metrics\": " + r.metrics;
+      if (!r.scale.empty()) json += ", \"scale\": " + r.scale;
+      json += (i + 1 < runs_.size()) ? "},\n" : "}\n";
+    }
+    json += "  ]\n}\n";
+    (void)obs::write_text_file(path + ".metrics.json", json);
+    if (prom_) (void)obs::write_text_file(path + ".prom", *prom_);
+    if (trace_) (void)obs::write_text_file(path + ".trace.json", *trace_);
   }
 
-  ~ObsExporter() { flush(); }
+  /// One run entry. `metrics` is a JSON object; the two optional extra
+  /// fields are a chaos run's replay `fingerprint` (state roots, metrics
+  /// and trace) and bench_scale's compact `scale` footprint object.
+  void add(std::string label, std::uint64_t seed, std::string metrics,
+           std::optional<std::uint64_t> fingerprint = std::nullopt,
+           std::string scale = {}) {
+    runs_.push_back(Run{std::move(label), seed, std::move(metrics),
+                        fingerprint, std::move(scale)});
+  }
 
-  void flush() {
-    if (flushed_) return;
-    flushed_ = true;
-    const std::string meta = meta_json();
-    if (!runs_.empty()) {
-      std::string json = "{\n  \"bench\": \"" + obs::json_escape(name_) +
-                         "\",\n  \"meta\": " + meta + ",\n  \"runs\": [\n";
-      for (std::size_t i = 0; i < runs_.size(); ++i) {
-        json += "    {\"label\": \"" + obs::json_escape(runs_[i].label) +
-                "\", \"seed\": " + std::to_string(runs_[i].seed) +
-                ", \"metrics\": " + runs_[i].metrics + "}";
-        json += (i + 1 < runs_.size()) ? ",\n" : "\n";
-      }
-      json += "  ]\n}\n";
-      (void)obs::write_text_file("BENCH_" + name_ + ".metrics.json", json);
-      (void)obs::write_text_file("BENCH_" + name_ + ".prom", last_prom_);
-      (void)obs::write_text_file("BENCH_" + name_ + ".trace.json",
-                                 last_trace_);
-    }
-    // The profiler is process-global, so even Hierarchy-less microbenches
-    // (fig2, state) get a profile sidecar and a hotspot table.
-    const obs::ProfileReport report = obs::Profiler::instance().report();
-    if (!report.empty()) {
-      std::string prof = "{\n  \"bench\": \"" + obs::json_escape(name_) +
-                         "\",\n  \"meta\": " + meta +
-                         ",\n  \"profile\": " + obs::profile_to_json(report) +
-                         ",\n  \"lanes\": " + last_lanes_ + "\n}\n";
-      (void)obs::write_text_file("BENCH_" + name_ + ".profile.json", prof);
-      (void)obs::write_text_file("BENCH_" + name_ + ".folded",
-                                 obs::profile_to_folded(report));
-      std::fprintf(stderr, "\n[%s] wall-clock hotspots:\n%s", name_.c_str(),
-                   obs::profile_top_table(report).c_str());
-    }
+  /// Snapshot `reg` as one run; its Prometheus text becomes the .prom.
+  void capture(const obs::MetricsRegistry& reg, std::string label,
+               std::uint64_t seed) {
+    add(std::move(label), seed, obs::metrics_to_json(reg));
+    prom_ = obs::metrics_to_prometheus(reg);
+  }
+
+  /// Snapshot a hierarchy's metrics and keep its trace as the latest one.
+  /// Call once per benchmark run, after run_until; `seed` is recorded so
+  /// a run can be reproduced.
+  void capture(runtime::Hierarchy& h, std::string label, std::uint64_t seed) {
+    capture(h.obs().metrics, std::move(label), seed);
+    trace_ = obs::trace_to_chrome_json(h.obs().tracer);
   }
 
  private:
@@ -328,43 +310,27 @@ class ObsExporter {
     std::string label;
     std::uint64_t seed = 0;
     std::string metrics;
+    std::optional<std::uint64_t> fingerprint;
+    std::string scale;
   };
 
-  [[nodiscard]] std::string meta_json() const {
-    return bench_meta_json(start_);
-  }
-
-  /// Per-lane cost attribution: events run and wall ns per scheduler lane,
-  /// with the owning subnet's id (lane 0 = driver). Wall time — lives only
-  /// in the profile sidecar, never in the deterministic exports.
-  [[nodiscard]] static std::string lanes_json(runtime::Hierarchy& h) {
-    const auto& events = h.executor().lane_events();
-    const auto& wall = h.executor().lane_wall_ns();
-    std::vector<std::string> names(
-        std::max(events.size(), wall.size()), std::string("driver"));
-    for (const auto& s : h.subnets()) {
-      if (s->domain < names.size()) names[s->domain] = s->id.to_string();
-    }
-    std::string out = "[";
-    for (std::size_t i = 0; i < names.size(); ++i) {
-      if (i != 0) out += ',';
-      out += "{\"lane\": " + std::to_string(i) + ", \"subnet\": \"" +
-             obs::json_escape(names[i]) + "\", \"events\": " +
-             std::to_string(i < events.size() ? events[i] : 0) +
-             ", \"wall_ns\": " +
-             std::to_string(i < wall.size() ? wall[i] : 0) + "}";
-    }
-    out += ']';
-    return out;
+  [[nodiscard]] static std::string meta_json() {
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - kProcessStart)
+                            .count();
+    char wall_buf[32];
+    std::snprintf(wall_buf, sizeof(wall_buf), "%.3f", wall);
+    return std::string("{\"schema\": 2, \"host_cpus\": ") +
+           std::to_string(std::thread::hardware_concurrency()) +
+           ", \"threads\": " + std::to_string(bench_threads()) +
+           ", \"git_sha\": \"" + obs::json_escape(HC_GIT_SHA) +
+           "\", \"wall_seconds\": " + wall_buf + "}";
   }
 
   std::string name_;
-  std::chrono::steady_clock::time_point start_;
-  bool flushed_ = false;
   std::vector<Run> runs_;
-  std::string last_prom_;
-  std::string last_trace_;
-  std::string last_lanes_ = "[]";
+  std::optional<std::string> prom_;
+  std::optional<std::string> trace_;
 };
 
 }  // namespace hc::bench

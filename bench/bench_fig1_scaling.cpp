@@ -12,24 +12,15 @@
 //   per_chain_tps  total_tps / chains
 //   sim_seconds    measurement window (simulated)
 //
-// run_speedup additionally reports the WALL-CLOCK speedup of the parallel
-// executor (DESIGN.md §11) on a 16-subnet hierarchy: the same seed run at
-// 1 worker thread vs N, with cross-subnet WAN latency widening the
-// conservative lookahead. Determinism makes the comparison exact — both
-// runs execute the identical event sequence.
-#include <chrono>
-#include <cstdio>
-#include <thread>
-
+// The wall-clock side of the same claim (committed tx per wall-second at
+// 1 vs N worker threads) is perfbench's: `hc_perfbench --threads N`
+// (EXPERIMENTS.md A4).
 #include "bench_common.hpp"
 
 namespace hc::bench {
 namespace {
 
-ObsExporter& exporter() {
-  static ObsExporter e("fig1_scaling");
-  return e;
-}
+SidecarWriter sidecar("fig1_scaling");
 
 constexpr sim::Duration kWindow = 10 * sim::kSecond;
 constexpr std::size_t kMsgsPerBlock = 10;   // per-chain capacity ceiling
@@ -111,8 +102,8 @@ void run_scaling(benchmark::State& state) {
         static_cast<double>(committed) / secs /
         static_cast<double>(chains.size());
     state.counters["sim_seconds"] = secs;
-    exporter().capture(h, "scaling/subnets=" + std::to_string(n_subnets),
-                       1000 + static_cast<std::uint64_t>(n_subnets));
+    sidecar.capture(h, "scaling/subnets=" + std::to_string(n_subnets),
+                    1000 + static_cast<std::uint64_t>(n_subnets));
   }
 }
 
@@ -124,119 +115,6 @@ BENCHMARK(run_scaling)
     ->Arg(4)
     ->Arg(8)
     ->Arg(16)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-// ------------------------------------------------------ parallel speedup
-
-constexpr std::size_t kSpeedupSubnets = 16;
-constexpr sim::Duration kSpeedupWindow = 5 * sim::kSecond;
-
-/// Build a 16-subnet hierarchy with `threads` workers and co-located
-/// subnets / WAN cross-subnet links (lookahead 40ms), drive the saturating
-/// workload, and return the wall-clock seconds of the measurement loop.
-double speedup_wall_seconds(std::size_t threads) {
-  runtime::HierarchyConfig cfg = bench_config(/*seed=*/4242);
-  cfg.threads = threads;
-  cfg.cross_subnet_latency = runtime::HierarchyConfig::CrossSubnetLatency{
-      50 * sim::kMillisecond, 10 * sim::kMillisecond};
-  runtime::Hierarchy h(cfg);
-
-  std::vector<runtime::Subnet*> chains;
-  std::vector<std::unique_ptr<LoadGenerator>> loads;
-  configure_capacity(h.root());
-  for (std::size_t i = 0; i < kSpeedupSubnets; ++i) {
-    auto s = h.spawn_subnet(h.root(), "speed-" + std::to_string(i),
-                            bench_params(), 3, TokenAmount::whole(5),
-                            subnet_engine());
-    if (!s.ok()) return -1.0;
-    chains.push_back(s.value());
-    configure_capacity(*s.value());
-  }
-  for (std::size_t i = 0; i < chains.size(); ++i) {
-    loads.push_back(std::make_unique<LoadGenerator>(
-        *chains[i], 2, "speed-c" + std::to_string(i)));
-    if (!fund_in_subnet(h, *chains[i], loads.back()->addresses(),
-                        TokenAmount::whole(100))) {
-      return -1.0;
-    }
-  }
-
-  const sim::Time start = h.scheduler().now();
-  const std::uint64_t w0 = h.executor().windows();
-  const std::uint64_t d0 = h.executor().dispatches();
-  const std::size_t e0 = h.scheduler().events_run();
-  const auto wall_start = std::chrono::steady_clock::now();
-  while (h.scheduler().now() - start < kSpeedupWindow) {
-    for (auto& load : loads) load->pump(kOfferedPerTick);
-    h.run_for(100 * sim::kMillisecond);
-  }
-  h.run_for(sim::kSecond);  // drain in-flight blocks
-  const auto wall_end = std::chrono::steady_clock::now();
-  const double wall =
-      std::chrono::duration<double>(wall_end - wall_start).count();
-  std::fprintf(stderr,
-               "[speedup] threads=%zu wall=%.3fs windows=%llu "
-               "dispatches=%llu events=%zu\n",
-               threads, wall,
-               static_cast<unsigned long long>(h.executor().windows() - w0),
-               static_cast<unsigned long long>(h.executor().dispatches() - d0),
-               h.scheduler().events_run() - e0);
-  std::string dist = "[speedup] lane events:";
-  for (const std::uint64_t n : h.executor().lane_events()) {
-    dist += " " + std::to_string(n);
-  }
-  std::fprintf(stderr, "%s\n", dist.c_str());
-  return wall;
-}
-
-void run_speedup(benchmark::State& state) {
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  // The sequential reference is measured once (after a throwaway warm-up
-  // run so the process-wide signature cache treats every measured run
-  // equally) and shared across thread counts.
-  static double wall_1t = -1.0;
-  for (auto _ : state) {
-    if (wall_1t < 0) {
-      (void)speedup_wall_seconds(1);  // warm caches
-      wall_1t = speedup_wall_seconds(1);
-    }
-    const double wall_nt = speedup_wall_seconds(threads);
-    if (wall_1t <= 0 || wall_nt <= 0) {
-      state.SkipWithError("speedup run failed");
-      return;
-    }
-    const double speedup = wall_1t / wall_nt;
-    state.counters["threads"] = static_cast<double>(threads);
-    state.counters["subnets"] = static_cast<double>(kSpeedupSubnets);
-    // Wall-clock speedup needs hardware: on a host with fewer cores than
-    // worker threads the measurement degenerates to executor overhead
-    // (expect ~1.0). Recorded so sidecar baselines are comparable across
-    // machines.
-    state.counters["host_cpus"] =
-        static_cast<double>(std::thread::hardware_concurrency());
-    state.counters["wall_1t_s"] = wall_1t;
-    state.counters["wall_nt_s"] = wall_nt;
-    state.counters["speedup"] = speedup;
-    // Surface the headline number in the metrics sidecar too. This is the
-    // one wall-clock-derived (hence nondeterministic) value in the export.
-    runtime::Hierarchy probe(bench_config(/*seed=*/4242));
-    probe.obs().metrics
-        .gauge("bench_parallel_speedup_milli",
-               obs::Labels{{"threads", std::to_string(threads)},
-                           {"subnets", std::to_string(kSpeedupSubnets)}})
-        .set(static_cast<std::int64_t>(speedup * 1000.0));
-    probe.obs().metrics.gauge("bench_host_cpus").set(static_cast<std::int64_t>(
-        std::thread::hardware_concurrency()));
-    exporter().capture(probe, "speedup/threads=" + std::to_string(threads),
-                       4242);
-  }
-}
-
-BENCHMARK(run_speedup)
-    ->ArgName("threads")
-    ->Arg(2)
-    ->Arg(4)
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 

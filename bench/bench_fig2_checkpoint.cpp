@@ -18,11 +18,6 @@
 namespace hc::bench {
 namespace {
 
-// No Hierarchy here (single-chain microbench), so no metrics capture —
-// but the process-global profiler still yields a hotspot table and
-// BENCH_fig2_checkpoint.profile.json / .folded at exit.
-ObsExporter profile_sidecar("fig2_checkpoint");
-
 using testing::ChainWorld;
 
 /// Build an SCA state whose window holds `n_msgs` pending bottom-up

@@ -13,10 +13,7 @@
 namespace hc::bench {
 namespace {
 
-ObsExporter& exporter() {
-  static ObsExporter e("fig3_crossmsg");
-  return e;
-}
+SidecarWriter sidecar("fig3_crossmsg");
 
 struct Chainline {
   runtime::Hierarchy h;
@@ -72,8 +69,8 @@ void run_topdown(benchmark::State& state) {
     state.counters["latency_sim_ms"] =
         static_cast<double>(world.h.scheduler().now() - t0) / 1000.0;
     state.counters["depth"] = depth;
-    exporter().capture(world.h, "topdown/depth=" + std::to_string(depth),
-                       2000 + static_cast<std::uint64_t>(depth));
+    sidecar.capture(world.h, "topdown/depth=" + std::to_string(depth),
+                    2000 + static_cast<std::uint64_t>(depth));
   }
 }
 
@@ -132,11 +129,11 @@ void run_bottomup(benchmark::State& state) {
         static_cast<double>(world.h.scheduler().now() - t0) / 1000.0;
     state.counters["depth"] = depth;
     state.counters["period"] = period;
-    exporter().capture(world.h,
-                       "bottomup/depth=" + std::to_string(depth) +
-                           ",period=" + std::to_string(period),
-                       3000 + static_cast<std::uint64_t>(depth) * 100 +
-                           period);
+    sidecar.capture(world.h,
+                    "bottomup/depth=" + std::to_string(depth) +
+                        ",period=" + std::to_string(period),
+                    3000 + static_cast<std::uint64_t>(depth) * 100 +
+                        period);
   }
 }
 
@@ -202,7 +199,7 @@ void run_path(benchmark::State& state) {
     }
     state.counters["latency_sim_ms"] =
         static_cast<double>(h.scheduler().now() - t0) / 1000.0;
-    exporter().capture(h, "path/A-to-B", 4000);
+    sidecar.capture(h, "path/A-to-B", 4000);
   }
 }
 

@@ -15,10 +15,7 @@
 namespace hc::bench {
 namespace {
 
-ObsExporter& exporter() {
-  static ObsExporter e("fig4_resolution");
-  return e;
-}
+SidecarWriter sidecar("fig4_resolution");
 
 void run_resolution(benchmark::State& state) {
   const bool push = state.range(0) != 0;
@@ -126,12 +123,12 @@ void run_resolution(benchmark::State& state) {
     state.counters["batch"] = batch;
     state.counters["push_enabled"] = push ? 1 : 0;
     state.counters["loss_pct"] = loss * 100;
-    exporter().capture(h,
-                       std::string("resolution/push=") + (push ? "1" : "0") +
-                           ",batch=" + std::to_string(batch) +
-                           ",losspct=" + std::to_string(state.range(2)),
-                       5000 + static_cast<std::uint64_t>(batch) +
-                           (push ? 1 : 0));
+    sidecar.capture(h,
+                    std::string("resolution/push=") + (push ? "1" : "0") +
+                        ",batch=" + std::to_string(batch) +
+                        ",losspct=" + std::to_string(state.range(2)),
+                    5000 + static_cast<std::uint64_t>(batch) +
+                        (push ? 1 : 0));
   }
 }
 

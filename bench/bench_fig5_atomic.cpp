@@ -12,10 +12,7 @@
 namespace hc::bench {
 namespace {
 
-ObsExporter& exporter() {
-  static ObsExporter e("fig5_atomic");
-  return e;
-}
+SidecarWriter sidecar("fig5_atomic");
 
 struct AtomicWorld {
   runtime::Hierarchy h;
@@ -148,11 +145,11 @@ void run_commit(benchmark::State& state) {
     state.counters["depth"] = depth;
     state.counters["committed"] =
         decision.value() == actors::AtomicStatus::kCommitted ? 1 : 0;
-    exporter().capture(w.h,
-                       "commit/parties=" + std::to_string(parties) +
-                           ",depth=" + std::to_string(depth),
-                       6000 + static_cast<std::uint64_t>(parties) * 10 +
-                           static_cast<std::uint64_t>(depth));
+    sidecar.capture(w.h,
+                    "commit/parties=" + std::to_string(parties) +
+                        ",depth=" + std::to_string(depth),
+                    6000 + static_cast<std::uint64_t>(parties) * 10 +
+                        static_cast<std::uint64_t>(depth));
   }
 }
 
@@ -189,7 +186,7 @@ void run_abort(benchmark::State& state) {
     state.counters["total_sim_ms"] =
         static_cast<double>(w.h.scheduler().now() - t0) / 1000.0;
     state.counters["committed"] = 0;
-    exporter().capture(w.h, "abort/parties=2,depth=1", 6100);
+    sidecar.capture(w.h, "abort/parties=2,depth=1", 6100);
   }
 }
 

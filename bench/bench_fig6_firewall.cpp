@@ -110,10 +110,6 @@ struct FirewallWorld {
   Cid last_checkpoint_;
 };
 
-// ChainWorld microbench (no Hierarchy): profile sidecar + hotspot table
-// only, written by the exporter's flush at exit.
-ObsExporter profile_sidecar("fig6_firewall");
-
 void run_firewall(benchmark::State& state) {
   const auto supply = TokenAmount::whole(state.range(0));
   const auto claimed = TokenAmount::whole(state.range(1));

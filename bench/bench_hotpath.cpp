@@ -14,21 +14,13 @@
 // bench_diff deltas are exactly zero. The run itself fails when the decode
 // cache never hits (sharing regressed to one-decode-per-replica) or when
 // physical bytes exceed logical bytes (accounting inverted).
-//
-// Reported wall-clock counters (events_per_wall_sec) describe the machine,
-// not the protocol; they are printed but never gated.
-#include <chrono>
-
 #include "bench_common.hpp"
 #include "net/envelope.hpp"
 
 namespace hc::bench {
 namespace {
 
-ObsExporter& exporter() {
-  static ObsExporter e("hotpath");
-  return e;
-}
+SidecarWriter sidecar("hotpath");
 
 constexpr sim::Duration kWindow = 5 * sim::kSecond;
 constexpr std::size_t kSubnets = 2;
@@ -75,17 +67,12 @@ void run_hotpath(benchmark::State& state) {
       committed0 += c->node(0).stats().user_msgs_executed;
     }
 
-    const auto wall0 = std::chrono::steady_clock::now();
     const sim::Time start = h.scheduler().now();
     while (h.scheduler().now() - start < kWindow) {
       for (auto& load : loads) load->pump(kOfferedPerTick);
       h.run_for(100 * sim::kMillisecond);
     }
     h.run_for(sim::kSecond);  // drain in-flight blocks
-    const double wall_secs =
-        std::chrono::duration_cast<std::chrono::duration<double>>(
-            std::chrono::steady_clock::now() - wall0)
-            .count();
 
     const std::uint64_t hits = net::Envelope::decode_hits() - hits0;
     const std::uint64_t misses = net::Envelope::decode_misses() - misses0;
@@ -118,11 +105,7 @@ void run_hotpath(benchmark::State& state) {
         static_cast<double>(net_stats.bytes_sent);
     state.counters["bytes_physical"] =
         static_cast<double>(net_stats.bytes_physical);
-    state.counters["events_per_wall_sec"] =
-        wall_secs <= 0.0
-            ? 0.0
-            : static_cast<double>(h.scheduler().events_run()) / wall_secs;
-    exporter().capture(h, "hotpath/saturated", 7100);
+    sidecar.capture(h, "hotpath/saturated", 7100);
   }
 }
 

@@ -27,10 +27,7 @@
 namespace hc::bench {
 namespace {
 
-ObsExporter& exporter() {
-  static ObsExporter e("overload");
-  return e;
-}
+SidecarWriter sidecar("overload");
 
 constexpr sim::Duration kWindow = 10 * sim::kSecond;
 constexpr std::size_t kMsgsPerBlock = 10;  // 100ms blocks => 100 tx/s ceiling
@@ -140,7 +137,7 @@ void run_overload(benchmark::State& state) {
         .set(static_cast<std::int64_t>(net.queue_peak_bytes));
     m.gauge("bench_overload_retries", row)
         .set(static_cast<std::int64_t>(load.retried()));
-    exporter().capture(h, "overload/mult=" + std::to_string(mult), seed);
+    sidecar.capture(h, "overload/mult=" + std::to_string(mult), seed);
   }
 }
 

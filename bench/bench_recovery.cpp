@@ -28,10 +28,7 @@
 namespace hc::bench {
 namespace {
 
-ObsExporter& exporter() {
-  static ObsExporter e("recovery");
-  return e;
-}
+SidecarWriter sidecar("recovery");
 
 constexpr std::size_t kVictim = 2;
 constexpr sim::Duration kBlockTime = 100 * sim::kMillisecond;
@@ -120,7 +117,7 @@ void run_recovery(benchmark::State& state) {
         static_cast<double>(resync_us) / static_cast<double>(sim::kMillisecond);
     state.counters["replayed_records"] = static_cast<double>(recovery.records);
     state.counters["recovered_height"] = static_cast<double>(recovered);
-    exporter().capture(h, label, seed);
+    sidecar.capture(h, label, seed);
   }
 }
 

@@ -119,77 +119,10 @@ struct HotSender {
   }
 };
 
-struct ScaleRow {
-  std::string label;
-  std::uint64_t seed = 0;
-  std::size_t subnets = 0;
-  std::size_t nodes = 0;
-  std::size_t accounts = 0;
-  std::uint64_t committed = 0;
-  std::size_t events = 0;
-  std::size_t peak_bytes_per_node = 0;
-  std::size_t peak_total_bytes = 0;
-  std::size_t bytes_per_account = 0;
-  std::size_t interner_entries = 0;
-  std::size_t interner_bytes = 0;
-};
-
-/// Custom sidecar: the full 1111-subnet metrics export would be megabytes,
-/// so BENCH_scale.json carries a compact per-run "scale" object plus the
-/// two counters bench_diff.py's generic gates read (committed, events).
-struct ScaleSidecar {
-  std::vector<ScaleRow> rows;
-  std::chrono::steady_clock::time_point start =
-      std::chrono::steady_clock::now();
-
-  ~ScaleSidecar() {
-    if (rows.empty()) return;
-    std::string json = "{\n  \"bench\": \"scale\",\n  \"meta\": " +
-                       bench_meta_json(start) + ",\n  \"runs\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const ScaleRow& r = rows[i];
-      json += "    {\"label\": \"" + obs::json_escape(r.label) +
-              "\", \"seed\": " + std::to_string(r.seed) +
-              ", \"metrics\": {\"counters\": "
-              "{\"node_user_msgs_executed_total\": {\"\": " +
-              std::to_string(r.committed) +
-              "}, \"sim_events_run_total\": {\"\": " +
-              std::to_string(r.events) +
-              "}}}, \"scale\": {\"subnets\": " + std::to_string(r.subnets) +
-              ", \"nodes\": " + std::to_string(r.nodes) +
-              ", \"accounts\": " + std::to_string(r.accounts) +
-              ", \"peak_bytes_per_node\": " +
-              std::to_string(r.peak_bytes_per_node) +
-              ", \"peak_total_bytes\": " +
-              std::to_string(r.peak_total_bytes) +
-              ", \"bytes_per_account\": " +
-              std::to_string(r.bytes_per_account) +
-              ", \"interner_entries\": " +
-              std::to_string(r.interner_entries) +
-              ", \"interner_bytes\": " + std::to_string(r.interner_bytes) +
-              "}}";
-      json += (i + 1 < rows.size()) ? ",\n" : "\n";
-    }
-    json += "  ]\n}\n";
-    (void)obs::write_text_file("BENCH_scale.json", json);
-    // Profiler sidecars like every other bench (DESIGN.md §13) — the
-    // compact metrics sidecar above replaces only the megabyte-scale
-    // per-node metrics export, not the wall-clock attribution.
-    const obs::ProfileReport report = obs::Profiler::instance().report();
-    if (!report.empty()) {
-      std::string prof = "{\n  \"bench\": \"scale\",\n  \"meta\": " +
-                         bench_meta_json(start) +
-                         ",\n  \"profile\": " + obs::profile_to_json(report) +
-                         "\n}\n";
-      (void)obs::write_text_file("BENCH_scale.profile.json", prof);
-      (void)obs::write_text_file("BENCH_scale.folded",
-                                 obs::profile_to_folded(report));
-      std::fprintf(stderr, "\n[scale] wall-clock hotspots:\n%s",
-                   obs::profile_top_table(report).c_str());
-    }
-  }
-};
-ScaleSidecar sidecar;
+/// BENCH_scale.metrics.json carries a compact per-run "scale" object plus
+/// the two counters bench_diff.py's generic gates read (committed, events):
+/// the full 1111-subnet metrics export would be megabytes.
+SidecarWriter sidecar("scale");
 
 void run_city(benchmark::State& state) {
   const CityShape shape = shape_for(static_cast<std::size_t>(state.range(0)));
@@ -250,31 +183,33 @@ void run_city(benchmark::State& state) {
     }
     const auto& interner = core::SubnetInterner::instance();
 
-    ScaleRow row;
-    row.label = "city/fanout=" + std::to_string(shape.fanout);
-    row.seed = 9000 + shape.fanout;
-    row.subnets = shape.subnets();
-    row.nodes = nodes;
-    row.accounts = shape.accounts();
-    row.committed = committed;
-    row.events = h.scheduler().events_run();
-    row.peak_bytes_per_node = peak_node;
-    row.peak_total_bytes = peak_total;
-    row.bytes_per_account = peak_total / std::max<std::size_t>(1,
-                                                              shape.accounts());
-    row.interner_entries = interner.size();
-    row.interner_bytes = interner.approx_bytes();
-    sidecar.rows.push_back(row);
+    const std::size_t bytes_per_account =
+        peak_total / std::max<std::size_t>(1, shape.accounts());
+    sidecar.add(
+        "city/fanout=" + std::to_string(shape.fanout), 9000 + shape.fanout,
+        "{\"counters\": {\"node_user_msgs_executed_total\": {\"\": " +
+            std::to_string(committed) +
+            "}, \"sim_events_run_total\": {\"\": " +
+            std::to_string(h.scheduler().events_run()) + "}}}",
+        std::nullopt,
+        "{\"subnets\": " + std::to_string(shape.subnets()) +
+            ", \"nodes\": " + std::to_string(nodes) +
+            ", \"accounts\": " + std::to_string(shape.accounts()) +
+            ", \"peak_bytes_per_node\": " + std::to_string(peak_node) +
+            ", \"peak_total_bytes\": " + std::to_string(peak_total) +
+            ", \"bytes_per_account\": " + std::to_string(bytes_per_account) +
+            ", \"interner_entries\": " + std::to_string(interner.size()) +
+            ", \"interner_bytes\": " +
+            std::to_string(interner.approx_bytes()) + "}");
 
-    state.counters["subnets"] = static_cast<double>(row.subnets);
-    state.counters["accounts"] = static_cast<double>(row.accounts);
-    state.counters["committed"] = static_cast<double>(row.committed);
-    state.counters["peak_bytes_per_node"] =
-        static_cast<double>(row.peak_bytes_per_node);
+    state.counters["subnets"] = static_cast<double>(shape.subnets());
+    state.counters["accounts"] = static_cast<double>(shape.accounts());
+    state.counters["committed"] = static_cast<double>(committed);
+    state.counters["peak_bytes_per_node"] = static_cast<double>(peak_node);
     state.counters["bytes_per_account"] =
-        static_cast<double>(row.bytes_per_account);
+        static_cast<double>(bytes_per_account);
     state.counters["interner_entries"] =
-        static_cast<double>(row.interner_entries);
+        static_cast<double>(interner.size());
   }
 }
 

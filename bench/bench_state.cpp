@@ -8,15 +8,13 @@
 //   2. What does per-message rollback cost — journal undo-log revert versus
 //      the seed's deep-copy snapshot/revert_to?
 //
-// Sidecars: BENCH_state.metrics.json carries the commitment counters
-// (state_leaf_rehashes_total, state_flush_cache_hits_total) and a
-// state_flush_us histogram per case. Unlike the protocol benches, the
-// histogram buckets hold *wall-clock* microseconds — this binary measures
-// real hashing work, not simulated time — so the sidecar is not
-// byte-deterministic across machines.
+// Timings are google-benchmark's own console output. The sidecar
+// (BENCH_state.metrics.json + .prom, one run labelled "all") carries only
+// the deterministic commitment counters per case: state_leaf_rehashes_total
+// and state_flush_cache_hits_total. They are totals over the iterations
+// google-benchmark chose, so pass --benchmark_min_time=0 (one iteration per
+// case) to compare two builds.
 #include "bench_common.hpp"
-
-#include <chrono>
 
 #include "chain/state.hpp"
 
@@ -26,37 +24,14 @@ namespace {
 using chain::ActorEntry;
 using chain::StateTree;
 
-/// Wall-clock bucket edges for flush latencies: 1µs .. 100ms.
-const std::vector<std::int64_t>& flush_buckets_us() {
-  static const std::vector<std::int64_t> b = {
-      1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000, 20000,
-      50000, 100000};
-  return b;
-}
-
-/// Owns the registry shared by every case in this binary and flushes it to
-/// the sidecar files at exit (member, not function-local static: the
-/// registry must outlive the destructor that reads it).
+/// The registry shared by every case, captured as one run when the binary
+/// exits (in the destructor body, while both members are still alive).
 struct StateSidecar {
   obs::MetricsRegistry reg;
-  std::chrono::steady_clock::time_point start =
-      std::chrono::steady_clock::now();
-
-  ~StateSidecar() {
-    const std::string json =
-        "{\n  \"bench\": \"state\",\n  \"meta\": " + bench_meta_json(start) +
-        ",\n  \"runs\": [\n    "
-        "{\"label\": \"all\", \"seed\": 0, \"metrics\": " +
-        obs::metrics_to_json(reg) + "}\n  ]\n}\n";
-    (void)obs::write_text_file("BENCH_state.metrics.json", json);
-    (void)obs::write_text_file("BENCH_state.prom",
-                               obs::metrics_to_prometheus(reg));
-  }
+  SidecarWriter out{"state"};
+  ~StateSidecar() { out.capture(reg, "all", 0); }
 };
 StateSidecar sidecar;
-
-// Profile sidecar + hotspot table (state/flush phase) at exit.
-ObsExporter profile_sidecar("state");
 
 obs::MetricsRegistry& registry() { return sidecar.reg; }
 
@@ -115,8 +90,6 @@ void state_flush_incremental(benchmark::State& state) {
   const obs::Labels labels{{"case", case_label(state)}};
   auto& rehashes = registry().counter("state_leaf_rehashes_total", labels);
   auto& hits = registry().counter("state_flush_cache_hits_total", labels);
-  auto& flush_us =
-      registry().histogram("state_flush_us", labels, flush_buckets_us());
 
   StateTree t = build_tree(actors);
   (void)t.flush();  // warm: the cache starts clean, as after a block commit
@@ -125,12 +98,7 @@ void state_flush_incremental(benchmark::State& state) {
     state.PauseTiming();
     mutate(t, actors, k, round++);
     state.ResumeTiming();
-    const auto t0 = std::chrono::steady_clock::now();
     benchmark::DoNotOptimize(t.flush());
-    const auto t1 = std::chrono::steady_clock::now();
-    flush_us.observe(
-        std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0)
-            .count());
   }
   const auto& s = t.commit_stats();
   rehashes.inc(s.leaf_rehashes);

@@ -16,10 +16,7 @@
 namespace hc::bench {
 namespace {
 
-ObsExporter& exporter() {
-  static ObsExporter e("tab1_consensus");
-  return e;
-}
+SidecarWriter sidecar("tab1_consensus");
 
 constexpr sim::Duration kWindow = 10 * sim::kSecond;
 
@@ -73,12 +70,11 @@ void run_engine(benchmark::State& state) {
                          blocks
                    : 0;
     state.counters["validators"] = static_cast<double>(n_validators);
-    exporter().capture(
-        h,
-        "engine=" + std::to_string(state.range(0)) +
-            "/n=" + std::to_string(n_validators),
-        static_cast<std::uint64_t>(7000 + state.range(0) * 100 +
-                                   state.range(1)));
+    sidecar.capture(h,
+                    "engine=" + std::to_string(state.range(0)) +
+                        "/n=" + std::to_string(n_validators),
+                    static_cast<std::uint64_t>(7000 + state.range(0) * 100 +
+                                               state.range(1)));
   }
 }
 

@@ -15,10 +15,7 @@ namespace {
 using testing::ChainWorld;
 using testing::User;
 
-ObsExporter& exporter() {
-  static ObsExporter e("tab2_lifecycle");
-  return e;
-}
+SidecarWriter sidecar("tab2_lifecycle");
 
 void run_gas(benchmark::State& state) {
   for (auto _ : state) {
@@ -121,8 +118,8 @@ void run_spawn_latency(benchmark::State& state) {
     state.counters["live_sim_ms"] =
         static_cast<double>(h.scheduler().now() - t0) / 1000.0;
     state.counters["validators"] = static_cast<double>(n_validators);
-    exporter().capture(h, "spawn/validators=" + std::to_string(n_validators),
-                       8000 + n_validators);
+    sidecar.capture(h, "spawn/validators=" + std::to_string(n_validators),
+                    8000 + n_validators);
   }
 }
 

@@ -2,8 +2,9 @@
 # Full check: Debug build with ASan+UBSan and the whole test suite, then a
 # ThreadSanitizer build (TSan cannot combine with ASan) running the
 # parallel-determinism suite and the chaos/Byzantine smokes at multiple
-# worker-thread counts, then a plain optimized build running the profiler
-# smoke and the bench-baseline regression gate (DESIGN.md §13).
+# worker-thread counts, then a plain optimized build running the
+# bench-baseline regression gates, and last the perfbench smoke with the
+# profiler checks on its traced episodes (DESIGN.md §13).
 # Usage: scripts/check.sh [build-dir] [tsan-build-dir] [perf-build-dir]
 #        (defaults: build-asan, build-tsan, build-perf)
 set -euo pipefail
@@ -128,13 +129,11 @@ ctest --test-dir "$TSAN_DIR" --output-on-failure \
 ctest --test-dir "$TSAN_DIR" --output-on-failure -R '^ChaosSweep\.'
 ctest --test-dir "$TSAN_DIR" --output-on-failure -R '^ByzantineSmoke\.'
 
-# ---- Profiler smoke + perf regression gate (DESIGN.md §13) ---------------
-# Plain optimized build (no sanitizers — they would swamp the wall-clock
-# attribution). A cheap fig1 subset runs single-threaded; the profiler
-# sidecars must parse and meet the coverage/overhead bounds, and the
-# simulated-time metrics must match the committed baseline within 10%
-# (they are deterministic per seed, so on unchanged code the deltas are
-# exactly zero).
+# ---- Perf regression gates (DESIGN.md §13) ------------------------------
+# Plain optimized build. The simulated-time metrics must match the committed
+# baselines within 10% (they are deterministic per seed, so on unchanged
+# code the deltas are exactly zero). A cheap fig1 subset runs
+# single-threaded first.
 cmake -B "$PERF_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$PERF_DIR" -j "$(nproc)" --target bench_fig1_scaling \
   --target bench_overload --target bench_recovery --target bench_hotpath
@@ -144,10 +143,6 @@ rm -rf "$PERF_OUT" && mkdir -p "$PERF_OUT"
 (cd "$PERF_OUT" && \
  ../bench/bench_fig1_scaling --threads 1 \
    --benchmark_filter='run_scaling/subnets:(0|2)/')
-
-python3 scripts/profile_smoke.py \
-  "$PERF_OUT/BENCH_fig1_scaling.profile.json" \
-  "$PERF_OUT/BENCH_fig1_scaling.folded"
 python3 scripts/bench_diff.py \
   BENCH_fig1.json "$PERF_OUT/BENCH_fig1_scaling.metrics.json"
 
@@ -187,8 +182,22 @@ python3 scripts/bench_diff.py \
 cmake --build "$PERF_DIR" -j "$(nproc)" --target bench_scale
 (cd "$PERF_OUT" && ../bench/bench_scale --threads 1)
 python3 scripts/bench_diff.py --wall-gate 75 \
-  BENCH_scale.json "$PERF_OUT/BENCH_scale.json"
-# The city boot is deliberately flat (five phases share the time), so the
-# profiler smoke runs with a looser top-3 coverage bound than fig1's.
-python3 scripts/profile_smoke.py --coverage 0.5 \
-  "$PERF_OUT/BENCH_scale.profile.json" "$PERF_OUT/BENCH_scale.folded"
+  BENCH_scale.json "$PERF_OUT/BENCH_scale.metrics.json"
+
+# ---- perfbench smoke + profiler checks (DESIGN.md §13) --------------------
+# Every BENCHMARK.json workload untraced and traced through perfbench/run.py
+# (result shape, correctness gate, declared metrics and units), plus the
+# flat16 1-vs-4-thread simulated-metric identity. The traced runs leave one
+# profile per profiled episode under the perfbench build tree's traces/;
+# profile_smoke.py then checks each episode's timed-window report: folded
+# stacks partition attributed time, top-3 self-time coverage, overhead
+# <= 5%. bft-wal concentrates in verify/dispatch/consensus (top-3 ~70%), so
+# it carries the tighter 60% bound; flat16 and xnet-tree spread over more
+# phases (top-3 ~62%), so they carry 50%.
+TRACES="${CARGO_TARGET_DIR:-.bench_build}/traces"
+rm -rf "$TRACES"
+python3 perfbench/smoke.py
+python3 scripts/profile_smoke.py --coverage 0.6 --max-overhead 0.05 \
+  "$TRACES"/bft-wal-*.json
+python3 scripts/profile_smoke.py --coverage 0.5 --max-overhead 0.05 \
+  "$TRACES"/flat16-*.json "$TRACES"/xnet-tree-*.json

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <map>
 
 namespace hc::obs {
@@ -323,8 +322,6 @@ void Profiler::reset() {
 
 namespace {
 
-double to_ms(std::int64_t ns) { return static_cast<double>(ns) / 1e6; }
-
 void append_folded(std::string& out, const ProfileNode& node,
                    const std::string& prefix) {
   const std::string path =
@@ -351,34 +348,6 @@ void append_json_node(std::string& out, const ProfileNode& node) {
 }
 
 }  // namespace
-
-std::string profile_top_table(const ProfileReport& report, std::size_t n) {
-  std::string out;
-  char line[160];
-  std::snprintf(line, sizeof(line), "%-36s %10s %12s %12s %6s\n", "phase",
-                "calls", "total(ms)", "self(ms)", "self%");
-  out += line;
-  const double attributed =
-      report.attributed_ns > 0 ? static_cast<double>(report.attributed_ns)
-                               : 1.0;
-  std::size_t shown = 0;
-  for (const PhaseStat& p : report.phases) {
-    if (shown++ >= n) break;
-    std::snprintf(line, sizeof(line), "%-36s %10llu %12.2f %12.2f %6.1f\n",
-                  p.name.c_str(), static_cast<unsigned long long>(p.count),
-                  to_ms(p.total_ns), to_ms(p.self_ns),
-                  100.0 * static_cast<double>(p.self_ns) / attributed);
-    out += line;
-  }
-  std::snprintf(line, sizeof(line),
-                "attributed %.2f ms over %llu scopes "
-                "(est. profiler overhead %.2f ms)\n",
-                to_ms(report.attributed_ns),
-                static_cast<unsigned long long>(report.scopes),
-                to_ms(report.overhead_ns_est));
-  out += line;
-  return out;
-}
 
 std::string profile_to_folded(const ProfileReport& report) {
   std::string out;

@@ -8,7 +8,8 @@
 // state/flush — so optimization work knows what to attack. Because wall
 // time is inherently nondeterministic, profiler output is kept strictly
 // OUT of the metrics registry, the tracer and every fingerprinted export;
-// it only ever reaches the BENCH_*.profile.json / *.folded sidecars.
+// it only ever reaches perfbench's traced-episode files
+// (`--profile-out`: <episode>.json + <episode>.json.folded).
 //
 // Design constraints (DESIGN.md §13):
 //   - Never perturb determinism. A scope reads the clock and writes to a
@@ -89,8 +90,9 @@ class Profiler {
   Profiler& operator=(const Profiler&) = delete;
 
   /// The process-wide profiler every instrumentation site records into.
-  /// Deliberately leaked (like SigCache) so scopes in static destructors
-  /// (bench ObsExporter flush) never observe a dead instance.
+  /// Deliberately leaked (like SigCache) so a scope closing during static
+  /// destruction (a global whose destructor runs instrumented code) never
+  /// observes a dead instance.
   [[nodiscard]] static Profiler& instance();
 
   /// Intern `name`, returning a stable id. Thread-safe; call at wiring
@@ -201,10 +203,6 @@ class ProfileScope {
 
 // ------------------------------------------------------------- exporters
 // (Profiler output never joins the deterministic exports in export.hpp.)
-
-/// Human-readable hotspot table of the top `n` phases by self time.
-[[nodiscard]] std::string profile_top_table(const ProfileReport& report,
-                                            std::size_t n = 10);
 
 /// Folded-stack format ("a;b;c <self_ns>" per line), directly consumable
 /// by flamegraph.pl / inferno / speedscope.

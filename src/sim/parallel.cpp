@@ -109,7 +109,6 @@ bool ParallelExecutor::drain_exclusive(Time bound, std::size_t& ran) {
 
 std::size_t ParallelExecutor::parallel_pass(Time w_end, bool inclusive) {
   const std::size_t lane_count = sched_.lanes_.size();
-  if (lane_events_.size() < lane_count) lane_events_.resize(lane_count, 0);
   if (lane_wall_ns_.size() < lane_count) lane_wall_ns_.resize(lane_count, 0);
   // Driver-side pre-scan: find the lanes that actually have runnable work.
   // Dispatching the pool for a window where at most one lane runs pays the
@@ -133,17 +132,12 @@ std::size_t ParallelExecutor::parallel_pass(Time w_end, bool inclusive) {
     // Inline path: identical semantics, no thread handoff. Lane order is
     // irrelevant for the result (lanes are independent within a window).
     if (active == 1) {
-      const std::size_t n = run_lane_window(*sched_.lanes_[last_active],
-                                            w_end, inclusive, last_active);
-      lane_events_[last_active] += n;
-      return n;
+      return run_lane_window(*sched_.lanes_[last_active], w_end, inclusive,
+                             last_active);
     }
     std::size_t ran = 0;
     for (std::size_t i = 1; i < lane_count; ++i) {
-      const std::size_t n =
-          run_lane_window(*sched_.lanes_[i], w_end, inclusive, i);
-      lane_events_[i] += n;
-      ran += n;
+      ran += run_lane_window(*sched_.lanes_[i], w_end, inclusive, i);
     }
     return ran;
   }
@@ -216,10 +210,7 @@ void ParallelExecutor::process_lanes(std::size_t part) {
   // warm in its owner's cache across windows.
   std::size_t ran = 0;
   for (std::size_t i = 1 + part; i < lane_count_; i += threads_) {
-    const std::size_t n =
-        run_lane_window(*sched_.lanes_[i], window_end_, inclusive_, i);
-    lane_events_[i] += n;
-    ran += n;
+    ran += run_lane_window(*sched_.lanes_[i], window_end_, inclusive_, i);
   }
   if (ran > 0) window_ran_.fetch_add(ran, std::memory_order_relaxed);
 }

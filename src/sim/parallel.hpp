@@ -55,18 +55,12 @@ class ParallelExecutor {
   [[nodiscard]] std::uint64_t windows() const { return windows_; }
   [[nodiscard]] std::uint64_t dispatches() const { return dispatches_; }
 
-  /// Diagnostics: events run per lane (index = lane/domain id). Useful to
-  /// spot load imbalance — the root lane typically dominates.
-  [[nodiscard]] const std::vector<std::uint64_t>& lane_events() const {
-    return lane_events_;
-  }
-
   /// Diagnostics: wall-clock ns spent executing each lane's events
-  /// (index = lane/domain id; [0] = the exclusive driver lane). Same
-  /// write discipline as lane_events(): one sticky owner per lane, read
-  /// from driver context. Cheap per-domain cost attribution for the
-  /// profiler sidecars; values are wall time and therefore NOT part of
-  /// any deterministic export.
+  /// (index = lane/domain id; [0] = the exclusive driver lane), recorded
+  /// only while the Profiler is enabled. Each lane is written by its sticky
+  /// owner and read from driver context. Per-lane busy time for perfbench's
+  /// traced episodes; values are wall time and therefore NOT part of any
+  /// deterministic export.
   [[nodiscard]] const std::vector<std::int64_t>& lane_wall_ns() const {
     return lane_wall_ns_;
   }
@@ -110,7 +104,6 @@ class ParallelExecutor {
   std::uint64_t dispatches_ = 0;
   /// Written once per (window, lane) by the lane's sticky owner; sized on
   /// the driver thread before dispatch.
-  std::vector<std::uint64_t> lane_events_;
   std::vector<std::int64_t> lane_wall_ns_;
   /// Interned "scheduler/dispatch" phase (obs profiler; see DESIGN.md §13).
   obs::PhaseId dispatch_phase_;

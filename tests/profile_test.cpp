@@ -206,11 +206,6 @@ TEST(ProfileExport, TableFoldedAndJsonAreWellFormed) {
   }
   const obs::ProfileReport report = prof.report();
 
-  const std::string table = obs::profile_top_table(report, 5);
-  EXPECT_NE(table.find("scheduler/dispatch"), std::string::npos);
-  EXPECT_NE(table.find("chain/execute"), std::string::npos);
-  EXPECT_NE(table.find("attributed"), std::string::npos);
-
   const std::string folded = obs::profile_to_folded(report);
   // Exactly two stacks: the root and the nested path, 'name ns' per line.
   EXPECT_NE(folded.find("scheduler/dispatch "), std::string::npos);
@@ -260,6 +255,48 @@ TEST(ProfileDeterminism, ExportsAreByteIdenticalWithProfilingToggled) {
   const std::string with_profiler = run(true);
   const std::string without_profiler = run(false);
   EXPECT_EQ(with_profiler, without_profiler);
+}
+
+// perfbench's traced per-layer table reads the executor's diagnostics
+// (windows, pool dispatches, per-lane busy wall time); they must count what
+// they claim and stay zero while the profiler is off.
+TEST(ExecutorDiagnostics, WindowsDispatchesAndLaneWallTime) {
+  runtime::TreeSpec spec;
+  spec.params.checkpoint_period = 5;
+  spec.engine.block_time = 100 * sim::kMillisecond;
+  spec.engine.timeout_base = 300 * sim::kMillisecond;
+  runtime::TreeSpec root = spec;
+  root.params.name = "root";
+  for (const char* name : {"a", "b"}) {
+    spec.name = name;
+    spec.params.name = name;
+    root.children.push_back(spec);
+  }
+  for (const bool profiled : {false, true}) {
+    SCOPED_TRACE(profiled ? "profiler enabled" : "profiler disabled");
+    obs::Profiler::instance().set_enabled(profiled);
+    runtime::HierarchyConfig cfg;
+    cfg.seed = 20261018;
+    cfg.threads = 2;
+    runtime::Hierarchy h(cfg, root);
+    h.run_for(2 * sim::kSecond);
+    obs::Profiler::instance().set_enabled(true);
+
+    const sim::ParallelExecutor& ex = h.executor();
+    EXPECT_GT(ex.dispatches(), 0u);
+    EXPECT_GE(ex.windows(), ex.dispatches());
+    const std::vector<std::int64_t>& wall = ex.lane_wall_ns();
+    ASSERT_EQ(wall.size(), h.scheduler().domain_count());
+    ASSERT_EQ(h.subnets().size(), 3u);
+    if (!profiled) {
+      for (const std::int64_t ns : wall) EXPECT_EQ(ns, 0);
+      continue;
+    }
+    // Every subnet lane produced blocks, so every one of them was busy.
+    for (const auto& s : h.subnets()) {
+      EXPECT_GT(wall.at(s->domain), 0) << s->id.to_string();
+    }
+  }
 }
 
 }  // namespace
