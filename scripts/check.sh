@@ -136,7 +136,8 @@ ctest --test-dir "$TSAN_DIR" --output-on-failure -R '^ByzantineSmoke\.'
 # single-threaded first.
 cmake -B "$PERF_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$PERF_DIR" -j "$(nproc)" --target bench_fig1_scaling \
-  --target bench_overload --target bench_recovery --target bench_hotpath
+  --target bench_overload --target bench_recovery --target bench_hotpath \
+  --target bench_tab1_consensus
 
 PERF_OUT="$PERF_DIR/perf-gate"
 rm -rf "$PERF_OUT" && mkdir -p "$PERF_OUT"
@@ -172,6 +173,14 @@ python3 scripts/bench_diff.py \
 (cd "$PERF_OUT" && ../bench/bench_hotpath --threads 1)
 python3 scripts/bench_diff.py \
   BENCH_hotpath.json "$PERF_OUT/BENCH_hotpath.metrics.json"
+
+# Consensus-engine gate (DESIGN.md §3): the tab1 rows run every engine
+# (PoA, power lottery, Tendermint, rrBFT) at 4 and 16 validators under
+# saturating load; bench_diff holds committed work, event count, commit
+# p99 and arena demand per engine to the committed baseline.
+(cd "$PERF_OUT" && ../bench/bench_tab1_consensus --threads 1)
+python3 scripts/bench_diff.py \
+  BENCH_tab1.json "$PERF_OUT/BENCH_tab1_consensus.metrics.json"
 
 # City-scale memory gate (DESIGN.md §17): the full 1111-subnet / 10⁶-
 # account boot plus the 85-subnet trim. bench_diff holds the deterministic

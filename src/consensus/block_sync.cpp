@@ -16,27 +16,33 @@ bool BlockSync::owns(const WireMsg& msg) {
          (msg.kind == WireKind::kAck && msg.block_cid.is_null());
 }
 
-BlockSync::Committed BlockSync::on_message(const WireMsg& msg) {
+std::size_t BlockSync::on_message(const WireMsg& msg) {
   if (msg.kind == WireKind::kAck) {
     // A peer (validator or observer) is missing blocks from msg.height on.
     serve(msg.height);
-    return {};
+    return 0;
   }
-  if (msg.height <= ctx_.source->head_height()) return {};  // already have it
-  if (!verify_proof_(msg.height, msg.block_cid, msg.extra)) return {};
-  return offer(msg, msg.extra, /*relayed=*/true);
+  return buffer(msg, msg.extra, /*verify=*/true, /*relayed=*/true);
 }
 
-BlockSync::Committed BlockSync::offer(const WireMsg& msg, Bytes proof,
-                                      bool relayed) {
+std::size_t BlockSync::offer(const WireMsg& msg, Bytes proof, bool verify) {
+  return buffer(msg, std::move(proof), verify, /*relayed=*/false);
+}
+
+std::size_t BlockSync::buffer(const WireMsg& msg, Bytes proof, bool verify,
+                              bool relayed) {
   const chain::Epoch head = ctx_.source->head_height();
-  if (msg.height <= head) return {};
+  if (msg.height <= head) return 0;  // already have it
+  auto block = decode<chain::Block>(msg.block);
+  if (!block || block.value().cid() != msg.block_cid) return 0;
+  if (verify &&
+      !verify_proof_(msg.height, msg.block_cid, block.value(), proof)) {
+    return 0;
+  }
   if (msg.height > head + kMaxAhead) {
     request();
-    return {};
+    return 0;
   }
-  auto block = decode<chain::Block>(msg.block);
-  if (!block || block.value().cid() != msg.block_cid) return {};
   // Last arrival wins: every copy of a height carries a verified proof.
   pending_[msg.height] =
       Pending{std::move(block).value(), std::move(proof), relayed};
@@ -68,8 +74,8 @@ void BlockSync::serve(chain::Epoch from) {
   }
 }
 
-BlockSync::Committed BlockSync::drain() {
-  Committed out;
+std::size_t BlockSync::drain() {
+  std::size_t committed = 0;
   for (;;) {
     auto it = pending_.find(ctx_.source->head_height() + 1);
     if (it == pending_.end()) break;
@@ -82,13 +88,17 @@ BlockSync::Committed BlockSync::drain() {
           << "sync: rejecting block: " << ok.error().to_string();
       continue;
     }
-    ++out.blocks;
-    out.relayed = out.relayed || p.relayed;
+    ++committed;
+    if (p.relayed) hold_until_ = ctx_.scheduler->now() + 5 * block_time_;
     ctx_.source->commit_block(std::move(p.block), std::move(p.proof));
   }
   const chain::Epoch head = ctx_.source->head_height();
   std::erase_if(pending_, [&](const auto& kv) { return kv.first <= head; });
-  return out;
+  return committed;
+}
+
+bool BlockSync::holding() const {
+  return ctx_.scheduler->now() < hold_until_;
 }
 
 void BlockSync::commit_and_announce(const chain::Block& block,

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
+#include "crypto/sigcache.hpp"
+
 namespace hc::consensus {
 
 namespace {
@@ -44,7 +46,14 @@ std::vector<std::size_t> PowerLottery::rank_validators(
 }
 
 PowerLottery::PowerLottery(EngineContext context, EngineConfig config)
-    : ctx_(std::move(context)), cfg_(config), metrics_(ctx_, "power-lottery") {}
+    : ctx_(std::move(context)),
+      cfg_(config),
+      metrics_(ctx_, "power-lottery"),
+      sync_(ctx_, cfg_.block_time, metrics_,
+            [this](chain::Epoch height, const Cid& cid,
+                   const chain::Block& block, BytesView proof) {
+              return verify_proof(height, cid, block, proof);
+            }) {}
 
 void PowerLottery::start() {
   running_ = true;
@@ -55,7 +64,10 @@ void PowerLottery::start() {
   }
   slot_start_ = ctx_.scheduler->now();
   slot_height_ = ctx_.source->head_height() + 1;
-  // Poll at half-block granularity: drives both leading and fallbacks.
+  // A restarted miner may be far behind, and the chain never stalls to
+  // tell it so: ask at once instead of mining at a stale height.
+  sync_.request();
+  // Poll at quarter-block granularity: drives both leading and fallbacks.
   timer_ = ctx_.scheduler->schedule(cfg_.block_time, [this] { tick(); });
 }
 
@@ -79,6 +91,9 @@ void PowerLottery::maybe_propose() {
     slot_start_ = ctx_.scheduler->now();
   }
   if (proposed_height_ >= next) return;
+  // Behind the chain: a relayed copy committed lately, or a block above
+  // head+1 is waiting for the gap to fill.
+  if (sync_.holding() || sync_.buffered() > 0) return;
 
   const auto order =
       rank_validators(ctx_.validators, ctx_.source->head_cid(), next);
@@ -115,7 +130,7 @@ void PowerLottery::maybe_propose() {
                               encode(block), ctx_.key);
   ctx_.network->publish(ctx_.node, ctx_.topic, encode(msg));
   ctx_.source->commit_block(std::move(block), encode(msg.signature));
-  try_commit_pending();
+  sync_.drain();
 }
 
 void PowerLottery::on_message(net::NodeId from, const net::Envelope& payload) {
@@ -123,46 +138,36 @@ void PowerLottery::on_message(net::NodeId from, const net::Envelope& payload) {
   if (!running_) return;
   obs::ProfileScope prof(metrics_.step_phase());
   auto decoded = payload.decoded<WireMsg>();
-  if (!decoded || decoded.value()->kind != WireKind::kBlock) return;
+  if (!decoded) return;
   WireMsg msg = *decoded.value();  // shared decode, private mutable copy
-  if (!msg.verify()) return;
-  auto block_r = decode<chain::Block>(msg.block);
-  if (!block_r || block_r.value().cid() != msg.block_cid) return;
-  chain::Block block = std::move(block_r).value();
-
-  // The miner must be a validator and hold the rank claimed in the ticket.
-  const auto idx = ctx_.validators.index_of(msg.sender);
-  if (!idx.has_value()) return;
-  if (block.header.miner != Address::key(msg.sender.to_bytes())) return;
-  if (msg.height <= ctx_.source->head_height()) return;
-
-  pending_[msg.height] = std::move(block);
-  try_commit_pending();
+  if (!msg.verify() || !BlockSync::owns(msg)) return;
+  if (msg.kind == WireKind::kBlock && msg.extra.empty()) {
+    // Straight from its miner: the gossip signature is the proof.
+    sync_.offer(msg, encode(msg.signature), /*verify=*/true);
+  } else {
+    sync_.on_message(msg);
+  }
 }
 
-void PowerLottery::try_commit_pending() {
-  for (;;) {
-    const chain::Epoch next = ctx_.source->head_height() + 1;
-    auto it = pending_.find(next);
-    if (it == pending_.end()) break;
-    chain::Block block = std::move(it->second);
-    pending_.erase(it);
-    if (block.header.parent != ctx_.source->head_cid()) continue;
-    // Verify the claimed lottery rank against the deterministic draw.
-    const auto order =
-        rank_validators(ctx_.validators, block.header.parent, next);
-    Decoder d(block.header.ticket);
-    auto rank = d.varint();
-    if (!rank || rank.value() >= order.size()) continue;
-    const auto& claimed =
-        ctx_.validators.members()[order[static_cast<std::size_t>(
-            rank.value())]];
-    if (block.header.miner != claimed.address()) continue;
-    if (!ctx_.source->validate_block(block)) continue;
-    ctx_.source->commit_block(std::move(block), {});
-  }
-  const chain::Epoch head = ctx_.source->head_height();
-  std::erase_if(pending_, [&](const auto& kv) { return kv.first <= head; });
+bool PowerLottery::verify_proof(chain::Epoch height, const Cid& block_cid,
+                                const chain::Block& block,
+                                BytesView proof) const {
+  const auto order = rank_validators(ctx_.validators, block.header.parent,
+                                     height);
+  Decoder d(block.header.ticket);
+  auto rank = d.varint();
+  if (!rank || rank.value() >= order.size()) return false;
+  const Validator& miner =
+      ctx_.validators.members()[order[static_cast<std::size_t>(rank.value())]];
+  if (block.header.miner != miner.address()) return false;
+  auto sig = decode<crypto::Signature>(proof);
+  // A fresh block's proof is the signature its gossip copy carried, which
+  // msg.verify() just checked, so this is a SigCache hit.
+  return sig &&
+         crypto::verify_cached(miner.key,
+                               WireMsg::signing_payload(WireKind::kBlock,
+                                                        height, 0, block_cid),
+                               sig.value());
 }
 
 }  // namespace hc::consensus

@@ -2,15 +2,15 @@
 //
 // Substitution for Filecoin EC (see DESIGN.md §2): each height draws a
 // verifiable, deterministic leader ranking from H(prev_cid, height, key)
-// weighted by validator power. Rank 0 proposes immediately; rank r acts as
-// a fallback after r * (block_time / 2) of silence, so the chain keeps a
-// steady cadence even with offline miners. Followers verify that the miner
-// really holds the rank it claims. Finality is probabilistic (depth-based),
-// like the PoW/PoS chains this models.
+// weighted by validator power. Rank 0 proposes one block time into the
+// height's slot; rank r steps in r block times later, so the chain keeps a
+// steady cadence even with offline miners. Every block, fresh or relayed,
+// goes through BlockSync; the proof it checks is the miner's signature plus
+// the rank the miner claims in the ticket. Finality is probabilistic
+// (depth-based), like the PoW/PoS chains this models.
 #pragma once
 
-#include <map>
-
+#include "consensus/block_sync.hpp"
 #include "consensus/engine.hpp"
 #include "consensus/wire.hpp"
 #include "crypto/u256.hpp"
@@ -52,15 +52,20 @@ class PowerLottery final : public Engine {
  private:
   void tick();
   void maybe_propose();
-  void try_commit_pending();
+  /// BlockSync hook: `proof` is the miner's signature over the block, and
+  /// the miner holds the rank its ticket claims in the draw over the
+  /// block's own parent.
+  [[nodiscard]] bool verify_proof(chain::Epoch height, const Cid& block_cid,
+                                  const chain::Block& block,
+                                  BytesView proof) const;
 
   EngineContext ctx_;
   EngineConfig cfg_;
   EngineMetrics metrics_;
+  BlockSync sync_;
   bool running_ = false;
   sim::EventId timer_ = 0;
   chain::Epoch proposed_height_ = 0;
-  std::map<chain::Epoch, chain::Block> pending_;
   /// Simulated-time moment the current height's slot started.
   sim::Time slot_start_ = 0;
   chain::Epoch slot_height_ = 0;

@@ -9,7 +9,8 @@ PoaRoundRobin::PoaRoundRobin(EngineContext context, EngineConfig config)
       cfg_(config),
       metrics_(ctx_, "poa-round-robin"),
       sync_(ctx_, cfg_.block_time, metrics_,
-            [this](chain::Epoch height, const Cid& cid, BytesView proof) {
+            [this](chain::Epoch height, const Cid& cid, const chain::Block&,
+                   BytesView proof) {
               return verify_proof(height, cid, proof);
             }) {}
 
@@ -45,8 +46,7 @@ void PoaRoundRobin::tick() {
     stalled_ticks_ = 0;
   }
   const chain::Epoch next = ctx_.source->head_height() + 1;
-  if (next > last_produced_ &&
-      ctx_.scheduler->now() >= no_produce_before_ &&
+  if (next > last_produced_ && !sync_.holding() &&
       ctx_.validators.leader(next).key == ctx_.key.public_key()) {
     last_produced_ = next;
     if (ctx_.votes != nullptr) {
@@ -62,7 +62,7 @@ void PoaRoundRobin::tick() {
     ctx_.network->publish(ctx_.node, ctx_.topic, encode(msg));
     // The leader commits its own block directly.
     ctx_.source->commit_block(std::move(block), encode(msg.signature));
-    hold_production(sync_.drain());
+    sync_.drain();
   }
   timer_ = ctx_.scheduler->schedule(cfg_.block_time, [this] { tick(); });
 }
@@ -79,10 +79,9 @@ void PoaRoundRobin::on_message(net::NodeId from,
   if (msg.kind == WireKind::kBlock &&
       ctx_.validators.leader(msg.height).key == msg.sender) {
     // Straight from the height's leader: its own signature is the proof.
-    hold_production(
-        sync_.offer(msg, encode(msg.signature), /*relayed=*/false));
+    sync_.offer(msg, encode(msg.signature), /*verify=*/false);
   } else {
-    hold_production(sync_.on_message(msg));
+    sync_.on_message(msg);
   }
 }
 
@@ -96,13 +95,6 @@ bool PoaRoundRobin::verify_proof(chain::Epoch height, const Cid& block_cid,
                                WireMsg::signing_payload(WireKind::kBlock,
                                                         height, 0, block_cid),
                                sig.value());
-}
-
-void PoaRoundRobin::hold_production(BlockSync::Committed committed) {
-  // The window covers the stall-detection delay plus a serve round trip.
-  if (committed.relayed) {
-    no_produce_before_ = ctx_.scheduler->now() + 5 * cfg_.block_time;
-  }
 }
 
 }  // namespace hc::consensus

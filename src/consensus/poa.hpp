@@ -47,8 +47,6 @@ class PoaRoundRobin final : public Engine {
   /// block it produced.
   [[nodiscard]] bool verify_proof(chain::Epoch height, const Cid& block_cid,
                                   BytesView proof) const;
-  /// Re-arm no_produce_before_ when a sync step committed a relayed copy.
-  void hold_production(BlockSync::Committed committed);
 
   EngineContext ctx_;
   EngineConfig cfg_;
@@ -60,12 +58,6 @@ class PoaRoundRobin final : public Engine {
   /// Stall detection for catch-up requests.
   chain::Epoch last_seen_head_ = 0;
   int stalled_ticks_ = 0;
-  /// Production is suppressed until this time after committing a relayed
-  /// catch-up block: having accepted a relayed copy proves this replica is
-  /// behind, and producing for a height the true chain already holds would
-  /// fork it off permanently (PoA has no reorg). The window is re-armed on
-  /// every relayed commit, so it only expires once replay has drained.
-  sim::Time no_produce_before_ = 0;
 };
 
 }  // namespace hc::consensus

@@ -7,7 +7,8 @@ RoundRobinBft::RoundRobinBft(EngineContext context, EngineConfig config)
       cfg_(config),
       metrics_(ctx_, "round-robin-bft"),
       sync_(ctx_, cfg_.block_time, metrics_,
-            [this](chain::Epoch height, const Cid& cid, BytesView proof) {
+            [this](chain::Epoch height, const Cid& cid, const chain::Block&,
+                   BytesView proof) {
               return verify_quorum_proof(ctx_.validators, WireKind::kAck,
                                          height, cid, proof);
             }) {}
@@ -122,7 +123,7 @@ void RoundRobinBft::handle(WireMsg msg) {
   obs::ProfileScope prof(metrics_.step_phase());
   if (!msg.verify()) return;
   if (BlockSync::owns(msg)) {
-    if (sync_.on_message(msg).blocks > 0) new_height();
+    if (sync_.on_message(msg) > 0) new_height();
     return;
   }
   if (msg.height < height_) return;  // stale

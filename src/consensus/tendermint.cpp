@@ -7,7 +7,8 @@ Tendermint::Tendermint(EngineContext context, EngineConfig config)
       cfg_(config),
       metrics_(ctx_, "tendermint"),
       sync_(ctx_, cfg_.block_time, metrics_,
-            [this](chain::Epoch height, const Cid& cid, BytesView proof) {
+            [this](chain::Epoch height, const Cid& cid, const chain::Block&,
+                   BytesView proof) {
               return verify_quorum_proof(ctx_.validators,
                                          WireKind::kPrecommit, height, cid,
                                          proof);
@@ -156,7 +157,7 @@ void Tendermint::handle(WireMsg msg) {
   obs::ProfileScope prof(metrics_.step_phase());
   if (!msg.verify()) return;
   if (BlockSync::owns(msg)) {
-    if (sync_.on_message(msg).blocks > 0) new_height();
+    if (sync_.on_message(msg) > 0) new_height();
     return;
   }
   if (msg.height < height_) return;  // stale

@@ -33,6 +33,10 @@ SigCache::SigCache() {
   misses_counter();
 }
 
+std::uint64_t SigCache::hits() const { return hits_counter().value(); }
+
+std::uint64_t SigCache::misses() const { return misses_counter().value(); }
+
 SigCache& SigCache::instance() {
   static SigCache cache;
   return cache;
@@ -52,19 +56,16 @@ bool SigCache::lookup(std::uint64_t key, bool& result) const {
     std::lock_guard<std::mutex> lk(shard.m);
     if (auto it = shard.hot.find(key); it != shard.hot.end()) {
       result = it->second;
-      hits_.fetch_add(1, std::memory_order_relaxed);
       hits_counter().inc();
       return true;
     }
     if (auto it = shard.cold.find(key); it != shard.cold.end()) {
       result = it->second;
       shard.hot.emplace(key, result);  // promote: recently touched
-      hits_.fetch_add(1, std::memory_order_relaxed);
       hits_counter().inc();
       return true;
     }
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
   misses_counter().inc();
   return false;
 }
@@ -99,8 +100,6 @@ void SigCache::lookup_batch(const std::uint64_t* keys, std::size_t n,
       }
     }
   }
-  hits_.fetch_add(hits, std::memory_order_relaxed);
-  misses_.fetch_add(n - hits, std::memory_order_relaxed);
   hits_counter().inc(hits);
   misses_counter().inc(n - hits);
 }

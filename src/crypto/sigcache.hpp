@@ -16,7 +16,6 @@
 // everything at once.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
@@ -54,12 +53,10 @@ class SigCache {
   void store_batch(const std::uint64_t* keys, const std::uint8_t* results,
                    const std::uint8_t* skip, std::size_t n);
 
-  [[nodiscard]] std::uint64_t hits() const {
-    return hits_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t misses() const {
-    return misses_.load(std::memory_order_relaxed);
-  }
+  /// Lookup outcomes so far: the process-wide registry's
+  /// crypto_sigcache_{hits,misses}_total.
+  [[nodiscard]] std::uint64_t hits() const;
+  [[nodiscard]] std::uint64_t misses() const;
 
  private:
   SigCache();
@@ -80,8 +77,6 @@ class SigCache {
     return shards_[key & (kShardCount - 1)];
   }
 
-  mutable std::atomic<std::uint64_t> hits_{0};
-  mutable std::atomic<std::uint64_t> misses_{0};
   mutable Shard shards_[kShardCount];
 };
 

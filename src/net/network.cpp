@@ -108,6 +108,22 @@ Network::Network(sim::Scheduler& scheduler, sim::LatencyModel latency,
         "net_messages_dropped_total",
         obs::Labels{{"reason", to_string(static_cast<DropReason>(r))}});
   }
+  // Indexed by DropReason.
+  constexpr std::uint64_t Stats::*kDropField[kDropReasonCount] = {
+      &Stats::dropped_random_loss,    &Stats::dropped_node_down,
+      &Stats::dropped_partition,      &Stats::dropped_link_rule,
+      &Stats::dropped_node_queue_cap, &Stats::dropped_topic_queue_cap};
+  ledger_ = {{&Stats::messages_sent, m_sent_, 0},
+             {&Stats::bytes_sent, m_bytes_, 0},
+             {&Stats::bytes_physical, m_bytes_physical_, 0},
+             {&Stats::messages_delivered, m_delivered_, 0},
+             {&Stats::messages_dropped, m_dropped_, 0},
+             {&Stats::messages_duplicated, m_duplicated_, 0},
+             {&Stats::gossip_duplicates, m_duplicates_, 0}};
+  for (std::size_t r = 0; r < kDropReasonCount; ++r) {
+    ledger_.push_back({kDropField[r], m_dropped_by_reason_[r], 0});
+  }
+  reset_stats();
   rngs_.push_back(std::make_unique<sim::Rng>(seed_));  // stream for domain 0
 }
 
@@ -194,29 +210,8 @@ std::optional<DropReason> Network::transmission_drop(NodeId from, NodeId to,
 }
 
 void Network::count_drop(DropReason reason) {
-  stats_.messages_dropped.fetch_add(1, std::memory_order_relaxed);
   m_dropped_->inc();
   m_dropped_by_reason_[static_cast<std::uint8_t>(reason)]->inc();
-  switch (reason) {
-    case DropReason::kRandomLoss:
-      stats_.dropped_random_loss.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case DropReason::kNodeDown:
-      stats_.dropped_node_down.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case DropReason::kPartition:
-      stats_.dropped_partition.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case DropReason::kLinkRule:
-      stats_.dropped_link_rule.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case DropReason::kNodeQueueCap:
-      stats_.dropped_node_queue_cap.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case DropReason::kTopicQueueCap:
-      stats_.dropped_topic_queue_cap.fetch_add(1, std::memory_order_relaxed);
-      break;
-  }
 }
 
 sim::Duration Network::transmission_delay(NodeId from, NodeId to,
@@ -233,7 +228,6 @@ void Network::run_direct_delivery(NodeId to, NodeId from,
                                   const Bytes& payload) {
   Node& node = nodes_[to];
   if (node.down || !node.on_direct) return;
-  stats_.messages_delivered.fetch_add(1, std::memory_order_relaxed);
   m_delivered_->inc();
   static const obs::PhaseId deliver_phase =
       obs::Profiler::instance().phase("net/deliver");
@@ -246,7 +240,6 @@ void Network::run_gossip_delivery(NodeId to, const std::string& topic,
                                   std::uint64_t msg_id, int hops_left) {
   Node& node = nodes_[to];
   if (node.on_topic) {
-    stats_.messages_delivered.fetch_add(1, std::memory_order_relaxed);
     m_delivered_->inc();
     static const obs::PhaseId deliver_phase =
         obs::Profiler::instance().phase("net/deliver");
@@ -284,8 +277,8 @@ void Network::enqueue_delivery(NodeId to, QueuedDelivery d) {
   }
   node.queue_bytes += add;
   node.queue.push_back(std::move(d));
-  raise_peak(stats_.queue_peak_depth, node.queue.size());
-  raise_peak(stats_.queue_peak_bytes, node.queue_bytes);
+  raise_peak(queue_peak_depth_, node.queue.size());
+  raise_peak(queue_peak_bytes_, node.queue_bytes);
   if (!node.draining) {
     node.draining = true;
     scheduler_.schedule_in(node_domain(to), policy.service_time,
@@ -344,10 +337,7 @@ void Network::deliver_direct(NodeId from, NodeId to, Envelope payload,
 
 void Network::send(NodeId from, NodeId to, Bytes payload) {
   assert(from < nodes_.size() && to < nodes_.size());
-  stats_.messages_sent.fetch_add(1, std::memory_order_relaxed);
-  stats_.bytes_sent.fetch_add(payload.size(), std::memory_order_relaxed);
   // A direct send materializes exactly one copy; logical == physical here.
-  stats_.bytes_physical.fetch_add(payload.size(), std::memory_order_relaxed);
   m_sent_->inc();
   m_bytes_->inc(payload.size());
   m_bytes_physical_->inc(payload.size());
@@ -359,7 +349,6 @@ void Network::send(NodeId from, NodeId to, Bytes payload) {
   Envelope env(std::move(payload));
   deliver_direct(from, to, env, transmission_delay(from, to, fault));
   if (fault.duplicate > 0.0 && rng().chance(fault.duplicate)) {
-    stats_.messages_duplicated.fetch_add(1, std::memory_order_relaxed);
     m_duplicated_->inc();
     deliver_direct(from, to, env, transmission_delay(from, to, fault));
   }
@@ -428,7 +417,7 @@ void Network::publish(NodeId from, const std::string& topic, Bytes payload) {
   const std::size_t payload_size = payload.size();
   Envelope env(std::move(payload));  // the one materialization of this publish
   nodes_[from].seen.insert(msg_id);  // don't deliver to self later
-  raise_peak(stats_.seen_peak_entries, nodes_[from].seen.size());
+  raise_peak(seen_peak_entries_, nodes_[from].seen.size());
 
   // Initial push: to the publisher's mesh if subscribed, otherwise to a
   // random sample of subscribers (a boundary node publishing into a foreign
@@ -453,7 +442,6 @@ void Network::publish(NodeId from, const std::string& topic, Bytes payload) {
   if (!targets.empty()) {
     // Physical bytes: counted once per publish (each hop below re-counts
     // the payload as logical bytes only — the fan-out is pointer copies).
-    stats_.bytes_physical.fetch_add(payload_size, std::memory_order_relaxed);
     m_bytes_physical_->inc(payload_size);
   }
   for (NodeId peer : targets) {
@@ -475,11 +463,10 @@ void Network::schedule_gossip_hop(NodeId to, const std::string& topic,
     // consumes queue space, and marking it seen here keeps the dedup cache
     // semantics identical whether or not queueing is enabled.
     if (!node.seen.insert(msg_id)) {
-      stats_.gossip_duplicates.fetch_add(1, std::memory_order_relaxed);
       m_duplicates_->inc();
       return;
     }
-    raise_peak(stats_.seen_peak_entries, node.seen.size());
+    raise_peak(seen_peak_entries_, node.seen.size());
     if (config_.node_queue.enabled()) {
       QueuedDelivery d;
       d.is_gossip = true;
@@ -498,8 +485,6 @@ void Network::schedule_gossip_hop(NodeId to, const std::string& topic,
 void Network::gossip_deliver(NodeId from, NodeId to, const std::string& topic,
                              const Envelope& payload, NodeId origin,
                              std::uint64_t msg_id, int hops_left) {
-  stats_.messages_sent.fetch_add(1, std::memory_order_relaxed);
-  stats_.bytes_sent.fetch_add(payload.size(), std::memory_order_relaxed);
   m_sent_->inc();
   m_bytes_->inc(payload.size());
   const LinkFault fault = effective_fault(from, to);
@@ -510,7 +495,6 @@ void Network::gossip_deliver(NodeId from, NodeId to, const std::string& topic,
   schedule_gossip_hop(to, topic, payload, origin, msg_id, hops_left,
                       transmission_delay(from, to, fault));
   if (fault.duplicate > 0.0 && rng().chance(fault.duplicate)) {
-    stats_.messages_duplicated.fetch_add(1, std::memory_order_relaxed);
     m_duplicated_->inc();
     schedule_gossip_hop(to, topic, payload, origin, msg_id, hops_left,
                         transmission_delay(from, to, fault));
@@ -519,55 +503,18 @@ void Network::gossip_deliver(NodeId from, NodeId to, const std::string& topic,
 
 Network::Stats Network::stats() const {
   Stats out;
-  out.messages_sent = stats_.messages_sent.load(std::memory_order_relaxed);
-  out.bytes_sent = stats_.bytes_sent.load(std::memory_order_relaxed);
-  out.bytes_physical = stats_.bytes_physical.load(std::memory_order_relaxed);
-  out.messages_delivered =
-      stats_.messages_delivered.load(std::memory_order_relaxed);
-  out.messages_dropped =
-      stats_.messages_dropped.load(std::memory_order_relaxed);
-  out.dropped_random_loss =
-      stats_.dropped_random_loss.load(std::memory_order_relaxed);
-  out.dropped_node_down =
-      stats_.dropped_node_down.load(std::memory_order_relaxed);
-  out.dropped_partition =
-      stats_.dropped_partition.load(std::memory_order_relaxed);
-  out.dropped_link_rule =
-      stats_.dropped_link_rule.load(std::memory_order_relaxed);
-  out.dropped_node_queue_cap =
-      stats_.dropped_node_queue_cap.load(std::memory_order_relaxed);
-  out.dropped_topic_queue_cap =
-      stats_.dropped_topic_queue_cap.load(std::memory_order_relaxed);
-  out.messages_duplicated =
-      stats_.messages_duplicated.load(std::memory_order_relaxed);
-  out.gossip_duplicates =
-      stats_.gossip_duplicates.load(std::memory_order_relaxed);
-  out.queue_peak_depth =
-      stats_.queue_peak_depth.load(std::memory_order_relaxed);
-  out.queue_peak_bytes =
-      stats_.queue_peak_bytes.load(std::memory_order_relaxed);
-  out.seen_peak_entries =
-      stats_.seen_peak_entries.load(std::memory_order_relaxed);
+  for (const Ledger& e : ledger_) out.*e.field = e.counter->value() - e.base;
+  out.queue_peak_depth = queue_peak_depth_.load(std::memory_order_relaxed);
+  out.queue_peak_bytes = queue_peak_bytes_.load(std::memory_order_relaxed);
+  out.seen_peak_entries = seen_peak_entries_.load(std::memory_order_relaxed);
   return out;
 }
 
 void Network::reset_stats() {
-  stats_.messages_sent.store(0, std::memory_order_relaxed);
-  stats_.bytes_sent.store(0, std::memory_order_relaxed);
-  stats_.bytes_physical.store(0, std::memory_order_relaxed);
-  stats_.messages_delivered.store(0, std::memory_order_relaxed);
-  stats_.messages_dropped.store(0, std::memory_order_relaxed);
-  stats_.dropped_random_loss.store(0, std::memory_order_relaxed);
-  stats_.dropped_node_down.store(0, std::memory_order_relaxed);
-  stats_.dropped_partition.store(0, std::memory_order_relaxed);
-  stats_.dropped_link_rule.store(0, std::memory_order_relaxed);
-  stats_.dropped_node_queue_cap.store(0, std::memory_order_relaxed);
-  stats_.dropped_topic_queue_cap.store(0, std::memory_order_relaxed);
-  stats_.messages_duplicated.store(0, std::memory_order_relaxed);
-  stats_.gossip_duplicates.store(0, std::memory_order_relaxed);
-  stats_.queue_peak_depth.store(0, std::memory_order_relaxed);
-  stats_.queue_peak_bytes.store(0, std::memory_order_relaxed);
-  stats_.seen_peak_entries.store(0, std::memory_order_relaxed);
+  for (Ledger& e : ledger_) e.base = e.counter->value();
+  queue_peak_depth_.store(0, std::memory_order_relaxed);
+  queue_peak_bytes_.store(0, std::memory_order_relaxed);
+  seen_peak_entries_.store(0, std::memory_order_relaxed);
 }
 
 void Network::set_node_down(NodeId node, bool down) {

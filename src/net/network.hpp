@@ -13,8 +13,8 @@
 // per-message drop probability, node crash/down flags, named partitions,
 // and per-link / per-node fault rules that drop, delay, duplicate and
 // reorder individual transmissions. Every drop is attributed to a reason in
-// both Stats and the metrics registry, so chaos runs can tell random loss
-// from partitions from gray links.
+// the metrics registry, which Stats reads, so chaos runs can tell random
+// loss from partitions from gray links.
 // Parallel execution (DESIGN.md §11): transmissions run inside a node's
 // event lane; deliveries are scheduled into the destination node's lane
 // (crossing lanes through the scheduler's outbox/barrier machinery), fault
@@ -258,10 +258,13 @@ class Network {
              dropped_link_rule;
     }
   };
-  /// Snapshot of the (internally atomic) transport counters. Sums are
+  /// Snapshot of the transport counters: the registry counters' deltas
+  /// since construction or reset_stats(), plus the peaks. Sums are
   /// order-insensitive, so snapshots taken outside windows are identical
   /// across worker counts.
   [[nodiscard]] Stats stats() const;
+  /// Restart every Stats sum and peak from zero (the registry counters,
+  /// being monotonic, keep counting).
   void reset_stats();
 
   /// Current delivery-queue occupancy of one node (0 when queueing is
@@ -398,28 +401,6 @@ class Network {
                            const Envelope& payload, NodeId origin,
                            std::uint64_t msg_id, int hops_left);
 
-  /// Stats mirror with atomic fields; updated from worker lanes.
-  struct AtomicStats {
-    std::atomic<std::uint64_t> messages_sent{0};
-    std::atomic<std::uint64_t> bytes_sent{0};
-    std::atomic<std::uint64_t> bytes_physical{0};
-    std::atomic<std::uint64_t> messages_delivered{0};
-    std::atomic<std::uint64_t> messages_dropped{0};
-    std::atomic<std::uint64_t> dropped_random_loss{0};
-    std::atomic<std::uint64_t> dropped_node_down{0};
-    std::atomic<std::uint64_t> dropped_partition{0};
-    std::atomic<std::uint64_t> dropped_link_rule{0};
-    std::atomic<std::uint64_t> dropped_node_queue_cap{0};
-    std::atomic<std::uint64_t> dropped_topic_queue_cap{0};
-    std::atomic<std::uint64_t> messages_duplicated{0};
-    std::atomic<std::uint64_t> gossip_duplicates{0};
-    // CAS-max high-water marks; max is order-insensitive, so these stay
-    // identical across worker counts just like the sums.
-    std::atomic<std::uint64_t> queue_peak_depth{0};
-    std::atomic<std::uint64_t> queue_peak_bytes{0};
-    std::atomic<std::uint64_t> seen_peak_entries{0};
-  };
-
   sim::Scheduler& scheduler_;
   sim::LatencyModel latency_;
   std::uint64_t seed_;
@@ -442,10 +423,15 @@ class Network {
   // Gossip message ids are compared only for equality among copies of one
   // publish, so a racy-but-unique atomic counter is sufficient.
   std::atomic<std::uint64_t> next_msg_seq_{0};
-  AtomicStats stats_;
+  // CAS-max high-water marks behind Stats' peaks; max is order-insensitive,
+  // so these stay identical across worker counts just like the sums.
+  std::atomic<std::uint64_t> queue_peak_depth_{0};
+  std::atomic<std::uint64_t> queue_peak_bytes_{0};
+  std::atomic<std::uint64_t> seen_peak_entries_{0};
 
   obs::Obs* obs_;  // never null (defaults to &obs::default_obs())
-  // Registry-backed mirrors of Stats, resolved once at construction.
+  // The registry counters every Stats sum reads, resolved once at
+  // construction.
   obs::Counter* m_sent_;
   obs::Counter* m_bytes_;
   obs::Counter* m_bytes_physical_;
@@ -454,6 +440,15 @@ class Network {
   obs::Counter* m_dropped_by_reason_[kDropReasonCount];
   obs::Counter* m_duplicated_;
   obs::Counter* m_duplicates_;
+  /// One Stats sum: its field, the counter it reads and that counter's
+  /// value at construction or the last reset_stats(). The registry may be
+  /// shared with other networks, so a sum is the delta since then.
+  struct Ledger {
+    std::uint64_t Stats::*field;
+    const obs::Counter* counter;
+    std::uint64_t base;
+  };
+  std::vector<Ledger> ledger_;
   obs::Histogram* h_direct_latency_;
   obs::Histogram* h_gossip_latency_;
 };

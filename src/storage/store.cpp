@@ -2,8 +2,6 @@
 
 namespace hc::storage {
 
-// ------------------------------------------------------------ ContentStore
-
 void ContentStore::set_policy(common::CapacityPolicy policy) {
   policy_ = policy;
   make_room(0, 0);
@@ -86,68 +84,6 @@ std::shared_ptr<const Bytes> ContentStore::get_shared(const Cid& cid) const {
   auto it = blobs_.find(cid);
   if (it == blobs_.end()) return nullptr;
   return it->second;
-}
-
-// ---------------------------------------------------------------- KvStore
-
-void KvStore::set_policy(common::CapacityPolicy policy) {
-  policy_ = policy;
-  make_room(0, 0);
-  shed_.observe(entries_.size(), total_bytes_);
-}
-
-void KvStore::make_room(std::size_t incoming_bytes,
-                        std::size_t incoming_items) {
-  if (!policy_.bounded()) return;
-  while (!order_.empty() &&
-         ((policy_.max_items > 0 &&
-           entries_.size() + incoming_items > policy_.max_items) ||
-          (policy_.max_bytes > 0 &&
-           total_bytes_ + incoming_bytes > policy_.max_bytes))) {
-    const Bytes victim = order_.front();
-    order_.pop_front();
-    auto it = entries_.find(victim);
-    if (it == entries_.end()) continue;  // erased earlier; stale order entry
-    total_bytes_ -= it->first.size() + it->second.size();
-    entries_.erase(it);
-    shed_.count(common::ShedReason::kEvicted);
-  }
-}
-
-void KvStore::put(const Bytes& key, Bytes value) {
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    total_bytes_ -= it->second.size();
-    total_bytes_ += value.size();
-    it->second = std::move(value);
-    shed_.observe(entries_.size(), total_bytes_);
-    return;
-  }
-  const std::size_t bytes = key.size() + value.size();
-  make_room(bytes, 1);
-  if (policy_.max_bytes > 0 && bytes > policy_.max_bytes) {
-    shed_.count(common::ShedReason::kByteCap);
-    return;
-  }
-  entries_.emplace(key, std::move(value));
-  order_.push_back(key);
-  total_bytes_ += bytes;
-  shed_.observe(entries_.size(), total_bytes_);
-}
-
-std::optional<Bytes> KvStore::get(const Bytes& key) const {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) return std::nullopt;
-  return it->second;
-}
-
-bool KvStore::has(const Bytes& key) const { return entries_.contains(key); }
-
-void KvStore::erase(const Bytes& key) {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) return;
-  total_bytes_ -= it->first.size() + it->second.size();
-  entries_.erase(it);  // order_ entry goes stale; make_room skips it
 }
 
 }  // namespace hc::storage

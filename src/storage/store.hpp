@@ -1,11 +1,11 @@
-// Content-addressable and key-value storage.
+// Content-addressable storage.
 //
 // The CAS backs the paper's content-resolution registry (§IV-C: "the subnet
 // SCA ... keeps a registry with all CIDs for CrossMsgMetas propagated (i.e.,
 // a content-addressable key-value store)"), block/checkpoint stores, and
 // the atomic-execution state exchange.
 //
-// Both stores accept an optional common::CapacityPolicy (DESIGN.md §14):
+// The store accepts an optional common::CapacityPolicy (DESIGN.md §14):
 // when bounded, admission past the cap evicts the OLDEST resident (stable
 // insertion order, so eviction is deterministic) and the displacement is
 // accounted in a reason-labelled ShedStats ledger. CAS entries are safe to
@@ -69,40 +69,6 @@ class ContentStore {
   // decoded object (zero-copy put) and outlive eviction via get_shared().
   std::unordered_map<Cid, std::shared_ptr<const Bytes>> blobs_;
   std::deque<Cid> order_;  // insertion order; front = eviction candidate
-  std::size_t total_bytes_ = 0;
-  common::CapacityPolicy policy_;
-  common::ShedStats shed_;
-};
-
-/// Simple byte-keyed KV store with string-namespaced views.
-class KvStore {
- public:
-  void put(const Bytes& key, Bytes value);
-  [[nodiscard]] std::optional<Bytes> get(const Bytes& key) const;
-  [[nodiscard]] bool has(const Bytes& key) const;
-  void erase(const Bytes& key);
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
-  [[nodiscard]] std::size_t total_bytes() const { return total_bytes_; }
-
-  /// Install a capacity cap (0 fields = unbounded); trims immediately.
-  void set_policy(common::CapacityPolicy policy);
-  [[nodiscard]] const common::CapacityPolicy& policy() const {
-    return policy_;
-  }
-  [[nodiscard]] const common::ShedStats& shed_stats() const { return shed_; }
-
- private:
-  struct BytesHash {
-    std::size_t operator()(const Bytes& b) const noexcept {
-      std::size_t h = 1469598103934665603ull;
-      for (std::uint8_t c : b) h = (h ^ c) * 1099511628211ull;
-      return h;
-    }
-  };
-  void make_room(std::size_t incoming_bytes, std::size_t incoming_items);
-
-  std::unordered_map<Bytes, Bytes, BytesHash> entries_;
-  std::deque<Bytes> order_;  // insertion order; front = eviction candidate
   std::size_t total_bytes_ = 0;
   common::CapacityPolicy policy_;
   common::ShedStats shed_;

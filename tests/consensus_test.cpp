@@ -440,7 +440,8 @@ struct SyncRig {
       : ctx(make_context()),
         metrics(ctx, "sync-test"),
         sync(ctx, 100 * sim::kMillisecond, metrics,
-             [this](chain::Epoch h, const Cid& cid, BytesView proof) {
+             [this](chain::Epoch h, const Cid& cid, const chain::Block&,
+                    BytesView proof) {
                auto sig = decode<crypto::Signature>(proof);
                return sig &&
                       crypto::verify(authority.public_key(),
@@ -503,9 +504,9 @@ TEST(BlockSync, ReverseOrderCommitsInOrder) {
     EXPECT_EQ(rig.follower.head_height(), 0);  // height 1 still missing
   }
   EXPECT_EQ(rig.sync.buffered(), 19u);
-  const auto done = rig.sync.on_message(rig.relays[0]);
-  EXPECT_EQ(done.blocks, 20u);
-  EXPECT_TRUE(done.relayed);
+  EXPECT_FALSE(rig.sync.holding());
+  EXPECT_EQ(rig.sync.on_message(rig.relays[0]), 20u);
+  EXPECT_TRUE(rig.sync.holding());  // relayed commits hold production
   EXPECT_EQ(rig.follower.head_height(), 20);
   EXPECT_EQ(rig.sync.buffered(), 0u);
   EXPECT_TRUE(rig.matches_reference());
@@ -536,7 +537,7 @@ TEST(BlockSync, ShuffledOrderCommitsInOrder) {
   EXPECT_EQ(rig.follower.head_height(), 40);
   EXPECT_TRUE(rig.matches_reference());
   // Duplicates of committed heights are ignored.
-  EXPECT_EQ(rig.sync.on_message(rig.relays[5]).blocks, 0u);
+  EXPECT_EQ(rig.sync.on_message(rig.relays[5]), 0u);
   EXPECT_EQ(rig.follower.head_height(), 40);
 }
 
@@ -705,6 +706,36 @@ TEST(BlockSync, BftRejectsSubQuorumAndNonMemberCerts) {
 
     deliver(c, 0, relay_of(block, cert_for(block, vote, members)));
     EXPECT_EQ(c.sources[0]->head_height(), 1);
+  }
+}
+
+TEST(BlockSync, LotteryReplicaCatchesUpAfterRestart) {
+  // A lottery chain never stalls, so nothing but BlockSync tells a miner
+  // restarted behind its peers that it is behind. It must rejoin their
+  // chain, not mine its own fork from its stale head.
+  for (std::size_t victim = 0; victim < 4; ++victim) {
+    SCOPED_TRACE("victim " + std::to_string(victim));
+    Cluster c(core::ConsensusType::kPowerLottery, 4, {}, /*durable=*/true);
+    c.start_all();
+    c.sched.run_until(2 * sim::kSecond);
+    c.crash(victim);
+    c.sched.run_until(8 * sim::kSecond);
+    chain::Epoch highest = 0;
+    for (const auto& s : c.sources) {
+      highest = std::max(highest, s->head_height());
+    }
+    // More than one served batch behind.
+    ASSERT_GT(highest - c.sources[victim]->head_height(),
+              BlockSync::kMaxServe);
+    c.restart(victim);
+    c.sched.run_until(14 * sim::kSecond);
+    for (const auto& s : c.sources) {
+      highest = std::max(highest, s->head_height());
+    }
+    EXPECT_TRUE(c.converged_to(c.min_height()));
+    for (const auto& s : c.sources) {
+      EXPECT_GE(s->head_height() + 1, highest);
+    }
   }
 }
 

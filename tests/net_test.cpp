@@ -26,6 +26,65 @@ struct NetFixture : ::testing::Test {
   }
 };
 
+/// Every Stats sum and the registry counter it is kept in.
+struct SumCounter {
+  std::uint64_t Network::Stats::*field;
+  const char* family;
+  const char* reason;  // the drop-reason label, or nullptr
+};
+constexpr SumCounter kSumCounters[] = {
+    {&Network::Stats::messages_sent, "net_messages_sent_total", nullptr},
+    {&Network::Stats::bytes_sent, "net_bytes_sent_total", nullptr},
+    {&Network::Stats::bytes_physical, "net_bytes_physical_total", nullptr},
+    {&Network::Stats::messages_delivered, "net_messages_delivered_total",
+     nullptr},
+    {&Network::Stats::messages_dropped, "net_messages_dropped_total",
+     nullptr},
+    {&Network::Stats::dropped_random_loss, "net_messages_dropped_total",
+     "random-loss"},
+    {&Network::Stats::dropped_node_down, "net_messages_dropped_total",
+     "node-down"},
+    {&Network::Stats::dropped_partition, "net_messages_dropped_total",
+     "partition"},
+    {&Network::Stats::dropped_link_rule, "net_messages_dropped_total",
+     "link-rule"},
+    {&Network::Stats::dropped_node_queue_cap, "net_messages_dropped_total",
+     "node-queue-cap"},
+    {&Network::Stats::dropped_topic_queue_cap, "net_messages_dropped_total",
+     "topic-queue-cap"},
+    {&Network::Stats::messages_duplicated, "net_messages_duplicated_total",
+     nullptr},
+    {&Network::Stats::gossip_duplicates, "net_gossip_duplicates_total",
+     nullptr},
+};
+
+/// The registry counters behind Stats, read into one. These networks use
+/// the process-wide registry, so only differences between two reads count.
+Network::Stats registry_sums() {
+  Network::Stats out;
+  for (const SumCounter& sc : kSumCounters) {
+    obs::Labels labels;
+    if (sc.reason != nullptr) labels.add("reason", sc.reason);
+    const obs::Counter* c =
+        obs::default_obs().metrics.find_counter(sc.family, labels);
+    out.*sc.field = c == nullptr ? 0 : c->value();
+  }
+  return out;
+}
+
+/// stats() equals, field for field, how far each registry counter moved
+/// since `since` (a registry_sums() taken at the last reset or
+/// construction): no increment reaches one ledger and misses the other.
+void expect_stats_match_registry(const Network& net,
+                                 const Network::Stats& since) {
+  const Network::Stats stats = net.stats();
+  const Network::Stats now = registry_sums();
+  for (const SumCounter& sc : kSumCounters) {
+    EXPECT_EQ(stats.*sc.field, now.*sc.field - since.*sc.field)
+        << sc.family << (sc.reason != nullptr ? sc.reason : "");
+  }
+}
+
 TEST_F(NetFixture, DirectSendDelivers) {
   auto ids = add_nodes(2);
   Bytes received;
@@ -208,6 +267,7 @@ TEST_F(NetFixture, DropRateLosesRoughlyThatFraction) {
 }
 
 TEST_F(NetFixture, StatsTrackTraffic) {
+  const Network::Stats start = registry_sums();
   auto ids = add_nodes(2);
   net.set_direct_handler(ids[1], [](NodeId, const Bytes&) {});
   net.send(ids[0], ids[1], Bytes(100, 0));
@@ -215,8 +275,17 @@ TEST_F(NetFixture, StatsTrackTraffic) {
   EXPECT_EQ(net.stats().messages_sent, 1u);
   EXPECT_EQ(net.stats().bytes_sent, 100u);
   EXPECT_EQ(net.stats().messages_delivered, 1u);
+  expect_stats_match_registry(net, start);
   net.reset_stats();
   EXPECT_EQ(net.stats().messages_sent, 0u);
+  // After a reset the sums restart from zero while the registry counters
+  // keep counting: stats() is the movement since the reset.
+  const Network::Stats reset = registry_sums();
+  net.send(ids[0], ids[1], Bytes(7, 0));
+  sched.run_all();
+  EXPECT_EQ(net.stats().messages_sent, 1u);
+  EXPECT_EQ(net.stats().bytes_sent, 7u);
+  expect_stats_match_registry(net, reset);
 }
 
 // ------------------------------------------------- fault-rule injection
@@ -318,27 +387,35 @@ TEST_F(NetFixture, ReorderJitterCanInvertBackToBackSends) {
 }
 
 TEST_F(NetFixture, DropsAreAttributedToTheirReason) {
+  const Network::Stats start = registry_sums();
   auto ids = add_nodes(4);
   net.set_direct_handler(ids[1], [](NodeId, const Bytes&) {});
   net.set_direct_handler(ids[3], [](NodeId, const Bytes&) {});
+  for (NodeId id : ids) {
+    net.set_topic_handler(id,
+                          [](NodeId, const std::string&, const Envelope&) {});
+  }
 
-  net.set_node_down(ids[1], true);
-  net.send(ids[0], ids[1], to_bytes("to-down"));
-  net.set_node_down(ids[1], false);
+  auto drop_one_of_each = [&] {
+    net.set_node_down(ids[1], true);
+    net.send(ids[0], ids[1], to_bytes("to-down"));
+    net.set_node_down(ids[1], false);
 
-  net.set_partition({{ids[0], ids[1]}, {ids[2], ids[3]}});
-  net.send(ids[0], ids[3], to_bytes("cross-partition"));
-  net.heal_partition();
+    net.set_partition({{ids[0], ids[1]}, {ids[2], ids[3]}});
+    net.send(ids[0], ids[3], to_bytes("cross-partition"));
+    net.heal_partition();
 
-  LinkFault f;
-  f.drop = 1.0;
-  net.set_link_fault(ids[0], ids[3], f);
-  net.send(ids[0], ids[3], to_bytes("gray"));
-  net.clear_fault_rules();
+    LinkFault f;
+    f.drop = 1.0;
+    net.set_link_fault(ids[0], ids[3], f);
+    net.send(ids[0], ids[3], to_bytes("gray"));
+    net.clear_fault_rules();
 
-  net.set_drop_rate(1.0);
-  net.send(ids[0], ids[3], to_bytes("loss"));
-  net.set_drop_rate(0.0);
+    net.set_drop_rate(1.0);
+    net.send(ids[0], ids[3], to_bytes("loss"));
+    net.set_drop_rate(0.0);
+  };
+  drop_one_of_each();
 
   sched.run_all();
   EXPECT_EQ(net.stats().dropped_node_down, 1u);
@@ -346,6 +423,29 @@ TEST_F(NetFixture, DropsAreAttributedToTheirReason) {
   EXPECT_EQ(net.stats().dropped_link_rule, 1u);
   EXPECT_EQ(net.stats().dropped_random_loss, 1u);
   EXPECT_EQ(net.stats().messages_dropped, 4u);
+  expect_stats_match_registry(net, start);
+
+  // Injected duplicates on a direct send and on a gossip hop, then a reset
+  // and a second round of every fault drop.
+  LinkFault dup;
+  dup.duplicate = 1.0;
+  net.set_node_fault(ids[0], dup);
+  net.send(ids[0], ids[3], to_bytes("twice"));
+  for (NodeId id : ids) net.subscribe(id, "t");
+  net.publish(ids[0], "t", to_bytes("gossip-twice"));
+  sched.run_all();
+  net.clear_fault_rules();
+  EXPECT_GE(net.stats().messages_duplicated, 2u);
+  EXPECT_GT(net.stats().gossip_duplicates, 0u);
+  expect_stats_match_registry(net, start);
+
+  net.reset_stats();
+  const Network::Stats reset = registry_sums();
+  drop_one_of_each();
+  sched.run_all();
+  EXPECT_EQ(net.stats().messages_dropped, 4u);
+  EXPECT_EQ(net.stats().messages_duplicated, 0u);
+  expect_stats_match_registry(net, reset);
 }
 
 TEST(NetQueue, PolicyShedsAreSeparatedFromFaultDrops) {
@@ -357,6 +457,7 @@ TEST(NetQueue, PolicyShedsAreSeparatedFromFaultDrops) {
   gc.node_queue.max_depth = 4;
   gc.node_queue.service_time = 100;
   Network net(sched, sim::LatencyModel(1000, 0), /*seed=*/1, gc);
+  const Network::Stats start = registry_sums();
   const NodeId a = net.add_node();
   const NodeId b = net.add_node();
   int delivered = 0;
@@ -382,6 +483,7 @@ TEST(NetQueue, PolicyShedsAreSeparatedFromFaultDrops) {
   EXPECT_EQ(s.fault_drops(), 1u);
   EXPECT_EQ(s.messages_dropped, 9u);  // total still covers both ledgers
   EXPECT_EQ(s.queue_peak_depth, 4u);
+  expect_stats_match_registry(net, start);
   EXPECT_TRUE(is_policy_shed(DropReason::kNodeQueueCap));
   EXPECT_TRUE(is_policy_shed(DropReason::kTopicQueueCap));
   EXPECT_FALSE(is_policy_shed(DropReason::kNodeDown));
@@ -394,6 +496,7 @@ TEST(NetQueue, TopicCapShedsGossipButLeavesDirectTrafficAlone) {
   gc.node_queue.topic_max_depth = 2;
   gc.node_queue.service_time = 100;
   Network net(sched, sim::LatencyModel(1000, 0), /*seed=*/1, gc);
+  const Network::Stats start = registry_sums();
   std::vector<NodeId> ids;
   for (int i = 0; i < 2; ++i) ids.push_back(net.add_node());
   int gossiped = 0;
@@ -413,6 +516,7 @@ TEST(NetQueue, TopicCapShedsGossipButLeavesDirectTrafficAlone) {
   EXPECT_EQ(net.stats().dropped_topic_queue_cap, 4u);
   EXPECT_EQ(net.stats().policy_sheds(), 4u);
   EXPECT_EQ(net.stats().fault_drops(), 0u);
+  expect_stats_match_registry(net, start);
 }
 
 TEST(NetQueue, CapsWithoutServiceTimeAreRejected) {

@@ -1,5 +1,5 @@
 // Unit tests for the storage module: content-addressable store integrity,
-// KV store semantics, capacity-bounded eviction, and the simulated durable
+// capacity-bounded eviction, and the simulated durable
 // medium (CRC framing, fsync barriers, seeded disk faults, WAL records).
 #include <gtest/gtest.h>
 
@@ -103,27 +103,6 @@ TEST(ContentStore, DistinguishesCodecs) {
   EXPECT_TRUE(cas.has(chk));
 }
 
-TEST(KvStore, PutGetEraseCycle) {
-  KvStore kv;
-  const Bytes key = to_bytes("key");
-  kv.put(key, to_bytes("v1"));
-  EXPECT_TRUE(kv.has(key));
-  EXPECT_EQ(*kv.get(key), to_bytes("v1"));
-  kv.put(key, to_bytes("v2"));  // overwrite
-  EXPECT_EQ(*kv.get(key), to_bytes("v2"));
-  EXPECT_EQ(kv.size(), 1u);
-  kv.erase(key);
-  EXPECT_FALSE(kv.has(key));
-  EXPECT_FALSE(kv.get(key).has_value());
-}
-
-TEST(KvStore, EmptyKeyAndValueAllowed) {
-  KvStore kv;
-  kv.put(Bytes{}, Bytes{});
-  EXPECT_TRUE(kv.has(Bytes{}));
-  EXPECT_EQ(kv.get(Bytes{})->size(), 0u);
-}
-
 // --------------------------------------------------- capacity bounding
 
 TEST(ContentStore, ItemCapEvictsOldestDeterministically) {
@@ -176,29 +155,6 @@ TEST(ContentStore, ShrinkingPolicyTrimsResidents) {
   EXPECT_EQ(cas.size(), 3u);
   EXPECT_EQ(cas.shed_stats().by(common::ShedReason::kEvicted), 5u);
   EXPECT_TRUE(cas.has(Cid::of(CidCodec::kRaw, to_bytes("blob-7"))));
-}
-
-TEST(KvStore, ItemCapEvictsOldestSkippingErased) {
-  KvStore kv;
-  kv.set_policy(common::CapacityPolicy{.max_items = 2});
-  kv.put(to_bytes("k1"), to_bytes("v1"));
-  kv.put(to_bytes("k2"), to_bytes("v2"));
-  kv.erase(to_bytes("k1"));  // leaves a stale order entry
-  kv.put(to_bytes("k3"), to_bytes("v3"));
-  kv.put(to_bytes("k4"), to_bytes("v4"));  // must evict k2, not trip on k1
-  EXPECT_FALSE(kv.has(to_bytes("k2")));
-  EXPECT_TRUE(kv.has(to_bytes("k3")));
-  EXPECT_TRUE(kv.has(to_bytes("k4")));
-  EXPECT_EQ(kv.shed_stats().by(common::ShedReason::kEvicted), 1u);
-}
-
-TEST(KvStore, OverwriteDoesNotDoubleCountBytes) {
-  KvStore kv;
-  kv.put(to_bytes("k"), Bytes(10, 1));
-  EXPECT_EQ(kv.total_bytes(), 11u);
-  kv.put(to_bytes("k"), Bytes(2, 1));
-  EXPECT_EQ(kv.total_bytes(), 3u);
-  EXPECT_EQ(kv.size(), 1u);
 }
 
 // --------------------------------------------------- durable medium
