@@ -91,9 +91,8 @@ void PowerLottery::maybe_propose() {
     slot_start_ = ctx_.scheduler->now();
   }
   if (proposed_height_ >= next) return;
-  // Behind the chain: a relayed copy committed lately, or a block above
-  // head+1 is waiting for the gap to fill.
-  if (sync_.holding() || sync_.buffered() > 0) return;
+  // Behind the chain: a relayed copy committed lately.
+  if (sync_.holding()) return;
 
   const auto order =
       rank_validators(ctx_.validators, ctx_.source->head_cid(), next);

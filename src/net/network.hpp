@@ -261,7 +261,10 @@ class Network {
   /// Snapshot of the transport counters: the registry counters' deltas
   /// since construction or reset_stats(), plus the peaks. Sums are
   /// order-insensitive, so snapshots taken outside windows are identical
-  /// across worker counts.
+  /// across worker counts. The counters carry no per-network label:
+  /// networks sharing one obs::Obs registry (every network built without
+  /// one shares obs::default_obs()) share these sums, so a caller that
+  /// needs one network's own counts must give it its own obs::Obs.
   [[nodiscard]] Stats stats() const;
   /// Restart every Stats sum and peak from zero (the registry counters,
   /// being monotonic, keep counting).

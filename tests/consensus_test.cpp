@@ -739,6 +739,40 @@ TEST(BlockSync, LotteryReplicaCatchesUpAfterRestart) {
   }
 }
 
+TEST(BlockSync, LotteryUnattachableBlockDoesNotStopMiners) {
+  // One validator signs a block at head+2 over a parent nobody has. Its
+  // ticket ranks over that made-up parent, so the proof check passes and
+  // every miner buffers it; it never attaches. A buffered block must not
+  // hold back mining, or this one block would halt the chain.
+  Cluster c(core::ConsensusType::kPowerLottery, 4);
+  c.start_all();
+  c.sched.run_until(1 * sim::kSecond);
+  const chain::Epoch before = c.min_height();
+  const chain::Epoch height = c.sources[0]->head_height() + 2;
+
+  chain::Block forged;
+  forged.header.parent =
+      Cid::of(CidCodec::kBlock, to_bytes(std::string("nobody's parent")));
+  forged.header.height = height;
+  forged.header.miner = c.validators.members()[0].address();
+  const auto order =
+      PowerLottery::rank_validators(c.validators, forged.header.parent, height);
+  Encoder ticket;
+  ticket.varint(static_cast<std::uint64_t>(
+      std::find(order.begin(), order.end(), 0u) - order.begin()));
+  forged.header.ticket = ticket.data();
+  forged.header.msgs_root = forged.compute_msgs_root();
+  const net::NodeId byz = c.net.add_node();
+  c.net.publish(byz, "subnet/test/consensus",
+                encode(WireMsg::make(WireKind::kBlock, height, 0,
+                                     forged.cid(), encode(forged),
+                                     c.keys[0])));
+
+  c.sched.run_until(3 * sim::kSecond);
+  EXPECT_GT(c.min_height(), before + 10);
+  EXPECT_TRUE(c.converged_to(c.min_height()));
+}
+
 // ----------------------------------------------- durable vote state (§15)
 
 TEST(VoteRestore, PoaNeverReproducesARestoredHeight) {
