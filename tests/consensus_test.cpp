@@ -80,6 +80,7 @@ class MemVoteStore final : public VoteStore {
  public:
   void persist(BytesView state) override {
     saved_ = Bytes(state.begin(), state.end());
+    history_.push_back(saved_);
     ++persists_;
   }
   [[nodiscard]] std::optional<Bytes> recovered() const override {
@@ -88,6 +89,7 @@ class MemVoteStore final : public VoteStore {
   void reboot() { recovered_ = saved_; }
 
   Bytes saved_;
+  std::vector<Bytes> history_;  ///< every persisted record, oldest first
   std::optional<Bytes> recovered_;
   int persists_ = 0;
 };
@@ -861,6 +863,45 @@ TEST(VoteRestore, RrbftQuorumCrashRestartResumes) {
   }
   EXPECT_GT(after, during);
   EXPECT_TRUE(c.converged_to(c.min_height()));
+}
+
+TEST(VoteRestore, VoteStateBytesArePinned) {
+  // A recovered WAL record must decode after an upgrade, so the encodings
+  // are part of the on-disk format. A lone validator decides height 1 at
+  // 100 ms and writes ahead before each signature: its proposal, then each
+  // vote. Fields: height (i64), round (u32), proposed, one flag per vote
+  // phase (u8 each), then Tendermint's lock: locked round (i64) and the
+  // locked block (varint length + encoded block).
+  {
+    Cluster c(core::ConsensusType::kTendermint, 1, {}, /*durable=*/true);
+    c.start_all();
+    c.sched.run_until(150 * sim::kMillisecond);
+    ASSERT_EQ(c.sources[0]->head_height(), 1);
+    const auto& log = c.votes[0]->history_;
+    ASSERT_GE(log.size(), 3u);
+    EXPECT_EQ(to_hex(log[0]),
+              "0000000000000001" "00000000" "01" "00" "00"
+              "ffffffffffffffff" "00");
+    EXPECT_EQ(to_hex(log[1]),
+              "0000000000000001" "00000000" "01" "01" "00"
+              "ffffffffffffffff" "00");
+    // The precommit locks on the block it commits.
+    Encoder locked;
+    locked.bytes(encode(*c.sources[0]->block_at(1)));
+    EXPECT_EQ(to_hex(log[2]),
+              "0000000000000001" "00000000" "01" "01" "01"
+              "0000000000000000" + to_hex(locked.data()));
+  }
+  {
+    Cluster c(core::ConsensusType::kRoundRobinBft, 1, {}, /*durable=*/true);
+    c.start_all();
+    c.sched.run_until(150 * sim::kMillisecond);
+    ASSERT_EQ(c.sources[0]->head_height(), 1);
+    const auto& log = c.votes[0]->history_;
+    ASSERT_GE(log.size(), 2u);
+    EXPECT_EQ(to_hex(log[0]), "0000000000000001" "00000000" "01" "00");
+    EXPECT_EQ(to_hex(log[1]), "0000000000000001" "00000000" "01" "01");
+  }
 }
 
 // ----------------------------------------------------------- validator set

@@ -7,10 +7,13 @@
 // barrier-ordered cross-lane delivery are designed to meet.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 
 #include "chaos/runner.hpp"
 #include "net/envelope.hpp"
+#include "obs/export.hpp"
+#include "runtime/hierarchy.hpp"
 
 namespace hc::chaos {
 namespace {
@@ -169,6 +172,96 @@ TEST(ParallelDeterminism, RecoverDiskLost) {
       recovery_config,
       find_scenario(ChaosRunner::recovery_scenarios(), "recover-disk-lost"),
       11);
+}
+
+TEST(ParallelDeterminism, BftCrashRestart) {
+  // The chaos scenarios run PoA subnets only, so this is the one check that
+  // the BFT engines replay bit-for-bit across lanes: a durable PoA root with
+  // a 7-validator Tendermint child and a 7-validator rrBFT child; validator
+  // 2 of each crashes losing its un-fsynced suffix and restarts 1 s later.
+  struct Outcome {
+    std::string heads;  // per node: height and head CID
+    std::string metrics_json;
+    std::string trace_json;
+  };
+  const auto run = [](std::size_t threads) {
+    runtime::HierarchyConfig cfg;
+    cfg.seed = 29;
+    cfg.latency = sim::LatencyModel(2 * sim::kMillisecond, sim::kMillisecond);
+    cfg.root_params.consensus = core::ConsensusType::kPoaRoundRobin;
+    cfg.root_params.min_validator_stake = TokenAmount::whole(5);
+    cfg.root_params.min_collateral = TokenAmount::whole(10);
+    cfg.root_params.checkpoint_period = 5;
+    cfg.root_validators = 3;
+    cfg.root_engine.block_time = 100 * sim::kMillisecond;
+    cfg.durability.enabled = true;
+    cfg.threads = threads;
+    runtime::Hierarchy h(cfg);
+    consensus::EngineConfig fast;
+    fast.block_time = 100 * sim::kMillisecond;
+    std::vector<runtime::Subnet*> children;
+    for (const auto type : {core::ConsensusType::kTendermint,
+                            core::ConsensusType::kRoundRobinBft}) {
+      core::SubnetParams params = cfg.root_params;
+      params.consensus = type;
+      auto spawned =
+          h.spawn_subnet(h.root(), std::string(core::consensus_name(type)),
+                         params, 7, TokenAmount::whole(6), fast);
+      EXPECT_TRUE(spawned.ok());
+      if (spawned.ok()) children.push_back(spawned.value());
+    }
+    h.run_for(2 * sim::kSecond);
+    storage::DiskFault fault;
+    fault.kind = storage::DiskFault::Kind::kLoseSuffix;
+    fault.seed = 5;
+    for (auto* child : children) {
+      EXPECT_TRUE(h.crash_node(*child, 2, fault).ok());
+    }
+    h.run_for(sim::kSecond);
+    for (auto* child : children) {
+      EXPECT_TRUE(h.restart_node(*child, 2).ok());
+    }
+    h.run_for(3 * sim::kSecond);
+    for (const auto* child : children) {
+      // Both engines made progress, and each victim rejoined its peers.
+      EXPECT_GT(child->node(0).chain().height(), 20);
+      EXPECT_EQ(child->node(2).chain().head().cid(),
+                child->node(0).chain().head().cid());
+    }
+
+    Outcome out;
+    for (const auto& subnet : h.subnets()) {
+      for (std::size_t i = 0; i < subnet->size(); ++i) {
+        const auto& chain = subnet->node(i).chain();
+        out.heads += subnet->id.to_string() + "/" + std::to_string(i) + "@" +
+                     std::to_string(chain.height()) + "=" +
+                     chain.head().cid().to_hex() + "\n";
+      }
+    }
+    out.metrics_json = obs::metrics_to_json(h.obs().metrics);
+    out.trace_json = obs::trace_to_chrome_json(h.obs().tracer);
+    return out;
+  };
+
+  const Outcome ref = run(1);
+  ASSERT_FALSE(ref.heads.empty());
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+    const Outcome r = run(threads);
+    EXPECT_EQ(ref.heads, r.heads) << threads << " threads";
+    EXPECT_EQ(ref.metrics_json, r.metrics_json) << threads << " threads";
+    EXPECT_EQ(ref.trace_json, r.trace_json) << threads << " threads";
+  }
+  // FNV-1a over the three exports: the value to compare across builds.
+  std::uint64_t fp = 14695981039346656037ull;
+  for (const std::string* part :
+       {&ref.heads, &ref.metrics_json, &ref.trace_json}) {
+    for (const unsigned char c : *part) {
+      fp ^= c;
+      fp *= 1099511628211ull;
+    }
+  }
+  std::printf("BftCrashRestart fingerprint %016llx\n",
+              static_cast<unsigned long long>(fp));
 }
 
 }  // namespace
