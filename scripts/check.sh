@@ -53,14 +53,15 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure \
   -R 'MempoolOverload|OverloadSurge|NetQueue'
 
 # Recovery smoke (DESIGN.md §15): the durable-log corruption/property
-# cases, the WAL round-trips, the engine vote-restore suite, the full
+# cases, the WAL round-trips, the engine vote-restore suite, the BFT
+# engine suite (quorum crash/restart from the vote store), the full
 # crash/restart recovery scenarios, the block-sync buffer/proof suite and
 # the BFT crash-restart catch-up — all under the sanitizers. Recovery
 # parses CRC-framed bytes off a (simulated) damaged disk and rebuilds
 # chain state from them, which is exactly where an out-of-bounds read or
 # use-after-free of a torn frame would hide.
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'DurableLog|DurableStore|Wal\.|VoteRestore|DurableRecovery|BlockSync|BftRecovery'
+  -R 'DurableLog|DurableStore|Wal\.|VoteRestore|/Bft\.|DurableRecovery|BlockSync|BftRecovery'
 
 # State-commitment stage (DESIGN.md §12): the differential suite drives
 # random mutate/remove/journal-revert/snapshot sequences against a
@@ -93,7 +94,8 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 # ---- ThreadSanitizer stage (DESIGN.md §11) -------------------------------
 # The ParallelExecutor runs subnet lanes on worker threads; TSan checks the
 # cross-lane machinery (outboxes, barriers, shared metrics/trace/sigcache)
-# under the real chaos workloads. parallel_test sweeps 1/2/4 threads — its
+# under the real chaos workloads and a BFT crash/restart
+# (BftCrashRestart). parallel_test sweeps 1/2/4 threads — its
 # fingerprints cover state roots, so the incremental commitment's
 # mutable-cache discipline (flush only from the owning lane, published
 # snapshots read-only) is exercised here too.

@@ -1,9 +1,8 @@
 #include "consensus/engine.hpp"
 
+#include "consensus/bft.hpp"
 #include "consensus/lottery.hpp"
 #include "consensus/poa.hpp"
-#include "consensus/rrbft.hpp"
-#include "consensus/tendermint.hpp"
 
 namespace hc::consensus {
 
@@ -43,9 +42,11 @@ std::unique_ptr<Engine> make_engine(core::ConsensusType type,
     case core::ConsensusType::kPowerLottery:
       return std::make_unique<PowerLottery>(std::move(context), config);
     case core::ConsensusType::kTendermint:
-      return std::make_unique<Tendermint>(std::move(context), config);
+      return std::make_unique<BftEngine>(kTendermintPolicy, std::move(context),
+                                         config);
     case core::ConsensusType::kRoundRobinBft:
-      return std::make_unique<RoundRobinBft>(std::move(context), config);
+      return std::make_unique<BftEngine>(kRrBftPolicy, std::move(context),
+                                         config);
   }
   return nullptr;
 }

@@ -8,12 +8,14 @@
 
 namespace hc::consensus {
 
+/// The BFT vote kinds are the phases of a BftPolicy (consensus/bft.hpp).
 enum class WireKind : std::uint8_t {
-  kBlock = 0,      // committed/announced block (PoA, lottery, catch-up)
-  kProposal = 1,   // BFT proposal carrying a block
-  kPrevote = 2,    // Tendermint prevote
-  kPrecommit = 3,  // Tendermint precommit
-  kAck = 4,        // RRBFT acknowledgement; null CID = BlockSync request
+  kBlock = 0,      // committed/announced block (every engine, catch-up)
+  kProposal = 1,   // BftEngine proposal carrying a block
+  kPrevote = 2,    // Tendermint policy, first vote phase
+  kPrecommit = 3,  // Tendermint policy, last phase: its QuorumCert
+  kAck = 4,        // rrBFT policy's one phase (its QuorumCert); null CID =
+                   // BlockSync request
 };
 
 /// One consensus message. Votes reference blocks by CID; kBlock/kProposal

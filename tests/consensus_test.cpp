@@ -1,6 +1,6 @@
-// Tests for the consensus engines: PoA round-robin, power lottery,
-// Tendermint and RRBFT, all driven over the simulated gossip network with a
-// minimal (empty-block) BlockSource.
+// Tests for the consensus engines: PoA round-robin, power lottery and the
+// BFT engine under its Tendermint and rrBFT policies, all driven over the
+// simulated gossip network with a minimal (empty-block) BlockSource.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -11,8 +11,6 @@
 #include "consensus/engine.hpp"
 #include "consensus/lottery.hpp"
 #include "consensus/poa.hpp"
-#include "consensus/rrbft.hpp"
-#include "consensus/tendermint.hpp"
 #include "crypto/sigcache.hpp"
 
 namespace hc::consensus {
@@ -121,21 +119,32 @@ struct Cluster {
           powers.empty() ? 1 : powers[static_cast<std::size_t>(i)]});
     }
     validators = ValidatorSet(members);
-    for (int i = 0; i < n; ++i) {
-      ids.push_back(net.add_node());
-      sources.push_back(std::make_unique<EmptySource>());
-      votes.push_back(std::make_unique<MemVoteStore>());
-      const std::size_t self = static_cast<std::size_t>(i);
-      engines.push_back(make_engine(type, make_context(self), engine_cfg()));
-      net.subscribe(ids.back(), "subnet/test/consensus");
-      net.set_topic_handler(ids.back(),
-                            [this, self](net::NodeId from, const std::string&,
-                                         const net::Envelope& payload) {
-                              if (engines[self]) {
-                                engines[self]->on_message(from, payload);
-                              }
-                            });
-    }
+    for (int i = 0; i < n; ++i) add_engine();
+  }
+
+  /// Add a node running the engine under keys.back(); its index.
+  std::size_t add_engine() {
+    const std::size_t self = engines.size();
+    ids.push_back(net.add_node());
+    sources.push_back(std::make_unique<EmptySource>());
+    votes.push_back(std::make_unique<MemVoteStore>());
+    engines.push_back(make_engine(type_, make_context(self), engine_cfg()));
+    net.subscribe(ids.back(), "subnet/test/consensus");
+    net.set_topic_handler(ids.back(),
+                          [this, self](net::NodeId from, const std::string&,
+                                       const net::Envelope& payload) {
+                            if (engines[self]) {
+                              engines[self]->on_message(from, payload);
+                            }
+                          });
+    return self;
+  }
+
+  /// Add a node running the engine under `key`, which is not in the
+  /// validator set: a follower.
+  std::size_t add_node(crypto::KeyPair key) {
+    keys.push_back(std::move(key));
+    return add_engine();
   }
 
   [[nodiscard]] static EngineConfig engine_cfg() {
@@ -319,40 +328,56 @@ TEST(Lottery, FallbackWhenLeaderSilent) {
   EXPECT_GE(h, 10);  // chain keeps a cadence despite the silent miner
 }
 
-// -------------------------------------------------------------- tendermint
+// -------------------------------------------------------------------- BFT
 
-TEST(TendermintBft, CommitCertificatesVerify) {
-  Cluster c(core::ConsensusType::kTendermint, 4);
+/// One BFT engine under test and the vote kind its certificates carry.
+struct BftCase {
+  core::ConsensusType type;
+  WireKind qc_kind;
+};
+
+class Bft : public ::testing::TestWithParam<BftCase> {};
+
+TEST_P(Bft, CommitCertificatesVerify) {
+  Cluster c(GetParam().type, 4);
   c.start_all();
   c.sched.run_until(5 * sim::kSecond);
   ASSERT_GE(c.min_height(), 1);
-  // Every committed block carries a valid 2f+1 precommit certificate.
+  // Every committed block carries a valid 2f+1 certificate of last-phase
+  // votes (precommits, ACKs).
   int checked = 0;
   for (const auto& proof : c.sources[0]->proofs_) {
     if (proof.empty()) continue;
     auto cert = decode<QuorumCert>(proof);
     ASSERT_TRUE(cert.ok());
-    EXPECT_TRUE(cert.value().verify(WireKind::kPrecommit,
+    EXPECT_TRUE(cert.value().verify(GetParam().qc_kind,
                                     c.validators.quorum()));
     ++checked;
   }
   EXPECT_GT(checked, 0);
 }
 
-TEST(TendermintBft, ToleratesFCrashFaults) {
-  Cluster c(core::ConsensusType::kTendermint, 4);  // f = 1
-  c.net.set_node_down(c.ids[3], true);
-  for (std::size_t i = 0; i < 3; ++i) c.engines[i]->start();
-  c.sched.run_until(20 * sim::kSecond);
-  chain::Epoch h = 0;
-  for (std::size_t i = 0; i < 3; ++i) {
-    h = std::max(h, c.sources[i]->head_height());
+TEST_P(Bft, ToleratesFCrashFaults) {
+  // f = 1 of 4 is down from the start: a backup leader takes over each
+  // height it leads (a round skip), so the chain is slower but live.
+  for (const std::size_t down : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE("validator " + std::to_string(down) + " down");
+    Cluster c(GetParam().type, 4);
+    c.net.set_node_down(c.ids[down], true);
+    for (std::size_t i = 0; i < 4; ++i) {
+      if (i != down) c.engines[i]->start();
+    }
+    c.sched.run_until(20 * sim::kSecond);
+    chain::Epoch h = 0;
+    for (std::size_t i = 0; i < 4; ++i) {
+      if (i != down) h = std::max(h, c.sources[i]->head_height());
+    }
+    EXPECT_GE(h, 5);
   }
-  EXPECT_GE(h, 5);  // slower (round skips when node 3 proposes) but live
 }
 
-TEST(TendermintBft, HaltsWithoutQuorumThenRecovers) {
-  Cluster c(core::ConsensusType::kTendermint, 4);
+TEST_P(Bft, HaltsWithoutQuorumThenRecovers) {
+  Cluster c(GetParam().type, 4);
   c.start_all();
   c.sched.run_until(2 * sim::kSecond);
   const chain::Epoch before = c.min_height();
@@ -373,10 +398,10 @@ TEST(TendermintBft, HaltsWithoutQuorumThenRecovers) {
   EXPECT_TRUE(c.converged_to(c.min_height()));
 }
 
-TEST(TendermintBft, SafetyUnderPartition) {
+TEST_P(Bft, SafetyUnderPartition) {
   // No two nodes ever commit different blocks at the same height, even
   // across partitions and healing.
-  Cluster c(core::ConsensusType::kTendermint, 7);
+  Cluster c(GetParam().type, 7);
   c.start_all();
   c.sched.run_until(3 * sim::kSecond);
   c.net.set_partition({{c.ids[0], c.ids[1], c.ids[2]},
@@ -388,37 +413,90 @@ TEST(TendermintBft, SafetyUnderPartition) {
   EXPECT_GE(c.min_height(), 3);
 }
 
-// ------------------------------------------------------------------ rrbft
+TEST_P(Bft, QuorumCrashRestartResumes) {
+  // Crash TWO of four validators (no quorum survives, the chain halts) and
+  // restart both from their vote stores. Progress after the restart proves
+  // the recovered validators rejoined; convergence proves the restored
+  // vote state (and lock) kept them from contradicting any pre-crash vote.
+  for (const auto& [a, b] : {std::pair<std::size_t, std::size_t>{1, 2},
+                             std::pair<std::size_t, std::size_t>{2, 3}}) {
+    SCOPED_TRACE("crash " + std::to_string(a) + " and " + std::to_string(b));
+    Cluster c(GetParam().type, 4, {}, /*durable=*/true);
+    c.start_all();
+    c.sched.run_until(3 * sim::kSecond);
+    ASSERT_GE(c.min_height(), 1);
+    EXPECT_GT(c.votes[a]->persists_, 0);
+    EXPECT_GT(c.votes[b]->persists_, 0);
+    c.crash(a);
+    c.crash(b);
+    c.sched.run_until(8 * sim::kSecond);
+    chain::Epoch during = 0;
+    for (const auto& s : c.sources) {
+      during = std::max(during, s->head_height());
+    }
 
-TEST(Rrbft, BackupLeaderTakesOver) {
-  Cluster c(core::ConsensusType::kRoundRobinBft, 4);
-  c.net.set_node_down(c.ids[1], true);
-  for (std::size_t i = 0; i < 4; ++i) {
-    if (i != 1) c.engines[i]->start();
+    c.restart(a);
+    c.restart(b);
+    c.sched.run_until(40 * sim::kSecond);
+    chain::Epoch after = 0;
+    for (const auto& s : c.sources) {
+      after = std::max(after, s->head_height());
+    }
+    EXPECT_GT(after, during);
+    EXPECT_TRUE(c.converged_to(c.min_height()));
   }
-  c.sched.run_until(20 * sim::kSecond);
-  chain::Epoch h = 0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    if (i != 1) h = std::max(h, c.sources[i]->head_height());
-  }
-  EXPECT_GE(h, 5);
 }
 
-TEST(Rrbft, ProofsAreQuorumCerts) {
-  Cluster c(core::ConsensusType::kRoundRobinBft, 4);
+TEST_P(Bft, NonMemberFollowsWithoutVoting) {
+  // A node whose key is not in the validator set runs the engine to follow
+  // the chain (SubnetNode does this for non-validators). It may announce
+  // the blocks it commits and ask for missed ones, but it must never sign
+  // a proposal or a vote.
+  Cluster c(GetParam().type, 4);
+  const std::size_t observer =
+      c.add_node(crypto::KeyPair::from_label("observer"));
+  ASSERT_FALSE(c.validators.index_of(c.keys[observer].public_key()));
+  std::vector<WireMsg> sent;  // everything the observer published
+  const net::NodeId spy = c.net.add_node();
+  c.net.subscribe(spy, "subnet/test/consensus");
+  c.net.set_topic_handler(spy, [&](net::NodeId, const std::string&,
+                                   const net::Envelope& payload) {
+    auto msg = payload.decoded<WireMsg>();
+    if (msg && msg.value()->sender == c.keys[observer].public_key()) {
+      sent.push_back(*msg.value());
+    }
+  });
   c.start_all();
   c.sched.run_until(5 * sim::kSecond);
-  ASSERT_GE(c.min_height(), 1);
-  int checked = 0;
-  for (const auto& proof : c.sources[0]->proofs_) {
-    if (proof.empty()) continue;
-    auto cert = decode<QuorumCert>(proof);
-    ASSERT_TRUE(cert.ok());
-    EXPECT_TRUE(cert.value().verify(WireKind::kAck, c.validators.quorum()));
-    ++checked;
+
+  chain::Epoch head = 0;
+  for (std::size_t i = 0; i < observer; ++i) {
+    head = std::max(head, c.sources[i]->head_height());
   }
-  EXPECT_GT(checked, 0);
+  EXPECT_GE(head, 10);
+  EXPECT_GE(c.sources[observer]->head_height() + 1, head);
+  EXPECT_TRUE(c.converged_to(c.min_height()));
+  EXPECT_FALSE(sent.empty());  // its announces reach the spy
+  for (const WireMsg& m : sent) {
+    const bool sync =
+        m.kind == WireKind::kBlock ||
+        (m.kind == WireKind::kAck && m.block_cid.is_null());
+    EXPECT_TRUE(sync) << "observer signed wire kind "
+                      << static_cast<int>(m.kind) << " at height "
+                      << m.height;
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    BothEngines, Bft,
+    ::testing::Values(
+        BftCase{core::ConsensusType::kTendermint, WireKind::kPrecommit},
+        BftCase{core::ConsensusType::kRoundRobinBft, WireKind::kAck}),
+    [](const ::testing::TestParamInfo<BftCase>& info) {
+      std::string name(core::consensus_name(info.param.type));
+      std::erase(name, '-');
+      return name;
+    });
 
 // ------------------------------------------------------------- block sync
 
@@ -809,60 +887,6 @@ TEST(VoteRestore, PoaPersistsBeforeProducing) {
     ASSERT_TRUE(st.ok());
     EXPECT_GT(st.value().last_produced, 0u);
   }
-}
-
-TEST(VoteRestore, TendermintQuorumCrashRestartResumes) {
-  // Crash TWO of four validators (no quorum survives, the chain halts) and
-  // restart both from their vote stores. Progress after the restart proves
-  // the recovered validators rejoined; convergence proves the restored
-  // locks kept them from contradicting any pre-crash precommit.
-  Cluster c(core::ConsensusType::kTendermint, 4, {}, /*durable=*/true);
-  c.start_all();
-  c.sched.run_until(3 * sim::kSecond);
-  ASSERT_GE(c.min_height(), 1);
-  EXPECT_GT(c.votes[2]->persists_, 0);
-  EXPECT_GT(c.votes[3]->persists_, 0);
-  c.crash(2);
-  c.crash(3);
-  c.sched.run_until(8 * sim::kSecond);
-  chain::Epoch during = 0;
-  for (const auto& s : c.sources) {
-    during = std::max(during, s->head_height());
-  }
-
-  c.restart(2);
-  c.restart(3);
-  c.sched.run_until(40 * sim::kSecond);
-  chain::Epoch after = 0;
-  for (const auto& s : c.sources) {
-    after = std::max(after, s->head_height());
-  }
-  EXPECT_GT(after, during);
-  EXPECT_TRUE(c.converged_to(c.min_height()));
-}
-
-TEST(VoteRestore, RrbftQuorumCrashRestartResumes) {
-  Cluster c(core::ConsensusType::kRoundRobinBft, 4, {}, /*durable=*/true);
-  c.start_all();
-  c.sched.run_until(3 * sim::kSecond);
-  ASSERT_GE(c.min_height(), 1);
-  c.crash(1);
-  c.crash(2);
-  c.sched.run_until(8 * sim::kSecond);
-  chain::Epoch during = 0;
-  for (const auto& s : c.sources) {
-    during = std::max(during, s->head_height());
-  }
-
-  c.restart(1);
-  c.restart(2);
-  c.sched.run_until(40 * sim::kSecond);
-  chain::Epoch after = 0;
-  for (const auto& s : c.sources) {
-    after = std::max(after, s->head_height());
-  }
-  EXPECT_GT(after, during);
-  EXPECT_TRUE(c.converged_to(c.min_height()));
 }
 
 TEST(VoteRestore, VoteStateBytesArePinned) {
