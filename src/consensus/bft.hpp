@@ -57,6 +57,8 @@ struct BftPolicy {
 inline constexpr WireKind kTendermintPhases[] = {WireKind::kPrevote,
                                                  WireKind::kPrecommit};
 inline constexpr WireKind kRrBftPhases[] = {WireKind::kAck};
+static_assert(std::size(kTendermintPhases) <= kMaxVotePhases &&
+              std::size(kRrBftPhases) <= kMaxVotePhases);
 
 inline constexpr BftPolicy kTendermintPolicy{.name = "tendermint",
                                              .phases = kTendermintPhases,
@@ -158,7 +160,7 @@ class BftEngine final : public Engine {
   std::array<Votes, kMaxVotePhases> votes_;          // by phase
   std::optional<chain::Block> locked_block_;
   std::int64_t locked_round_ = -1;
-  bool proposed_ = false;                   // this round
+  bool proposed_ = false;                     // this round
   std::array<bool, kMaxVotePhases> voted_{};  // this round, by phase
   /// Vote state recovered from the WAL, held until the chain reaches its
   /// height (then consumed by resume_round) or passes it (then dropped).

@@ -122,7 +122,8 @@ struct Cluster {
     for (int i = 0; i < n; ++i) add_engine();
   }
 
-  /// Add a node running the engine under keys.back(); its index.
+  /// Add a node running the engine under keys[i], where i is the index
+  /// returned.
   std::size_t add_engine() {
     const std::size_t self = engines.size();
     ids.push_back(net.add_node());
