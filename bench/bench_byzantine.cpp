@@ -12,7 +12,8 @@
 // Sidecar: BENCH_byzantine.metrics.json accumulates the per-run
 // fingerprints and metric snapshots — fraud_detection_latency_us histograms, slash and
 // deactivation counters, byzantine action counters — for offline analysis
-// of detection latency distributions.
+// of detection latency distributions. The committed BENCH_byzantine.json
+// pins those fingerprints: scripts/bench_diff.py fails on any that moved.
 #include "bench_common.hpp"
 #include "chaos/runner.hpp"
 
@@ -31,6 +32,7 @@ chaos::RunnerConfig byz_config() {
   cfg.warmup = sim::kSecond;
   cfg.fault_window = 10 * sim::kSecond;
   cfg.settle = 180 * sim::kSecond;
+  cfg.threads = bench_threads();
   return cfg;
 }
 

@@ -26,6 +26,11 @@ script also gates:
     peak_bytes_per_node  max SubnetNode::mem_bytes() over the run (rise bad)
     bytes_per_account    peak aggregate node bytes / pre-funded accounts
 
+Runs may also carry a "fingerprint" (bench_chaos, bench_byzantine: state
+roots + metrics + trace of one scenario/seed); when both sides of a matched
+run have one, any difference fails the gate regardless of --threshold, so
+a refactor that must keep behaviour byte-identical is checked here.
+
 Sim metrics are deterministic per seed, so on unchanged code the gate
 passes trivially (all deltas are exactly 0). Wall-clock meta fields are
 reported but never gate by default: they depend on the machine, not the
@@ -155,6 +160,15 @@ def main() -> int:
             checks.append((field, b_scale.get(field), f_scale.get(field),
                            "higher"))
 
+        b_fp = base_doc[label].get("fingerprint")
+        f_fp = fresh_doc[label].get("fingerprint")
+        if b_fp is not None and f_fp is not None:
+            same = b_fp == f_fp
+            print(f"  {label:48s} {'fingerprint':10s} {b_fp} -> {f_fp} "
+                  f"{'ok' if same else 'FAIL'}")
+            if not same:
+                failures.append((label, "fingerprint", None))
+
         for name, old, new, bad_direction in checks:
             if old is None or new is None:
                 continue
@@ -184,9 +198,11 @@ def main() -> int:
 
     if failures:
         print(f"\nbench_diff: {len(failures)} regression(s) beyond "
-              f"{args.threshold:.1f}%:", file=sys.stderr)
+              f"{args.threshold:.1f}% or fingerprint mismatch(es):",
+              file=sys.stderr)
         for label, name, delta in failures:
-            print(f"  {label}: {name} {delta:+.2f}%", file=sys.stderr)
+            change = "changed" if delta is None else f"{delta:+.2f}%"
+            print(f"  {label}: {name} {change}", file=sys.stderr)
         return 1
     print(f"bench_diff: {len(labels)} run(s) within {args.threshold:.1f}% "
           "of baseline")

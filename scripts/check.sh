@@ -139,7 +139,7 @@ ctest --test-dir "$TSAN_DIR" --output-on-failure -R '^ByzantineSmoke\.'
 cmake -B "$PERF_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$PERF_DIR" -j "$(nproc)" --target bench_fig1_scaling \
   --target bench_overload --target bench_recovery --target bench_hotpath \
-  --target bench_tab1_consensus
+  --target bench_tab1_consensus --target bench_chaos --target bench_byzantine
 
 PERF_OUT="$PERF_DIR/perf-gate"
 rm -rf "$PERF_OUT" && mkdir -p "$PERF_OUT"
@@ -148,6 +148,18 @@ rm -rf "$PERF_OUT" && mkdir -p "$PERF_OUT"
    --benchmark_filter='run_scaling/subnets:(0|2)/')
 python3 scripts/bench_diff.py \
   BENCH_fig1.json "$PERF_OUT/BENCH_fig1_scaling.metrics.json"
+
+# Fingerprint gate (DESIGN.md §9, §10): every standard and recovery chaos
+# scenario and every Byzantine scenario x 3 seeds. Each run's fingerprint
+# hashes its state roots, metrics and trace, so bench_diff fails on any
+# behaviour change at all; a refactor must keep them byte-identical, and
+# a declared behaviour change re-records both files.
+(cd "$PERF_OUT" && ../bench/bench_chaos --threads 1 && \
+ ../bench/bench_byzantine --threads 1)
+python3 scripts/bench_diff.py \
+  BENCH_chaos.json "$PERF_OUT/BENCH_chaos.metrics.json"
+python3 scripts/bench_diff.py \
+  BENCH_byzantine.json "$PERF_OUT/BENCH_byzantine.metrics.json"
 
 # Overload regression gate (DESIGN.md §14): the full 1x/4x/10x sweep. The
 # bench itself fails the run if any queue peak exceeds its cap; bench_diff
