@@ -47,10 +47,11 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -R '^ByzantineSmoke\.'
 # Overload smoke (DESIGN.md §14): the bounded-mempool admission/eviction
 # properties, the policy-vs-fault drop split in the network queue, and the
 # 10x surge scenario — whose invariant report asserts every queue peak
-# stayed under its cap — all under the sanitizers, since shedding exercises
-# the eviction/erase paths most likely to hide a use-after-free.
+# stayed under its cap — and the SCA top-down breaker's cap trip, shed and
+# revert, all under the sanitizers, since shedding exercises the
+# eviction/erase paths most likely to hide a use-after-free.
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'MempoolOverload|OverloadSurge|NetQueue'
+  -R 'MempoolOverload|OverloadSurge|NetQueue|TopDownBreaker'
 
 # Recovery smoke (DESIGN.md §15): the durable-log corruption/property
 # cases, the WAL round-trips, the engine vote-restore suite, the BFT

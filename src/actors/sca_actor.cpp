@@ -19,29 +19,17 @@ Bytes registry_key(const Cid& cid) {
 
 chain::StateBlob make_sca_ctor_state(const core::SubnetId& self,
                                      std::uint32_t checkpoint_period,
-                                     std::uint64_t topdown_window_cap,
-                                     chain::Epoch breaker_stall_epochs) {
+                                     std::uint64_t topdown_window_cap) {
   ScaState state;
   state.self = self;
   state.checkpoint_period = checkpoint_period;
   state.topdown_window_cap = topdown_window_cap;
-  state.breaker_stall_epochs = breaker_stall_epochs;
   return state_blob(std::move(state));
 }
 
-bool breaker_open(const ScaState& s, const SubnetEntry& child,
-                  chain::Epoch now) {
-  if (s.topdown_window_cap > 0 &&
-      child.topdown_since_checkpoint >= s.topdown_window_cap) {
-    return true;
-  }
-  if (s.breaker_stall_epochs > 0) {
-    // A child that never checkpointed measures staleness from genesis.
-    const chain::Epoch basis =
-        child.last_checkpoint_epoch >= 0 ? child.last_checkpoint_epoch : 0;
-    if (now - basis > s.breaker_stall_epochs) return true;
-  }
-  return false;
+bool breaker_open(const ScaState& s, const SubnetEntry& child) {
+  return s.topdown_window_cap > 0 &&
+         child.topdown_since_checkpoint >= s.topdown_window_cap;
 }
 
 Result<Bytes> ScaActor::invoke(chain::Runtime& rt, chain::MethodNum method,
@@ -220,7 +208,7 @@ Status ScaActor::route_out(Rt& rt, ScaState& s, core::CrossMsg cross) {
     // child's total order and the firewall bound is untouched. The caller's
     // failure path emits the paper's revert cross-msg (§IV) for forwarded
     // hops, or reverts the sender's funds locally for fresh sends.
-    if (breaker_open(s, *child, rt.current_epoch())) {
+    if (breaker_open(s, *child)) {
       ++child->topdown_shed;
       rt.emit_event("sca/topdown-shed", encode(cross));
       return Error(Errc::kOverloaded,

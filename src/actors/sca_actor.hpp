@@ -207,20 +207,18 @@ struct AtomicNotice {
 };
 
 /// Build the initial SCA state for a chain with the given identity.
-/// `topdown_window_cap` / `breaker_stall_epochs` configure the top-down
-/// circuit breaker (DESIGN.md §14); 0 disables each trip condition. The
-/// blob carries the decoded state as its memo.
+/// `topdown_window_cap` configures the top-down circuit breaker
+/// (DESIGN.md §14); 0 disables it. The blob carries the decoded state as
+/// its memo.
 [[nodiscard]] chain::StateBlob make_sca_ctor_state(
     const core::SubnetId& self, std::uint32_t checkpoint_period,
-    std::uint64_t topdown_window_cap = 0,
-    chain::Epoch breaker_stall_epochs = 0);
+    std::uint64_t topdown_window_cap = 0);
 
 /// Whether the top-down circuit breaker refuses new cross-msgs toward
-/// `child` at epoch `now`: the unacknowledged backlog reached the window
-/// cap, or the child's checkpoints stalled. Pure function of on-chain
-/// state, so every replica agrees on every shed decision.
-[[nodiscard]] bool breaker_open(const ScaState& s, const SubnetEntry& child,
-                                chain::Epoch now);
+/// `child`: the unacknowledged backlog reached the window cap. Pure
+/// function of on-chain state, so every replica agrees on every shed
+/// decision.
+[[nodiscard]] bool breaker_open(const ScaState& s, const SubnetEntry& child);
 
 class ScaActor final : public chain::ActorLogic {
  public:

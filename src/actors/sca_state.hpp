@@ -45,6 +45,11 @@ struct SubnetEntry {
   std::uint64_t topdown_since_checkpoint = 0;
   /// Top-down msgs refused by the breaker (shed before consuming a nonce
   /// or minting circulating supply, so the firewall bound is untouched).
+  /// Counts only sheds that commit: a path message forwarded here is shed
+  /// and reverted inside a call that succeeds, so its increment stays; a
+  /// refused fresh send fails its whole call, and the executor's journal
+  /// revert rolls this increment back together with its
+  /// `sca/topdown-shed` event.
   std::uint64_t topdown_shed = 0;
 
   void encode_to(Encoder& e) const;
@@ -170,9 +175,9 @@ struct ScaState {
   /// `topdown_since_checkpoint` is at the cap, further top-down msgs toward
   /// it are shed with kOverloaded and revert to their source (paper §IV).
   std::uint64_t topdown_window_cap = 0;
-  /// Breaker staleness trip: shed top-down msgs toward a child whose last
-  /// committed checkpoint lags the current epoch by more than this many
-  /// epochs (0 = disabled).
+  /// Unused, always 0: a retired staleness trip that compared the
+  /// parent's epoch with the child's height. Still encoded so state roots
+  /// stay put; it goes with the next SCA format change.
   chain::Epoch breaker_stall_epochs = 0;
 
   // ------------------------------------------------ children (as parent)

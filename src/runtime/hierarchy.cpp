@@ -34,8 +34,7 @@ namespace {
 /// Genesis state shared by every chain: Init actor + SCA.
 chain::StateTree base_genesis(const core::SubnetId& self,
                               std::uint32_t checkpoint_period,
-                              std::uint64_t topdown_window_cap,
-                              chain::Epoch breaker_stall_epochs) {
+                              std::uint64_t topdown_window_cap) {
   chain::StateTree tree;
   chain::ActorEntry init;
   init.code = chain::kCodeInit;
@@ -43,8 +42,8 @@ chain::StateTree base_genesis(const core::SubnetId& self,
   tree.set(chain::kInitAddr, init);
   chain::ActorEntry sca;
   sca.code = chain::kCodeSca;
-  sca.state = actors::make_sca_ctor_state(
-      self, checkpoint_period, topdown_window_cap, breaker_stall_epochs);
+  sca.state =
+      actors::make_sca_ctor_state(self, checkpoint_period, topdown_window_cap);
   tree.set(chain::kScaAddr, sca);
   return tree;
 }
@@ -172,7 +171,7 @@ Hierarchy::Hierarchy(HierarchyConfig config)
 
   chain::StateTree genesis =
       base_genesis(root->id, config_.root_params.checkpoint_period,
-                   config_.topdown_window_cap, config_.breaker_stall_epochs);
+                   config_.topdown_window_cap);
   chain::ActorEntry faucet_entry;
   faucet_entry.code = chain::kCodeAccount;
   faucet_entry.balance = config_.faucet_balance;
@@ -236,9 +235,8 @@ Hierarchy::Staged Hierarchy::compose_static(const TreeSpec& spec,
         compose_static(spec.children[k], &s, Address::id(100 + k)));
   }
 
-  chain::StateTree genesis =
-      base_genesis(s.id, spec.params.checkpoint_period,
-                   config_.topdown_window_cap, config_.breaker_stall_epochs);
+  chain::StateTree genesis = base_genesis(
+      s.id, spec.params.checkpoint_period, config_.topdown_window_cap);
   if (parent == nullptr) {
     // Keep the faucet so make_user()/spawn_subnet() compose with a
     // statically built tree.
@@ -568,9 +566,8 @@ Result<Subnet*> Hierarchy::spawn_subnet(Subnet& parent,
   child->domain = scheduler_.add_domain();
   child->validator_keys = keys;
 
-  chain::StateTree genesis =
-      base_genesis(child->id, params.checkpoint_period,
-                   config_.topdown_window_cap, config_.breaker_stall_epochs);
+  chain::StateTree genesis = base_genesis(
+      child->id, params.checkpoint_period, config_.topdown_window_cap);
   Subnet* out = child.get();
   subnets_.push_back(std::move(child));
   boot_subnet(*out, std::move(genesis));

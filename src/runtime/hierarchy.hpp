@@ -44,9 +44,8 @@ struct HierarchyConfig {
   bool mem_metrics = false;
 
   /// Top-down circuit breaker (SCA, DESIGN.md §14), baked into every
-  /// chain's genesis SCA state. 0 disables each trip condition.
+  /// chain's genesis SCA state. 0 disables it.
   std::uint64_t topdown_window_cap = 0;
-  chain::Epoch breaker_stall_epochs = 0;
 
   /// Rootnet parameters (consensus type; checkpoint fields unused at root).
   core::SubnetParams root_params;

@@ -1,7 +1,8 @@
 // Overload-control tests (DESIGN.md §14): bounded mempool admission and
 // deterministic eviction order, the nonce-gap hole regression, and a surge
 // smoke over the chaos runner proving peaks stay under every cap while the
-// admitted traffic still settles.
+// admitted traffic still settles, and the SCA's top-down circuit breaker
+// (window-cap trip, shed-and-revert, close on the child's checkpoint).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,7 +11,9 @@
 #include <string>
 #include <vector>
 
+#include "actors/methods.hpp"
 #include "chain/mempool.hpp"
+#include "chaos/invariants.hpp"
 #include "chaos/runner.hpp"
 #include "common/capacity.hpp"
 #include "crypto/schnorr.hpp"
@@ -214,6 +217,169 @@ TEST(OverloadSurge, BoundedShedAndSettle) {
   const RunResult b = runner.run(surge, 7);
   EXPECT_EQ(a.fingerprint, b.fingerprint) << "surge run is not reproducible";
   EXPECT_EQ(a.state_roots, b.state_roots);
+}
+
+// ------------------------------------------------- SCA top-down breaker
+
+core::SubnetParams breaker_subnet_params() {
+  core::SubnetParams p;
+  p.name = "breaker";
+  p.consensus = core::ConsensusType::kPoaRoundRobin;
+  p.min_validator_stake = TokenAmount::whole(5);
+  p.min_collateral = TokenAmount::whole(10);
+  p.checkpoint_period = 5;
+  p.checkpoint_policy =
+      core::SignaturePolicy{core::SignaturePolicyKind::kMultiSig, 1};
+  return p;
+}
+
+/// Root with two children `a` and `b` under a top-down window cap of
+/// kCap. Partitioning `a` away stops its checkpoints from reaching the
+/// root, so the root's breaker toward `a` stays open once the cap is hit.
+struct TopDownBreaker : ::testing::Test {
+  static constexpr std::uint64_t kCap = 2;
+
+  runtime::Hierarchy h{[] {
+    runtime::HierarchyConfig cfg;
+    cfg.seed = 41;
+    cfg.latency = sim::LatencyModel(2 * sim::kMillisecond, sim::kMillisecond);
+    cfg.root_params = breaker_subnet_params();
+    cfg.root_validators = 3;
+    cfg.root_engine.block_time = 100 * sim::kMillisecond;
+    cfg.topdown_window_cap = kCap;
+    return cfg;
+  }()};
+  runtime::Subnet* a = nullptr;
+  runtime::Subnet* b = nullptr;
+  runtime::User alice;
+
+  void SetUp() override {
+    consensus::EngineConfig fast;
+    fast.block_time = 100 * sim::kMillisecond;
+    auto sa = h.spawn_subnet(h.root(), "a", breaker_subnet_params(), 3,
+                             TokenAmount::whole(5), fast);
+    ASSERT_TRUE(sa.ok()) << sa.error().to_string();
+    a = sa.value();
+    auto sb = h.spawn_subnet(h.root(), "b", breaker_subnet_params(), 3,
+                             TokenAmount::whole(5), fast);
+    ASSERT_TRUE(sb.ok()) << sb.error().to_string();
+    b = sb.value();
+    auto u = h.make_user("breaker-alice", TokenAmount::whole(1000));
+    ASSERT_TRUE(u.ok());
+    alice = u.value();
+  }
+
+  [[nodiscard]] actors::SubnetEntry entry(const runtime::Subnet& child) {
+    return h.root().node(0).sca_state().subnets.at(child.sa);
+  }
+
+  /// Cut `a` off from the rest of the network and wait out any of its
+  /// checkpoints already in flight to the root.
+  void isolate_a() {
+    std::vector<net::NodeId> group;
+    for (std::size_t i = 0; i < a->size(); ++i) {
+      group.push_back(a->node(i).net_id());
+    }
+    h.network().set_partition({group});
+    h.run_for(2 * sim::kSecond);
+  }
+
+  /// Fill `a`'s window: kCap fresh sends from the root are admitted.
+  void fill_window() {
+    for (std::uint64_t i = 0; i < kCap; ++i) {
+      auto r = h.send_cross(h.root(), alice, a->id, alice.addr,
+                            TokenAmount::whole(1));
+      ASSERT_TRUE(r.ok());
+      ASSERT_TRUE(r.value().ok()) << r.value().error;
+    }
+    ASSERT_EQ(entry(*a).topdown_since_checkpoint, kCap);
+  }
+
+  /// Heal: `a`'s next checkpoint reaches the root and closes the breaker,
+  /// a fresh send toward `a` is admitted again, and the hierarchy settles
+  /// with every invariant intact.
+  void heal_and_check() {
+    const chain::Epoch stalled_at = entry(*a).last_checkpoint_epoch;
+    h.network().heal_partition();
+    ASSERT_TRUE(h.run_until(
+        [&] { return entry(*a).last_checkpoint_epoch > stalled_at; },
+        120 * sim::kSecond));
+    EXPECT_LT(entry(*a).topdown_since_checkpoint, kCap);
+    auto r = h.send_cross(h.root(), alice, a->id, alice.addr,
+                          TokenAmount::whole(1));
+    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE(r.value().ok()) << r.value().error;
+    ASSERT_TRUE(h.run_until([&] { return chaos::quiescent(h); },
+                            120 * sim::kSecond));
+    const chaos::InvariantReport report = chaos::check_invariants(h);
+    EXPECT_TRUE(report.ok()) << report.to_string();
+  }
+};
+
+TEST_F(TopDownBreaker, FreshSendAtCapFailsBeforeNonceOrMint) {
+  isolate_a();
+  fill_window();
+  const actors::SubnetEntry before = entry(*a);
+  const TokenAmount frozen = h.root().node(0).balance(chain::kScaAddr);
+
+  auto r = h.send_cross(h.root(), alice, a->id, alice.addr,
+                        TokenAmount::whole(1));
+  ASSERT_TRUE(r.ok());
+  const chain::Receipt& refused = r.value();
+  EXPECT_FALSE(refused.ok());
+  EXPECT_EQ(refused.error.rfind("kOverloaded", 0), 0u) << refused.error;
+  // The refusal fails the whole call: the shed counter and its
+  // sca/topdown-shed event roll back with it.
+  EXPECT_TRUE(refused.events.empty());
+  const actors::SubnetEntry after = entry(*a);
+  EXPECT_EQ(after.topdown_nonce, before.topdown_nonce);
+  EXPECT_EQ(after.topdown_queue.size(), before.topdown_queue.size());
+  EXPECT_EQ(after.circulating_supply, before.circulating_supply);
+  EXPECT_EQ(after.topdown_since_checkpoint, kCap);
+  EXPECT_EQ(after.topdown_shed, 0u);
+  EXPECT_EQ(h.root().node(0).balance(chain::kScaAddr), frozen);
+  ASSERT_EQ(after.last_checkpoint_epoch, before.last_checkpoint_epoch);
+
+  heal_and_check();
+}
+
+TEST_F(TopDownBreaker, PathMessageShedAtLcaRevertsToSender) {
+  // Fund alice in `b`, the source of the path message.
+  ASSERT_TRUE(h.send_cross(h.root(), alice, b->id, alice.addr,
+                           TokenAmount::whole(20))
+                  .ok());
+  ASSERT_TRUE(h.run_until(
+      [&] {
+        return b->node(0).balance(alice.addr) == TokenAmount::whole(20);
+      },
+      120 * sim::kSecond));
+  isolate_a();
+  fill_window();
+  const actors::SubnetEntry before = entry(*a);
+
+  // b -> a: up to the root by b's checkpoint, then forwarded down toward
+  // `a` at the least common ancestor, where the breaker sheds it.
+  auto r = h.send_cross(*b, alice, a->id, alice.addr, TokenAmount::whole(7));
+  ASSERT_TRUE(r.ok());
+  ASSERT_TRUE(r.value().ok()) << r.value().error;
+  const TokenAmount sent_off = b->node(0).balance(alice.addr);
+  ASSERT_LE(sent_off, TokenAmount::whole(13));
+  ASSERT_TRUE(h.run_until([&] { return entry(*a).topdown_shed == 1; },
+                          120 * sim::kSecond));
+  const actors::SubnetEntry after = entry(*a);
+  EXPECT_EQ(after.topdown_nonce, before.topdown_nonce);
+  EXPECT_EQ(after.circulating_supply, before.circulating_supply);
+  ASSERT_EQ(after.last_checkpoint_epoch, before.last_checkpoint_epoch);
+  // The revert carries the value back down to the sender in `b`.
+  EXPECT_TRUE(h.run_until(
+      [&] {
+        return b->node(0).balance(alice.addr) ==
+               sent_off + TokenAmount::whole(7);
+      },
+      120 * sim::kSecond));
+
+  heal_and_check();
+  EXPECT_EQ(entry(*a).topdown_shed, 1u);
 }
 
 }  // namespace
