@@ -5,12 +5,14 @@
 // slashed, honest collateral untouched, deactivation where expected,
 // detection latency bounded, no duplicate proofs) — and determinism: the
 // same scenario/seed pair replays byte-identically, adversary included.
+// The CheckpointWatcher suite drives the equivocation index directly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
 
 #include "chaos/runner.hpp"
+#include "runtime/watcher.hpp"
 
 namespace hc::chaos {
 namespace {
@@ -158,6 +160,103 @@ TEST(ByzantineSweep, DepthTwoEquivocationIsSlashedByTheMiddleSubnet) {
     EXPECT_TRUE(r.converged) << r.summary();
     EXPECT_TRUE(r.report.ok()) << r.summary();
   }
+}
+
+// ------------------------------------------------ CheckpointWatcher (unit)
+
+const core::SubnetId& watched_subnet() {
+  static const core::SubnetId id =
+      core::SubnetId::root().child(Address::id(100));
+  return id;
+}
+
+/// One side of a possible equivocation: a checkpoint of `watched_subnet`
+/// at `epoch` whose block proof is named by `side`.
+core::Checkpoint side(chain::Epoch epoch, const std::string& side) {
+  core::Checkpoint cp;
+  cp.source = watched_subnet();
+  cp.epoch = epoch;
+  cp.proof = Cid::of(CidCodec::kBlock,
+                     to_bytes(side + "@" + std::to_string(epoch)));
+  return cp;
+}
+
+/// Record `signer`'s share over `cp` in `w`.
+std::vector<core::FraudProof> share(runtime::CheckpointWatcher& w,
+                                    const core::Checkpoint& cp,
+                                    const crypto::KeyPair& signer) {
+  const Bytes payload = core::SignedCheckpoint::signing_payload(cp);
+  return w.record_share(cp.epoch, cp.cid(), signer.public_key(),
+                        signer.sign(payload));
+}
+
+TEST(CheckpointWatcher, OneSignerBehindTwoCidsGivesExactlyOneProof) {
+  runtime::CheckpointWatcher w;
+  const auto mallory = crypto::KeyPair::from_label("watch/mallory");
+  const auto honest = crypto::KeyPair::from_label("watch/honest");
+  const core::Checkpoint a = side(10, "a");
+  const core::Checkpoint b = side(10, "b");
+
+  EXPECT_TRUE(w.record_checkpoint(a).empty());
+  EXPECT_TRUE(share(w, a, mallory).empty());
+  EXPECT_TRUE(share(w, a, honest).empty());
+  // Mallory's second share is evidence, but b's content is not known yet.
+  EXPECT_TRUE(share(w, b, mallory).empty());
+  const auto proofs = w.record_checkpoint(b);
+  ASSERT_EQ(proofs.size(), 1u);
+  auto guilty = proofs[0].guilty_signers();
+  ASSERT_TRUE(guilty.ok()) << guilty.error().to_string();
+  ASSERT_EQ(guilty.value().size(), 1u);
+  EXPECT_EQ(guilty.value()[0], mallory.public_key());
+
+  // The offence is reported: repeats and a third side give nothing more.
+  EXPECT_TRUE(share(w, b, mallory).empty());
+  EXPECT_TRUE(share(w, a, mallory).empty());
+  EXPECT_TRUE(w.record_checkpoint(b).empty());
+  const core::Checkpoint c = side(10, "c");
+  EXPECT_TRUE(w.record_checkpoint(c).empty());
+  EXPECT_TRUE(share(w, c, mallory).empty());
+}
+
+TEST(CheckpointWatcher, NewerEpochEvictsTheOldestAndOlderArrivalsAreShed) {
+  runtime::CheckpointWatcher w;
+  const auto mallory = crypto::KeyPair::from_label("watch/mallory");
+  constexpr auto kMax =
+      static_cast<chain::Epoch>(runtime::CheckpointWatcher::kMaxEpochs);
+  // One side of a possible equivocation in each of epochs 1..kMax.
+  for (chain::Epoch e = 1; e <= kMax; ++e) {
+    ASSERT_TRUE(w.record_checkpoint(side(e, "a")).empty());
+    ASSERT_TRUE(share(w, side(e, "a"), mallory).empty());
+  }
+  // Epoch kMax + 1 is admitted and evicts epoch 1.
+  EXPECT_TRUE(w.record_checkpoint(side(kMax + 1, "a")).empty());
+  // Epoch 1's second side is now older than everything retained: shed,
+  // so no proof, although epoch 1 would have completed one.
+  EXPECT_TRUE(w.record_checkpoint(side(1, "b")).empty());
+  EXPECT_TRUE(share(w, side(1, "b"), mallory).empty());
+  // Epoch 2 was kept: its second side completes a proof.
+  EXPECT_TRUE(w.record_checkpoint(side(2, "b")).empty());
+  EXPECT_EQ(share(w, side(2, "b"), mallory).size(), 1u);
+  // So does the newest epoch.
+  EXPECT_TRUE(share(w, side(kMax + 1, "a"), mallory).empty());
+  EXPECT_TRUE(w.record_checkpoint(side(kMax + 1, "b")).empty());
+  EXPECT_EQ(share(w, side(kMax + 1, "b"), mallory).size(), 1u);
+}
+
+TEST(CheckpointWatcher, PruneBelowDropsEvidenceBelowItsEpoch) {
+  runtime::CheckpointWatcher w;
+  const auto mallory = crypto::KeyPair::from_label("watch/mallory");
+  for (const chain::Epoch e : {5, 10}) {
+    ASSERT_TRUE(w.record_checkpoint(side(e, "a")).empty());
+    ASSERT_TRUE(share(w, side(e, "a"), mallory).empty());
+  }
+  w.prune_below(10);
+  // Epoch 5's first side is gone: its second side alone proves nothing.
+  EXPECT_TRUE(w.record_checkpoint(side(5, "b")).empty());
+  EXPECT_TRUE(share(w, side(5, "b"), mallory).empty());
+  // Epoch 10 is at the bound and kept.
+  EXPECT_TRUE(w.record_checkpoint(side(10, "b")).empty());
+  EXPECT_EQ(share(w, side(10, "b"), mallory).size(), 1u);
 }
 
 }  // namespace
