@@ -150,11 +150,13 @@ class ByzantineAdversary final : public runtime::CheckpointAdversary {
     return behavior_ == ByzantineBehavior::kWithhold;
   }
 
-  void on_cut(const Context& ctx, const core::Checkpoint& cp) override {
-    ctx.obs.metrics
+  void on_cut(runtime::CheckpointDuty& duty,
+              const core::Checkpoint& cp) override {
+    duty.obs()
+        .metrics
         .counter("node_byzantine_actions_total",
-                 obs::Labels{{"node", std::to_string(ctx.node)},
-                             {"subnet", ctx.subnet.to_string()},
+                 obs::Labels{{"node", std::to_string(duty.node())},
+                             {"subnet", cp.source.to_string()},
                              {"behavior", behavior_name(behavior_)}})
         .inc();
     switch (behavior_) {
@@ -163,20 +165,21 @@ class ByzantineAdversary final : public runtime::CheckpointAdversary {
         // The forged side must carry its content: no honest replica can
         // reconstruct it from its own chain, and the watcher needs both
         // contents to assemble a proof.
-        ctx.gossip_share_with_content(forge(cp, ctx.subnet));
+        duty.gossip_share_with_content(forge(cp));
         // Detection-latency flow: provable fraud injected here, closed when
         // a slash record for this (subnet, epoch, signer) lands on the
         // parent chain.
-        ctx.obs.tracer.flow_begin(
-            runtime::fraud_flow_key(ctx.subnet, cp.epoch, ctx.address),
-            "fraud.detect", ctx.subnet.to_string(),
+        duty.obs().tracer.flow_begin(
+            runtime::fraud_flow_key(cp.source, cp.epoch, duty.address()),
+            "fraud.detect", cp.source.to_string(),
             {{"behavior", behavior_name(behavior_)}});
         break;
       case ByzantineBehavior::kStaleResubmit:
         if (stale_.has_value()) {
-          ctx.submit_to_parent(ctx.sa_in_parent,
-                               actors::sa_method::kSubmitCheckpoint,
-                               encode(*stale_));
+          // The source's own SA on the parent chain.
+          duty.submit_to_parent(stale_->checkpoint.source.actor(),
+                                actors::sa_method::kSubmitCheckpoint,
+                                encode(*stale_));
         }
         break;
       case ByzantineBehavior::kNone:
@@ -193,8 +196,7 @@ class ByzantineAdversary final : public runtime::CheckpointAdversary {
   }
 
  private:
-  [[nodiscard]] core::Checkpoint forge(const core::Checkpoint& cp,
-                                       const core::SubnetId& subnet) const {
+  [[nodiscard]] core::Checkpoint forge(const core::Checkpoint& cp) const {
     core::Checkpoint forged = cp;
     if (behavior_ == ByzantineBehavior::kForgeMeta) {
       // Inflate the bottom-up value this checkpoint claims toward the
@@ -203,8 +205,8 @@ class ByzantineAdversary final : public runtime::CheckpointAdversary {
       // and the supply invariants must catch.
       if (forged.cross_meta.empty()) {
         core::CrossMsgMeta meta;
-        meta.from = subnet;
-        meta.to = subnet.parent().value_or(core::SubnetId{});
+        meta.from = cp.source;
+        meta.to = cp.source.parent().value_or(core::SubnetId{});
         meta.msg_count = 1;
         meta.value = TokenAmount::whole(1'000'000);
         forged.cross_meta.push_back(std::move(meta));
@@ -281,7 +283,7 @@ void apply(const FaultEvent& e, runtime::Hierarchy& h) {
       if (subnet.alive(e.a.node)) {
         const bool arm = e.kind == FaultEvent::Kind::kByzantine &&
                          e.behavior != ByzantineBehavior::kNone;
-        subnet.node(e.a.node).set_adversary(
+        subnet.node(e.a.node).checkpoint_duty().set_adversary(
             arm ? std::make_unique<ByzantineAdversary>(e.behavior) : nullptr);
       }
       break;

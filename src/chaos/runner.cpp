@@ -181,7 +181,7 @@ void check_byzantine(runtime::Hierarchy& h, const RunnerConfig& cfg,
     // ---- every watcher's local proof queue drained by quiescence
     for (std::size_t i = 0; i < subnet.size(); ++i) {
       if (!subnet.alive(i)) continue;
-      if (subnet.node(i).pending_fraud_proofs() != 0) {
+      if (subnet.node(i).checkpoint_duty().pending_fraud_proofs() != 0) {
         report.violations.push_back(
             tag + " node " + std::to_string(i) +
             ": fraud proofs still pending after settle");
@@ -339,7 +339,7 @@ RunResult ChaosRunner::run(const Scenario& scenario, std::uint64_t seed) {
       } else {
         // Adversaries reform at heal time; their PAST fraud must still be
         // detected, slashed and settled before quiescence.
-        subnet->node(i).set_adversary(nullptr);
+        subnet->node(i).checkpoint_duty().set_adversary(nullptr);
       }
     }
   }

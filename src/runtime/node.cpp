@@ -1,4 +1,3 @@
-#include "crypto/sigcache.hpp"
 #include "runtime/node.hpp"
 
 #include <algorithm>
@@ -57,12 +56,6 @@ std::string buexec_key(const core::SubnetId& subnet, std::uint64_t nonce) {
   return "buexec:" + subnet.to_string() + ":" + std::to_string(nonce);
 }
 
-std::string cp_key(const char* stage, const core::SubnetId& source,
-                   chain::Epoch epoch) {
-  return std::string(stage) + ":" + source.to_string() + ":" +
-         std::to_string(epoch);
-}
-
 // ---- state reads shared by the live and parent-view accessors ----------
 
 std::uint64_t nonce_in(const chain::StateTree& tree, const Address& addr) {
@@ -111,6 +104,8 @@ SubnetNode::SubnetNode(sim::Scheduler& scheduler, net::Network& network,
       mempool_(config_.mempool),
       executor_(registry_, chain::GasSchedule{}),
       retry_rng_(0x9e3779b97f4a7c15ULL ^ net_id_),
+      checkpoint_(config_, network_, net_id_, key_, validators_, parent_,
+                  retry_rng_),
       obs_(network.obs()) {
   const obs::Labels node_labels{{"node", std::to_string(net_id_)},
                                 {"subnet", config_.subnet.to_string()}};
@@ -121,19 +116,9 @@ SubnetNode::SubnetNode(sim::Scheduler& scheduler, net::Network& network,
       &m.counter("node_block_executions_total", node_labels);
   c_user_msgs_ = &m.counter("node_user_msgs_executed_total", node_labels);
   c_cross_msgs_ = &m.counter("node_cross_msgs_executed_total", node_labels);
-  c_checkpoints_cut_ = &m.counter("node_checkpoints_cut_total", node_labels);
-  c_checkpoints_submitted_ =
-      &m.counter("node_checkpoints_submitted_total", node_labels);
-  c_checkpoint_retries_ =
-      &m.counter("node_checkpoint_retries_total", node_labels);
-  c_share_regossips_ =
-      &m.counter("node_share_regossips_total", node_labels);
   c_pulls_sent_ = &m.counter("node_pulls_sent_total", node_labels);
   c_pushes_sent_ = &m.counter("node_pushes_sent_total", node_labels);
   c_resolves_served_ = &m.counter("node_resolves_served_total", node_labels);
-  c_fraud_detected_ = &m.counter("node_fraud_detected_total", node_labels);
-  c_fraud_submitted_ =
-      &m.counter("node_fraud_proofs_submitted_total", node_labels);
   c_state_leaf_rehashes_ =
       &m.counter("state_leaf_rehashes_total", node_labels);
   c_state_flush_hits_ =
@@ -206,7 +191,9 @@ SubnetNode::SubnetNode(sim::Scheduler& scheduler, net::Network& network,
         } else if (topic == Topics::msgs(config_.subnet)) {
           handle_msgs_topic(payload);
         } else if (topic == Topics::signatures(config_.subnet)) {
-          handle_sigs_topic(payload);
+          if (auto gossip = payload.decoded<SigGossip>()) {
+            checkpoint_.on_gossip(*gossip.value(), store_->height());
+          }
         } else if (topic == Topics::resolve(config_.subnet)) {
           handle_resolve_topic(payload);
         }
@@ -262,18 +249,14 @@ void SubnetNode::stop() {
   engine_->stop();
 }
 
-bool SubnetNode::is_validator() const {
-  return validators_.index_of(key_.public_key()).has_value();
-}
-
 NodeStats SubnetNode::stats() const {
   NodeStats s;
   s.blocks_committed = c_blocks_committed_->value();
   s.block_executions = c_block_executions_->value();
   s.user_msgs_executed = c_user_msgs_->value();
   s.cross_msgs_executed = c_cross_msgs_->value();
-  s.checkpoints_cut = c_checkpoints_cut_->value();
-  s.checkpoints_submitted = c_checkpoints_submitted_->value();
+  s.checkpoints_cut = checkpoint_.checkpoints_cut();
+  s.checkpoints_submitted = checkpoint_.checkpoints_submitted();
   s.pulls_sent = c_pulls_sent_->value();
   s.pushes_sent = c_pushes_sent_->value();
   s.resolves_served = c_resolves_served_->value();
@@ -738,10 +721,7 @@ void SubnetNode::recover_from_wal() {
       }
       case storage::WalRecordType::kCheckpoint: {
         if (auto cp_r = decode<core::Checkpoint>(rec.payload)) {
-          const core::Checkpoint cp = std::move(cp_r).value();
-          // Restores the sign/submit duty; epochs the parent has since
-          // accepted get pruned by the first maybe_submit_checkpoint().
-          cut_checkpoints_[cp.epoch] = cp;
+          checkpoint_.restore(cp_r.value());
         }
         break;
       }
@@ -875,10 +855,10 @@ void SubnetNode::observe_cross_event(const chain::ActorEvent& event) {
     }
     // ...and opens the checkpoint pipeline: overall (cut -> parent commit)
     // plus the signature-collection leg (cut -> submit).
-    tracer.flow_begin(cp_key("cp", cp.source, cp.epoch), "checkpoint.pipeline",
-                      cp.source.to_string(),
+    tracer.flow_begin(checkpoint_flow_key("cp", cp.source, cp.epoch),
+                      "checkpoint.pipeline", cp.source.to_string(),
                       {{"epoch", std::to_string(cp.epoch)}});
-    tracer.flow_begin(cp_key("cpsign", cp.source, cp.epoch),
+    tracer.flow_begin(checkpoint_flow_key("cpsign", cp.source, cp.epoch),
                       "checkpoint.sign", cp.source.to_string());
   } else if (event.kind == "sca/bottomup-adopted") {
     // The parent SCA adopted a child batch's meta.
@@ -894,8 +874,9 @@ void SubnetNode::observe_cross_event(const chain::ActorEvent& event) {
     auto cp_r = decode<core::Checkpoint>(event.payload);
     if (!cp_r) return;
     const core::Checkpoint cp = std::move(cp_r).value();
-    tracer.flow_end(cp_key("cpsub", cp.source, cp.epoch));
-    if (auto d = tracer.flow_end(cp_key("cp", cp.source, cp.epoch))) {
+    tracer.flow_end(checkpoint_flow_key("cpsub", cp.source, cp.epoch));
+    if (auto d =
+            tracer.flow_end(checkpoint_flow_key("cp", cp.source, cp.epoch))) {
       obs_.metrics
           .histogram("checkpoint_accept_latency_us",
                      obs::Labels{{"subnet", cp.source.to_string()}})
@@ -945,48 +926,24 @@ void SubnetNode::observe_cross_event(const chain::ActorEvent& event) {
 
 void SubnetNode::after_commit(const std::vector<chain::Receipt>& receipts) {
   if (!running_) return;
-  // Detect a freshly cut checkpoint: sign it and push its batches.
+  const chain::Epoch head = store_->height();
+  // A freshly cut checkpoint: the duty signs it; we push its batches.
   for (const auto& receipt : receipts) {
     for (const auto& event : receipt.events) {
       if (event.kind != "sca/checkpoint-cut") continue;
       auto cp_r = decode<core::Checkpoint>(event.payload);
       if (!cp_r) continue;
       const core::Checkpoint cp = std::move(cp_r).value();
-      c_checkpoints_cut_->inc();
-      cut_checkpoints_[cp.epoch] = cp;
       if (wal_ != nullptr) {  // fsynced lazily with the block cadence
         wal_record(storage::WalRecordType::kCheckpoint, cp.epoch,
                    event.payload);
       }
-      // Every full node attributes its own deterministic cut content to
-      // its cid; gossiped shares attach to it in the watcher.
-      on_fraud_proofs(watcher_.record_checkpoint(cp));
-      if (is_validator()) {
-        // Paper Fig. 2: a signature window opens for the cut checkpoint.
-        if (!withholds()) sign_and_gossip_share(cp);
-        if (adversary_ != nullptr) adversary_->on_cut(adversary_context(), cp);
-      }
+      checkpoint_.on_cut(cp, head);
       if (push_resolution_) push_own_batches(cp);
     }
   }
   request_missing_batches();
-  maybe_submit_checkpoint();
-  maybe_regossip_share();
-  maybe_submit_fraud_proofs();
-}
-
-chain::Epoch SubnetNode::checkpoint_period() const {
-  return std::max<chain::Epoch>(1, config_.params.checkpoint_period);
-}
-
-void SubnetNode::arm_retry(RetryState& retry, chain::Epoch head) {
-  constexpr std::uint32_t kMaxBackoffShift = 3;  // 1,2,4,8 periods, capped
-  const chain::Epoch period = checkpoint_period();
-  const auto shift = std::min(retry.attempts, kMaxBackoffShift);
-  ++retry.attempts;
-  const auto jitter = static_cast<chain::Epoch>(
-      retry_rng_.uniform(static_cast<std::uint64_t>(period)));
-  retry.next_height = head + (period << shift) + jitter;
+  checkpoint_.on_commit(head);
 }
 
 void SubnetNode::push_own_batches(const core::Checkpoint& cp) {
@@ -1024,7 +981,7 @@ void SubnetNode::request_missing_batches() {
     if (retry.attempts > 0 && head < retry.next_height) continue;
     if (issued >= kMaxInflightPulls) continue;
     ++issued;
-    arm_retry(retry, head);
+    arm_retry(retry, head, config_.params.checkpoint_period, retry_rng_);
     ResolutionMsg pull;
     pull.kind = ResolutionKind::kPull;
     pull.cid = pending.meta.msgs_cid;
@@ -1035,272 +992,6 @@ void SubnetNode::request_missing_batches() {
   }
   for (auto it = pull_retry_.begin(); it != pull_retry_.end();) {
     it = missing.contains(it->first) ? std::next(it) : pull_retry_.erase(it);
-  }
-}
-
-void SubnetNode::maybe_submit_checkpoint() {
-  if (parent_ == nullptr || !is_validator()) return;
-
-  // Prune checkpoints the parent SA has accepted, then pick the EARLIEST
-  // outstanding one (prev-linkage forces in-order acceptance).
-  const auto sa = parent_->sa_state_view(config_.sa_in_parent);
-  if (!sa.has_value()) return;
-  while (!cut_checkpoints_.empty() &&
-         cut_checkpoints_.begin()->first <= sa->last_checkpoint_epoch) {
-    const chain::Epoch accepted = cut_checkpoints_.begin()->first;
-    if (adversary_ != nullptr && accepted == sa->last_checkpoint_epoch) {
-      adversary_->on_accepted(
-          pooled_signatures(cut_checkpoints_.begin()->second, nullptr));
-    }
-    submit_retry_.erase(accepted);
-    share_retry_.erase(accepted);
-    sig_shares_.erase(accepted);
-    cut_checkpoints_.erase(cut_checkpoints_.begin());
-  }
-  // Bounded watcher memory: keep a few periods behind parent acceptance so
-  // late forged shares for recently-accepted epochs stay provable.
-  if (sa->last_checkpoint_epoch > 4 * checkpoint_period()) {
-    watcher_.prune_below(sa->last_checkpoint_epoch - 4 * checkpoint_period());
-  }
-  // A withholding validator never volunteers for submission duty either.
-  if (withholds()) return;
-  if (cut_checkpoints_.empty()) return;
-  const core::Checkpoint& cp = cut_checkpoints_.begin()->second;
-
-  // Designated submitter rotates per checkpoint; if acceptance stalls
-  // (partition, crashed submitter), the designation rotates onward every
-  // further period of silence so some live validator eventually retries.
-  const auto my_index = validators_.index_of(key_.public_key());
-  if (!my_index.has_value()) return;
-  const chain::Epoch head = store_->height();
-  const std::uint64_t periods_waited =
-      static_cast<std::uint64_t>(std::max<chain::Epoch>(0, head - cp.epoch)) /
-      static_cast<std::uint64_t>(checkpoint_period());
-  const std::size_t designated =
-      (static_cast<std::size_t>(cp.epoch /
-                                config_.params.checkpoint_period) +
-       periods_waited) %
-      validators_.size();
-  if (*my_index != designated) return;
-
-  // Back off re-submissions exponentially (with jitter) instead of
-  // hammering the parent chain every block while acceptance stalls.
-  RetryState& retry = submit_retry_[cp.epoch];
-  if (retry.attempts > 0 && head < retry.next_height) return;
-
-  // Collect this epoch's signature shares for exactly this checkpoint CID,
-  // restricted to signers the SA currently registers (the validator set in
-  // the SA changes on leave/slash; stale signers would fail its policy).
-  const auto sa_keys = sa->validator_keys();
-  const core::SignedCheckpoint sc = pooled_signatures(cp, &sa_keys);
-  // Read the threshold from the SA's LIVE policy, not the static node
-  // config: slashing shrinks the validator set and clamps the policy with
-  // it (a 3-of-3 subnet that loses a validator becomes 2-of-2, not wedged).
-  const core::SignaturePolicy& policy = sa->params.checkpoint_policy;
-  const std::uint32_t required =
-      policy.kind == core::SignaturePolicyKind::kSingle ? 1
-                                                        : policy.threshold;
-  if (sc.signatures.size() < required) return;
-
-  // Submit to the SA on the parent chain, paid from this validator's
-  // parent-chain account (paper §III-B: "checkpoints from /root/A/B are
-  // committed to the SA B of the subnet chain /root/A").
-  submit_to_parent(config_.sa_in_parent, actors::sa_method::kSubmitCheckpoint,
-                   encode(sc));
-  if (retry.attempts > 0) c_checkpoint_retries_->inc();
-  arm_retry(retry, head);
-  c_checkpoints_submitted_->inc();
-  // Signature collection ends at the (first) submission; acceptance by the
-  // parent SA closes the cpsub leg in observe_cross_event().
-  if (auto d = obs_.tracer.flow_end(cp_key("cpsign", cp.source, cp.epoch))) {
-    obs_.metrics
-        .histogram("checkpoint_sign_latency_us",
-                   obs::Labels{{"subnet", cp.source.to_string()}})
-        .observe(*d);
-  }
-  obs_.tracer.flow_begin(cp_key("cpsub", cp.source, cp.epoch),
-                         "checkpoint.submit", cp.source.to_string(),
-                         {{"epoch", std::to_string(cp.epoch)}});
-}
-
-void SubnetNode::maybe_regossip_share() {
-  if (!is_validator() || cut_checkpoints_.empty()) return;
-  const chain::Epoch epoch = cut_checkpoints_.begin()->first;
-  if (wal_ != nullptr && !sig_shares_[epoch].contains(
-                             key_.public_key().to_bytes()) &&
-      !withholds()) {
-    // Recovered duty (§15): WAL replay restored this cut but our share
-    // died with the process (the constructor replays silently). Re-sign
-    // the SAME cid — byte-identical signature, idempotent, NOT
-    // equivocation — so small validator sets can still reach threshold.
-    sign_and_gossip_share(cut_checkpoints_.begin()->second);
-  }
-  auto shares_it = sig_shares_.find(epoch);
-  if (shares_it == sig_shares_.end()) return;
-  auto own_it = shares_it->second.find(key_.public_key().to_bytes());
-  if (own_it == shares_it->second.end()) return;
-  RetryState& retry = share_retry_[epoch];
-  const chain::Epoch head = store_->height();
-  if (retry.attempts == 0) {
-    // The original share went out at cut time; only re-gossip once the
-    // checkpoint has been stuck for a full backoff interval.
-    arm_retry(retry, epoch);
-    return;
-  }
-  if (head < retry.next_height) return;
-  network_.publish(net_id_, Topics::signatures(config_.subnet),
-                   encode(SigGossip{own_it->second, std::nullopt}));
-  c_share_regossips_->inc();
-  arm_retry(retry, head);
-}
-
-// ----------------------------------------------------- checkpoint duty
-
-SigShare SubnetNode::sign_share(const core::Checkpoint& cp) const {
-  SigShare share;
-  share.epoch = cp.epoch;
-  share.checkpoint_cid = cp.cid();
-  share.signer = key_.public_key();
-  share.signature = key_.sign(core::SignedCheckpoint::signing_payload(cp));
-  return share;
-}
-
-void SubnetNode::sign_and_gossip_share(const core::Checkpoint& cp) {
-  const SigShare share = sign_share(cp);
-  sig_shares_[cp.epoch][share.signer.to_bytes()] = share;
-  on_fraud_proofs(watcher_.record_share(share.epoch, share.checkpoint_cid,
-                                        share.signer, share.signature));
-  network_.publish(net_id_, Topics::signatures(config_.subnet),
-                   encode(SigGossip{share, std::nullopt}));
-}
-
-core::SignedCheckpoint SubnetNode::pooled_signatures(
-    const core::Checkpoint& cp,
-    const std::vector<crypto::PublicKey>* signers) const {
-  core::SignedCheckpoint sc;
-  sc.checkpoint = cp;
-  const auto shares_it = sig_shares_.find(cp.epoch);
-  if (shares_it == sig_shares_.end()) return sc;
-  const Cid cid = cp.cid();
-  for (const auto& [signer_bytes, share] : shares_it->second) {
-    if (share.checkpoint_cid != cid) continue;
-    if (signers != nullptr &&
-        std::find(signers->begin(), signers->end(), share.signer) ==
-            signers->end()) {
-      continue;
-    }
-    sc.signatures.push_back(
-        core::CheckpointSignature{share.signer, share.signature});
-  }
-  return sc;
-}
-
-void SubnetNode::submit_to_parent(const Address& to, chain::MethodNum method,
-                                  Bytes params) {
-  if (parent_ == nullptr) return;
-  chain::Message m;
-  m.from = address();
-  m.to = to;
-  m.nonce = parent_->account_nonce_view(address());
-  m.method = method;
-  m.params = std::move(params);
-  m.gas_limit = 1u << 26;
-  m.gas_price = TokenAmount::atto(1);
-  network_.publish(net_id_, Topics::msgs(*config_.subnet.parent()),
-                   encode(chain::SignedMessage::sign(std::move(m), key_)));
-}
-
-CheckpointAdversary::Context SubnetNode::adversary_context() {
-  return {net_id_, config_.subnet, address(), config_.sa_in_parent, obs_,
-          [this](const core::Checkpoint& cp) {
-            network_.publish(net_id_, Topics::signatures(config_.subnet),
-                             encode(SigGossip{sign_share(cp), cp}));
-          },
-          [this](const Address& to, chain::MethodNum method, Bytes params) {
-            submit_to_parent(to, method, std::move(params));
-          }};
-}
-
-// -------------------------------------------------------- fraud watchdog
-
-void SubnetNode::on_fraud_proofs(std::vector<core::FraudProof> proofs) {
-  bool added = false;
-  for (auto& proof : proofs) {
-    auto guilty_r = proof.guilty_signers();
-    if (!guilty_r) continue;  // watcher output always validates; belt+braces
-    const Cid digest = proof.digest();
-    Bytes key(digest.digest().begin(), digest.digest().end());
-    if (pending_proofs_.contains(key)) continue;
-    c_fraud_detected_->inc();
-    LogLine(LogLevel::kWarn, config_.subnet.to_string())
-            .kv("epoch", proof.first.checkpoint.epoch)
-            .kv("signers", guilty_r.value().size())
-        << "checkpoint equivocation detected";
-    PendingProof pending;
-    pending.proof = std::move(proof);
-    pending.guilty = std::move(guilty_r).value();
-    pending.detected_at = store_->height();
-    pending_proofs_.emplace(std::move(key), std::move(pending));
-    added = true;
-  }
-  if (added) maybe_submit_fraud_proofs();
-}
-
-void SubnetNode::maybe_submit_fraud_proofs() {
-  if (pending_proofs_.empty() || parent_ == nullptr || !is_validator()) {
-    return;
-  }
-  const auto sa = parent_->sa_state_view(config_.sa_in_parent);
-  if (!sa.has_value()) return;
-  const auto sa_keys = sa->validator_keys();
-  const chain::Epoch head = store_->height();
-  const chain::Epoch period = checkpoint_period();
-
-  for (auto it = pending_proofs_.begin(); it != pending_proofs_.end();) {
-    PendingProof& pending = it->second;
-    // Resolved: every accused signer left the SA's validator set (our
-    // proof — or a peer's equivalent one — landed, or they left on their
-    // own). The SCA keeps the durable dedup; local state can forget.
-    const bool any_left = std::any_of(
-        pending.guilty.begin(), pending.guilty.end(),
-        [&](const crypto::PublicKey& k) {
-          return std::find(sa_keys.begin(), sa_keys.end(), k) !=
-                 sa_keys.end();
-        });
-    if (!any_left) {
-      it = pending_proofs_.erase(it);
-      continue;
-    }
-    // Designated reporter, deterministic over the NON-guilty validators
-    // (seeded by the proof digest, rotating every stalled period): N
-    // honest watchers converge on one submitter instead of racing N
-    // copies on-chain. The SCA's digest dedup catches residual races.
-    std::vector<crypto::PublicKey> honest;
-    for (const auto& v : validators_.members()) {
-      if (std::find(pending.guilty.begin(), pending.guilty.end(), v.key) ==
-          pending.guilty.end()) {
-        honest.push_back(v.key);
-      }
-    }
-    if (!honest.empty()) {
-      const std::uint64_t periods_waited =
-          static_cast<std::uint64_t>(
-              std::max<chain::Epoch>(0, head - pending.detected_at)) /
-          period;
-      const std::size_t designated =
-          (static_cast<std::size_t>(it->first.front()) + periods_waited) %
-          honest.size();
-      RetryState& retry = pending.retry;
-      if (honest[designated] == key_.public_key() &&
-          (retry.attempts == 0 || head >= retry.next_height)) {
-        submit_to_parent(chain::kScaAddr,
-                         actors::sca_method::kSubmitFraudProof,
-                         encode(pending.proof));
-        c_fraud_submitted_->inc();
-        arm_retry(retry, head);
-      }
-    }
-    ++it;
   }
 }
 
@@ -1316,42 +1007,6 @@ void SubnetNode::handle_msgs_topic(const net::Envelope& payload) {
   (void)mempool_.add(*msg.value(), next_nonce);
   sync_mempool_obs();
   sync_arena_obs();
-}
-
-void SubnetNode::handle_sigs_topic(const net::Envelope& payload) {
-  auto gossip_r = payload.decoded<SigGossip>();
-  if (!gossip_r) return;
-  const SigGossip& gossip = *gossip_r.value();
-  const SigShare& share = gossip.share;
-  if (!validators_.index_of(share.signer).has_value()) return;
-  // Shares sign the cid digest, so they verify against the cid they CLAIM
-  // — no content needed. A valid signature over a checkpoint we never cut
-  // is attributable evidence of a second side, exactly what the
-  // equivocation watcher indexes.
-  if (!crypto::verify_cached(
-          share.signer,
-          core::SignedCheckpoint::signing_payload_for(share.checkpoint_cid),
-          share.signature)) {
-    return;
-  }
-  // Carried content is self-authenticating: admit it only when it hashes
-  // to the claimed cid and targets this subnet's epoch.
-  if (gossip.checkpoint.has_value() &&
-      gossip.checkpoint->source == config_.subnet &&
-      gossip.checkpoint->epoch == share.epoch &&
-      gossip.checkpoint->cid() == share.checkpoint_cid) {
-    on_fraud_proofs(watcher_.record_checkpoint(*gossip.checkpoint));
-  }
-  on_fraud_proofs(watcher_.record_share(share.epoch, share.checkpoint_cid,
-                                        share.signer, share.signature));
-  // The honest aggregation path only pools shares matching our own
-  // deterministic record of that epoch's cut.
-  auto cut_it = cut_checkpoints_.find(share.epoch);
-  if (cut_it == cut_checkpoints_.end()) return;
-  if (cut_it->second.cid() != share.checkpoint_cid) return;
-  sig_shares_[share.epoch][share.signer.to_bytes()] = share;
-  if (sig_shares_.size() > 64) sig_shares_.erase(sig_shares_.begin());
-  maybe_submit_checkpoint();
 }
 
 void SubnetNode::handle_resolve_topic(const net::Envelope& payload) {

@@ -1,16 +1,19 @@
 // SubnetNode: a full node / validator of one subnet.
 //
-// Owns the subnet's chain, state, mempool and cross-msg pool; runs the
-// subnet's chosen consensus engine; performs checkpointing duty (cut, sign,
-// submit to the parent SA); serves and consumes the content-resolution
-// protocol; and — per paper §II ("child subnet nodes also run full nodes on
-// the parent subnet") — holds a trusted read view of a parent node, which
-// the cross-msg pool polls for committed top-down messages.
+// Owns the subnet's chain, state, mempool, WAL and cross-msg section; runs
+// the subnet's chosen consensus engine; serves and consumes the
+// content-resolution protocol; and — per paper §II ("child subnet nodes
+// also run full nodes on the parent subnet") — holds a trusted read view of
+// a parent node, which the cross-msg section polls for committed top-down
+// messages. The checkpoint duty (sign, pool, submit to the parent SA,
+// report fraud) is its own component, CheckpointDuty (checkpoint_duty.hpp),
+// which the node calls at each cut, on the sigs topic, once per commit and
+// from WAL replay.
 //
 // The node runs only the honest protocol. Fault injection may arm one
-// CheckpointAdversary (watcher.hpp) per node object; it is called at fixed
-// points of the checkpoint duty and acts only through that duty's helpers.
-// A restarted replica is a new object, so it comes back honest.
+// CheckpointAdversary on the node's duty; the duty calls it at fixed points
+// and it acts only through the duty's helpers. A restarted replica is a new
+// object, so it comes back honest.
 #pragma once
 
 #include <functional>
@@ -25,8 +28,8 @@
 #include "chain/mempool.hpp"
 #include "consensus/engine.hpp"
 #include "core/params.hpp"
+#include "runtime/checkpoint_duty.hpp"
 #include "runtime/resolution.hpp"
-#include "runtime/watcher.hpp"
 #include "storage/durable.hpp"
 #include "storage/store.hpp"
 #include "storage/wal.hpp"
@@ -150,6 +153,12 @@ class SubnetNode final : public consensus::BlockSource,
   /// reader.
   [[nodiscard]] std::shared_ptr<const actors::ScaState> sca_state_view()
       const;
+  /// The published head's account nonce of `addr` (a child validator's
+  /// parent-chain account).
+  [[nodiscard]] std::uint64_t account_nonce_view(const Address& addr) const;
+  /// The published head's SA state at `sa` (a child subnet's SA).
+  [[nodiscard]] std::optional<actors::SaState> sa_state_view(
+      const Address& sa) const;
 
   /// Publish the current head state as the parent view. The head is an
   /// immutable shared tree (ChainStore::state_ptr), so this shares it
@@ -194,18 +203,9 @@ class SubnetNode final : public consensus::BlockSource,
   /// default); pull always remains available. Benches compare the two.
   void set_push_resolution(bool enabled) { push_resolution_ = enabled; }
 
-  /// Arm (or clear, with nullptr) a checkpoint-duty adversary on this
-  /// validator. Fault plans flip it at runtime; it is not carried over a
-  /// crash-restart.
-  void set_adversary(std::unique_ptr<CheckpointAdversary> adversary) {
-    adversary_ = std::move(adversary);
-  }
-
-  /// Fraud proofs this node has assembled and not yet seen resolved
-  /// on-chain (exposed for tests).
-  [[nodiscard]] std::size_t pending_fraud_proofs() const {
-    return pending_proofs_.size();
-  }
+  /// This node's checkpoint duty: fault plans arm its adversary, the chaos
+  /// runner reads its pending fraud proofs.
+  [[nodiscard]] CheckpointDuty& checkpoint_duty() { return checkpoint_; }
 
   /// Receipts of the block committed at `height` (local execution record).
   [[nodiscard]] const std::vector<chain::Receipt>* receipts_at(
@@ -283,51 +283,14 @@ class SubnetNode final : public consensus::BlockSource,
   /// The kept execution of block `cid` on the current head, if any.
   [[nodiscard]] ExecutedBlock* find_executed(const Cid& cid);
 
-  /// Post-commit duties: signing freshly cut checkpoints, pushing batches,
-  /// requesting pulls for unresolved metas, submitting quorum checkpoints.
+  /// Post-commit duties: the checkpoint duty for each fresh cut, pushing
+  /// its batches, requesting pulls for unresolved metas, then the duty's
+  /// per-commit tick.
   void after_commit(const std::vector<chain::Receipt>& receipts);
 
   void handle_msgs_topic(const net::Envelope& payload);
-  void handle_sigs_topic(const net::Envelope& payload);
   void handle_resolve_topic(const net::Envelope& payload);
 
-  void maybe_submit_checkpoint();
-  /// While the earliest cut checkpoint stays unaccepted, periodically
-  /// re-gossip our signature share (exponential backoff + jitter) so that
-  /// shares lost to partitions/crashes resurface after heal.
-  void maybe_regossip_share();
-
-  [[nodiscard]] Address address() const {
-    return Address::key(key_.public_key().to_bytes());
-  }
-  /// This validator's signature share over `cp`.
-  [[nodiscard]] SigShare sign_share(const core::Checkpoint& cp) const;
-  /// Sign `cp`, pool the share, feed it to the watcher and gossip it.
-  void sign_and_gossip_share(const core::Checkpoint& cp);
-  /// `cp` with the pooled shares that sign exactly its CID, optionally
-  /// restricted to `signers`.
-  [[nodiscard]] core::SignedCheckpoint pooled_signatures(
-      const core::Checkpoint& cp,
-      const std::vector<crypto::PublicKey>* signers) const;
-  /// Sign a message from this validator's parent-chain account and publish
-  /// it on the parent's msgs topic (no-op without a parent view).
-  void submit_to_parent(const Address& to, chain::MethodNum method,
-                        Bytes params);
-  [[nodiscard]] bool withholds() const {
-    return adversary_ != nullptr && adversary_->withholds();
-  }
-  /// The armed adversary's view of this node.
-  [[nodiscard]] CheckpointAdversary::Context adversary_context();
-
-  /// Register freshly assembled fraud proofs (watcher output) for
-  /// submission; dedups by proof digest.
-  void on_fraud_proofs(std::vector<core::FraudProof> proofs);
-  /// Submit pending fraud proofs to the parent SCA. One designated
-  /// reporter per proof (deterministic over the non-guilty validators,
-  /// rotating every stalled period) keeps N honest watchers from racing N
-  /// copies on-chain; the SCA's digest/slash-record dedup catches the
-  /// residual races.
-  void maybe_submit_fraud_proofs();
   void push_own_batches(const core::Checkpoint& cp);
   void request_missing_batches();
 
@@ -339,14 +302,8 @@ class SubnetNode final : public consensus::BlockSource,
   /// `alloc_bytes_total`. Called at the deterministic arena reset points.
   void sync_arena_obs();
 
-  [[nodiscard]] bool is_validator() const;
-
   /// The state tree the parent-facing _view accessors read from.
   [[nodiscard]] const chain::StateTree& view_tree() const;
-  /// Parent-view reads used by child nodes (see sca_state_view).
-  [[nodiscard]] std::uint64_t account_nonce_view(const Address& addr) const;
-  [[nodiscard]] std::optional<actors::SaState> sa_state_view(
-      const Address& sa) const;
   /// Decoded SCA state of the head: the memo of the head's SCA blob,
   /// shared, not copied (DESIGN.md §12). Owner lane or driver context only,
   /// like the other live accessors.
@@ -416,29 +373,6 @@ class SubnetNode final : public consensus::BlockSource,
   /// Receipts of the most recent committed heights.
   std::map<chain::Epoch, std::vector<chain::Receipt>> receipts_;
 
-  /// Signature shares collected for pending checkpoints: epoch -> signer
-  /// pubkey bytes -> share.
-  std::map<chain::Epoch, std::map<Bytes, SigShare>> sig_shares_;
-  /// Checkpoints cut by this chain that the parent SA has not (yet)
-  /// accepted; rebuilt deterministically from block events on catch-up.
-  std::map<chain::Epoch, core::Checkpoint> cut_checkpoints_;
-
-  /// Exponential backoff + jitter state, in block heights. Used for both
-  /// checkpoint re-submission and signature re-gossip; a fresh node (or a
-  /// crash-restarted one) starts at attempt 0, so resubmission after
-  /// restart is immediate once it is the designated submitter.
-  struct RetryState {
-    std::uint32_t attempts = 0;
-    chain::Epoch next_height = 0;  // retry allowed once head >= this
-  };
-  /// Schedule the next attempt: period * 2^min(attempts,kMaxBackoffShift)
-  /// plus uniform jitter in [0, period). Bounded so a stalled checkpoint
-  /// is retried at least every 8 periods + jitter.
-  void arm_retry(RetryState& retry, chain::Epoch head);
-  /// Checkpoint period in blocks, at least 1 (retry and rotation unit).
-  [[nodiscard]] chain::Epoch checkpoint_period() const;
-  std::map<chain::Epoch, RetryState> submit_retry_;
-  std::map<chain::Epoch, RetryState> share_retry_;
   /// Per-unresolved-batch pull backoff, keyed by msgs_cid digest. Bounds
   /// the resolution-request flood under overload: at most
   /// kMaxInflightPulls fresh pulls per commit, each CID retried on the
@@ -451,21 +385,12 @@ class SubnetNode final : public consensus::BlockSource,
   /// Push batches to destination subnets when checkpoints are cut.
   bool push_resolution_ = true;
 
-  // ----------------------------------------------------- fraud watchdog
-  CheckpointWatcher watcher_;
-  std::unique_ptr<CheckpointAdversary> adversary_;
-  struct PendingProof {
-    core::FraudProof proof;
-    std::vector<crypto::PublicKey> guilty;
-    chain::Epoch detected_at = 0;
-    RetryState retry;
-  };
-  /// Keyed by proof digest bytes; entries drop once every accused signer
-  /// left the parent SA's validator set (slash landed, or they left).
-  std::map<Bytes, PendingProof> pending_proofs_;
   /// Deterministic jitter stream (seeded from the net id, so replicas
   /// desynchronize their retries but identical runs stay identical).
+  /// Shared with the checkpoint duty: each commit draws for pulls first,
+  /// then for the duty's submit, share re-gossip and fraud reports.
   sim::Rng retry_rng_;
+  CheckpointDuty checkpoint_;
 
   bool running_ = false;
 
@@ -493,15 +418,9 @@ class SubnetNode final : public consensus::BlockSource,
   obs::Counter* c_block_executions_;
   obs::Counter* c_user_msgs_;
   obs::Counter* c_cross_msgs_;
-  obs::Counter* c_checkpoints_cut_;
-  obs::Counter* c_checkpoints_submitted_;
-  obs::Counter* c_checkpoint_retries_;
-  obs::Counter* c_share_regossips_;
   obs::Counter* c_pulls_sent_;
   obs::Counter* c_pushes_sent_;
   obs::Counter* c_resolves_served_;
-  obs::Counter* c_fraud_detected_;
-  obs::Counter* c_fraud_submitted_;
   /// Incremental state-commitment cost (DESIGN.md §12): scraped from
   /// StateTree::commit_stats() once per block execution.
   obs::Counter* c_state_leaf_rehashes_;

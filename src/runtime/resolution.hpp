@@ -9,14 +9,9 @@
 // hash(content) == cid before accepting (storage::ContentStore::put_verified).
 #pragma once
 
-#include <optional>
-
-#include "chain/block.hpp"
 #include "common/cid.hpp"
 #include "common/codec.hpp"
-#include "core/checkpoint.hpp"
 #include "core/subnet_id.hpp"
-#include "crypto/schnorr.hpp"
 
 namespace hc::runtime {
 
@@ -67,58 +62,6 @@ struct Topics {
   }
   [[nodiscard]] static const std::string& resolve(const core::SubnetId& id) {
     return id.topic(core::SubnetTopic::kResolve);
-  }
-};
-
-/// A gossiped checkpoint signature share (paper Fig. 2's signature window).
-struct SigShare {
-  chain::Epoch epoch = 0;
-  Cid checkpoint_cid;
-  crypto::PublicKey signer;
-  crypto::Signature signature;
-
-  void encode_to(Encoder& e) const {
-    e.i64(epoch).obj(checkpoint_cid).obj(signer).obj(signature);
-  }
-  [[nodiscard]] static Result<SigShare> decode_from(Decoder& d) {
-    SigShare s;
-    HC_TRY(epoch, d.i64());
-    HC_TRY(cid, d.obj<Cid>());
-    HC_TRY(signer, d.obj<crypto::PublicKey>());
-    HC_TRY(sig, d.obj<crypto::Signature>());
-    s.epoch = epoch;
-    s.checkpoint_cid = cid;
-    s.signer = signer;
-    s.signature = sig;
-    return s;
-  }
-};
-
-/// Envelope gossiped on the signatures topic: the share plus, optionally,
-/// the full checkpoint content behind share.checkpoint_cid. Honest signers
-/// omit the content — every replica reconstructs the cut deterministically
-/// from its own chain. Carrying it lets any observer attribute a signature
-/// over a checkpoint it never cut itself, which is exactly the evidence an
-/// equivocation watcher needs to assemble a core::FraudProof (content is
-/// self-authenticating: accepted only when it hashes to the claimed cid).
-struct SigGossip {
-  SigShare share;
-  std::optional<core::Checkpoint> checkpoint;
-
-  void encode_to(Encoder& e) const {
-    e.obj(share).boolean(checkpoint.has_value());
-    if (checkpoint) e.obj(*checkpoint);
-  }
-  [[nodiscard]] static Result<SigGossip> decode_from(Decoder& d) {
-    SigGossip g;
-    HC_TRY(share, d.obj<SigShare>());
-    HC_TRY(has_cp, d.boolean());
-    g.share = std::move(share);
-    if (has_cp) {
-      HC_TRY(cp, d.obj<core::Checkpoint>());
-      g.checkpoint = std::move(cp);
-    }
-    return g;
   }
 };
 

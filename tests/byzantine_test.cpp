@@ -12,7 +12,7 @@
 #include <string>
 
 #include "chaos/runner.hpp"
-#include "runtime/watcher.hpp"
+#include "runtime/checkpoint_duty.hpp"
 
 namespace hc::chaos {
 namespace {

@@ -9,6 +9,7 @@
 #include "consensus/wire.hpp"
 #include "core/checkpoint.hpp"
 #include "core/crossmsg.hpp"
+#include "runtime/checkpoint_duty.hpp"
 #include "runtime/resolution.hpp"
 #include "sim/rng.hpp"
 

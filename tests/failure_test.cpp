@@ -224,7 +224,7 @@ TEST_F(FailureFixture, PartitionDuringSigningWindowHealsWithBackoff) {
 /// accepted, the shares its node had pooled for it.
 struct PoolProbe final : CheckpointAdversary {
   explicit PoolProbe(std::vector<core::SignedCheckpoint>* out) : out(out) {}
-  void on_cut(const Context&, const core::Checkpoint&) override {}
+  void on_cut(CheckpointDuty&, const core::Checkpoint&) override {}
   void on_accepted(const core::SignedCheckpoint& accepted) override {
     out->push_back(accepted);
   }
@@ -234,7 +234,8 @@ struct PoolProbe final : CheckpointAdversary {
 TEST_F(FailureFixture, ShareLostToPartitionIsReGossipedAndPooled) {
   std::vector<std::vector<core::SignedCheckpoint>> pooled(child->size());
   for (std::size_t i = 0; i < child->size(); ++i) {
-    child->node(i).set_adversary(std::make_unique<PoolProbe>(&pooled[i]));
+    child->node(i).checkpoint_duty().set_adversary(
+        std::make_unique<PoolProbe>(&pooled[i]));
   }
   auto accepted = [&] {
     return h.root().node(0).sca_state().subnets.at(child->sa)
