@@ -4,10 +4,11 @@
 // crash/restart, gray links, duplication, surge overload) executed by the
 // ChaosRunner over a fixed seed set; a second benchmark runs the crash/
 // recovery scenarios over durable disks (DESIGN.md §15) under the same
-// recovery config as tests/chaos_test.cpp. Counters report, per scenario: how many seeds converged
-// to quiescence, how many passed the full invariant suite (firewall/supply
-// conservation, no negative balances, queues drained, checkpoints committed,
-// replica agreement), total faults injected, and the simulated time budget.
+// recovery config as tests/chaos_test.cpp. Counters report, per scenario:
+// how many seeds converged to quiescence, how many passed the full
+// invariant suite (firewall/supply conservation, no negative balances,
+// queues drained, checkpoints committed, replica agreement), and total
+// faults injected.
 //
 // Sidecar: BENCH_chaos.metrics.json accumulates the per-run fingerprints
 // and metric snapshots (reason-labelled drop counters, checkpoint retry

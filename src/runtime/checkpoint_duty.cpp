@@ -36,13 +36,10 @@ std::size_t designated(std::uint64_t seed, chain::Epoch since,
   return static_cast<std::size_t>((seed + periods_waited) % n);
 }
 
+/// `key`'s signature share over `cp`.
 SigShare sign_share(const core::Checkpoint& cp, const crypto::KeyPair& key) {
-  SigShare share;
-  share.epoch = cp.epoch;
-  share.checkpoint_cid = cp.cid();
-  share.signer = key.public_key();
-  share.signature = key.sign(core::SignedCheckpoint::signing_payload(cp));
-  return share;
+  return SigShare{cp.epoch, cp.cid(), key.public_key(),
+                  key.sign(core::SignedCheckpoint::signing_payload(cp))};
 }
 
 }  // namespace
@@ -50,8 +47,7 @@ SigShare sign_share(const core::Checkpoint& cp, const crypto::KeyPair& key) {
 void arm_retry(RetryState& retry, chain::Epoch head,
                std::uint32_t checkpoint_period, sim::Rng& rng) {
   constexpr std::uint32_t kMaxBackoffShift = 3;  // 1,2,4,8 periods, capped
-  const chain::Epoch period =
-      std::max<chain::Epoch>(1, checkpoint_period);
+  const chain::Epoch period = std::max<chain::Epoch>(1, checkpoint_period);
   const auto shift = std::min(retry.attempts, kMaxBackoffShift);
   ++retry.attempts;
   const auto jitter = static_cast<chain::Epoch>(

@@ -1,19 +1,16 @@
 // SubnetNode: a full node / validator of one subnet.
 //
-// Owns the subnet's chain, state, mempool, WAL and cross-msg section; runs
+// Owns the subnet's chain, state, WAL, mempool and cross-msg section; runs
 // the subnet's chosen consensus engine; serves and consumes the
 // content-resolution protocol; and — per paper §II ("child subnet nodes
 // also run full nodes on the parent subnet") — holds a trusted read view of
 // a parent node, which the cross-msg section polls for committed top-down
-// messages. The checkpoint duty (sign, pool, submit to the parent SA,
-// report fraud) is its own component, CheckpointDuty (checkpoint_duty.hpp),
-// which the node calls at each cut, on the sigs topic, once per commit and
-// from WAL replay.
+// messages. Its checkpoint duty is a CheckpointDuty (checkpoint_duty.hpp).
 //
 // The node runs only the honest protocol. Fault injection may arm one
-// CheckpointAdversary on the node's duty; the duty calls it at fixed points
-// and it acts only through the duty's helpers. A restarted replica is a new
-// object, so it comes back honest.
+// CheckpointAdversary on its duty, which calls it at fixed points; it acts
+// only through the duty's helpers. A restarted replica is a new object, so
+// it comes back honest.
 #pragma once
 
 #include <functional>
@@ -153,10 +150,9 @@ class SubnetNode final : public consensus::BlockSource,
   /// reader.
   [[nodiscard]] std::shared_ptr<const actors::ScaState> sca_state_view()
       const;
-  /// The published head's account nonce of `addr` (a child validator's
-  /// parent-chain account).
+  /// The published head's nonce of a child validator's account.
   [[nodiscard]] std::uint64_t account_nonce_view(const Address& addr) const;
-  /// The published head's SA state at `sa` (a child subnet's SA).
+  /// The published head's state of a child subnet's SA.
   [[nodiscard]] std::optional<actors::SaState> sa_state_view(
       const Address& sa) const;
 
@@ -283,9 +279,8 @@ class SubnetNode final : public consensus::BlockSource,
   /// The kept execution of block `cid` on the current head, if any.
   [[nodiscard]] ExecutedBlock* find_executed(const Cid& cid);
 
-  /// Post-commit duties: the checkpoint duty for each fresh cut, pushing
-  /// its batches, requesting pulls for unresolved metas, then the duty's
-  /// per-commit tick.
+  /// Post-commit duties: each fresh cut to the checkpoint duty and its
+  /// batches pushed, pulls for unresolved metas, then the duty's tick.
   void after_commit(const std::vector<chain::Receipt>& receipts);
 
   void handle_msgs_topic(const net::Envelope& payload);

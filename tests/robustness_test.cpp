@@ -96,7 +96,8 @@ TEST_F(RobustnessFixture, ForgedCheckpointSignatureSharesIgnored) {
   ASSERT_TRUE(c.ok());
   Subnet* child = c.value();
 
-  // Outsider floods forged signature shares for future epochs.
+  // Outsider floods forged signature shares for future epochs, in the
+  // envelope the sigs topic carries, so they reach the duty's checks.
   const auto outsider = crypto::KeyPair::from_label("sig-forger");
   for (chain::Epoch epoch = 5; epoch <= 50; epoch += 5) {
     SigShare share;
@@ -105,7 +106,7 @@ TEST_F(RobustnessFixture, ForgedCheckpointSignatureSharesIgnored) {
     share.signer = outsider.public_key();
     share.signature = outsider.sign(to_bytes("junk"));
     h.network().publish(attacker, Topics::signatures(child->id),
-                        encode(share));
+                        encode(SigGossip{share, std::nullopt}));
   }
   // Checkpoints still flow normally.
   ASSERT_TRUE(h.run_until(
