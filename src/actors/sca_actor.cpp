@@ -8,15 +8,6 @@
 
 namespace hc::actors {
 
-namespace {
-
-/// Registry key for a batch CID.
-Bytes registry_key(const Cid& cid) {
-  return Bytes(cid.digest().begin(), cid.digest().end());
-}
-
-}  // namespace
-
 chain::StateBlob make_sca_ctor_state(const core::SubnetId& self,
                                      std::uint32_t checkpoint_period,
                                      std::uint64_t topdown_window_cap) {
@@ -383,7 +374,7 @@ Result<Bytes> ScaActor::cut_checkpoint(Rt& rt, ScaState& s,
     meta.msg_count = static_cast<std::uint32_t>(batch.msgs.size());
     meta.value = batch.total_value();
     cp.cross_meta.push_back(std::move(meta));
-    s.msg_registry[registry_key(batch_cid)] = encode(batch);
+    s.msg_registry[batch_cid.digest_bytes()] = encode(batch);
   }
 
   s.window_msgs.clear();

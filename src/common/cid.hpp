@@ -45,6 +45,10 @@ class Cid {
 
   [[nodiscard]] CidCodec codec() const { return codec_; }
   [[nodiscard]] const Digest& digest() const { return digest_; }
+  /// The digest as bytes: the key under which maps index a CID.
+  [[nodiscard]] Bytes digest_bytes() const {
+    return Bytes(digest_.begin(), digest_.end());
+  }
 
   /// True iff this is the default/zero sentinel.
   [[nodiscard]] bool is_null() const;

@@ -20,9 +20,6 @@ SignaturePolicy SignaturePolicy::majority(std::size_t n_validators) {
 Status SignaturePolicy::verify(
     const SignedCheckpoint& sc,
     const std::vector<crypto::PublicKey>& validators) const {
-  const std::uint32_t required =
-      kind == SignaturePolicyKind::kSingle ? 1 : threshold;
-
   // Count distinct, registered, cryptographically valid signers.
   const Bytes payload = SignedCheckpoint::signing_payload(sc.checkpoint);
   std::set<Bytes> seen;
@@ -44,9 +41,9 @@ Status SignaturePolicy::verify(
     }
     ++valid;
   }
-  if (valid < required) {
+  if (valid < required()) {
     return Error(Errc::kPermissionDenied,
-                 "policy requires " + std::to_string(required) +
+                 "policy requires " + std::to_string(required()) +
                      " signatures, got " + std::to_string(valid));
   }
   return ok_status();

@@ -35,6 +35,11 @@ struct SignaturePolicy {
   /// Simple majority policy: floor(n/2)+1 of n.
   [[nodiscard]] static SignaturePolicy majority(std::size_t n_validators);
 
+  /// Signatures the policy needs: one for kSingle, else `threshold`.
+  [[nodiscard]] std::uint32_t required() const {
+    return kind == SignaturePolicyKind::kSingle ? 1 : threshold;
+  }
+
   /// Verify `sc` against the subnet's registered validator keys: every
   /// signature must be cryptographically valid, from a registered validator,
   /// with no duplicates, and the count must satisfy the policy.

@@ -13,10 +13,6 @@ namespace hc::runtime {
 
 namespace {
 
-Bytes cid_key(const Cid& cid) {
-  return Bytes(cid.digest().begin(), cid.digest().end());
-}
-
 /// The one profiler phase every CheckpointDuty entry point runs under.
 obs::PhaseId checkpoint_phase() {
   static const obs::PhaseId phase =
@@ -84,7 +80,7 @@ std::vector<core::FraudProof> CheckpointWatcher::record_checkpoint(
     const core::Checkpoint& cp) {
   if (!reserve_epoch(cp.epoch)) return {};
   auto& ev = evidence_[cp.epoch];
-  const Bytes key = cid_key(cp.cid());
+  const Bytes key = cp.cid().digest_bytes();
   if (ev.contents.contains(key)) return {};
   ev.contents.emplace(key, cp);
   return try_assemble(cp.epoch);
@@ -95,7 +91,7 @@ std::vector<core::FraudProof> CheckpointWatcher::record_share(
     const crypto::Signature& signature) {
   if (!reserve_epoch(epoch)) return {};
   auto& ev = evidence_[epoch];
-  ev.sigs[cid_key(cid)][signer.to_bytes()] =
+  ev.sigs[cid.digest_bytes()][signer.to_bytes()] =
       core::CheckpointSignature{signer, signature};
   return try_assemble(epoch);
 }
@@ -348,11 +344,7 @@ void CheckpointDuty::submit_checkpoint(
   // Read the threshold from the SA's LIVE policy, not the static node
   // config: slashing shrinks the validator set and clamps the policy with
   // it (a 3-of-3 subnet that loses a validator becomes 2-of-2, not wedged).
-  const core::SignaturePolicy& policy = sa->params.checkpoint_policy;
-  const std::uint32_t required =
-      policy.kind == core::SignaturePolicyKind::kSingle ? 1
-                                                        : policy.threshold;
-  if (sc.signatures.size() < required) return;
+  if (sc.signatures.size() < sa->params.checkpoint_policy.required()) return;
 
   // Submit to the SA on the parent chain, paid from this validator's
   // parent-chain account (paper §III-B: "checkpoints from /root/A/B are
@@ -415,8 +407,7 @@ void CheckpointDuty::on_fraud_proofs(std::vector<core::FraudProof> proofs,
   for (auto& proof : proofs) {
     auto guilty_r = proof.guilty_signers();
     if (!guilty_r) continue;  // watcher output always validates; belt+braces
-    const Cid digest = proof.digest();
-    Bytes key(digest.digest().begin(), digest.digest().end());
+    Bytes key = proof.digest().digest_bytes();
     if (pending_proofs_.contains(key)) continue;
     c_fraud_detected_->inc();
     LogLine(LogLevel::kWarn, config_.subnet.to_string())

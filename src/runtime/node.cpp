@@ -11,10 +11,6 @@ namespace hc::runtime {
 
 namespace {
 
-Bytes registry_key(const Cid& cid) {
-  return Bytes(cid.digest().begin(), cid.digest().end());
-}
-
 // ---- trace flow keys ---------------------------------------------------
 // Flow keys must be derivable at BOTH endpoints of a protocol stage from
 // the data each side observes in committed state; see observe_commit().
@@ -950,7 +946,7 @@ void SubnetNode::push_own_batches(const core::Checkpoint& cp) {
   const auto my_sca = head_sca();
   for (const auto& meta : cp.cross_meta) {
     if (!(meta.from == config_.subnet)) continue;  // children push their own
-    auto it = my_sca->msg_registry.find(registry_key(meta.msgs_cid));
+    auto it = my_sca->msg_registry.find(meta.msgs_cid.digest_bytes());
     if (it == my_sca->msg_registry.end()) continue;
     ResolutionMsg push;
     push.kind = ResolutionKind::kPush;
@@ -971,7 +967,7 @@ void SubnetNode::request_missing_batches() {
   for (const auto& pending : my_sca->pending_bottomup) {
     if (pending.executed) continue;
     if (resolved_.has(pending.meta.msgs_cid)) continue;
-    const Bytes key = registry_key(pending.meta.msgs_cid);
+    const Bytes key = pending.meta.msgs_cid.digest_bytes();
     missing.insert(key);
     // Backoff per batch CID: the first pull goes out immediately; while a
     // batch stays unresolved, later pulls follow the arm_retry schedule
@@ -1027,7 +1023,7 @@ void SubnetNode::handle_resolve_topic(const net::Envelope& payload) {
       // Serve from the on-chain registry (paper §IV-C) or local cache.
       Bytes content;
       const auto my_sca = head_sca();
-      auto it = my_sca->msg_registry.find(registry_key(msg->cid));
+      auto it = my_sca->msg_registry.find(msg->cid.digest_bytes());
       if (it != my_sca->msg_registry.end()) {
         content = it->second;
       } else if (auto cached = resolved_.get_shared(msg->cid)) {
