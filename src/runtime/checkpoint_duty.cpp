@@ -144,18 +144,18 @@ void CheckpointWatcher::prune_below(chain::Epoch epoch) {
 
 CheckpointDuty::CheckpointDuty(const NodeConfig& config,
                                net::Network& network, net::NodeId node,
-                               const crypto::KeyPair& key,
-                               const consensus::ValidatorSet& validators,
+                               crypto::KeyPair key,
+                               consensus::ValidatorSet validators,
                                SubnetNode* const& parent, sim::Rng& retry_rng)
     : config_(config),
       network_(network),
       node_(node),
-      key_(key),
-      validators_(validators),
+      key_(std::move(key)),
+      validators_(std::move(validators)),
       parent_(parent),
       retry_rng_(retry_rng),
-      address_(Address::key(key.public_key().to_bytes())),
-      index_(validators.index_of(key.public_key())),
+      address_(Address::key(key_.public_key().to_bytes())),
+      index_(validators_.index_of(key_.public_key())),
       period_(std::max<chain::Epoch>(1, config.params.checkpoint_period)) {
   const obs::Labels labels{{"node", std::to_string(node_)},
                            {"subnet", config_.subnet.to_string()}};

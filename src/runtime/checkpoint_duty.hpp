@@ -186,11 +186,11 @@ class CheckpointAdversary {
 /// carry the same parent-chain nonce.
 class CheckpointDuty {
  public:
-  /// Every argument but `network` is the owning node's and must outlive
-  /// the duty; `parent` is the node's parent-view pointer itself.
+  /// `config`, `parent` (the node's parent-view pointer itself) and
+  /// `retry_rng` are the owning node's and must outlive the duty.
   CheckpointDuty(const NodeConfig& config, net::Network& network,
-                 net::NodeId node, const crypto::KeyPair& key,
-                 const consensus::ValidatorSet& validators,
+                 net::NodeId node, crypto::KeyPair key,
+                 consensus::ValidatorSet validators,
                  SubnetNode* const& parent, sim::Rng& retry_rng);
 
   /// A `sca/checkpoint-cut` event committed at height `head`.
@@ -263,8 +263,8 @@ class CheckpointDuty {
   const NodeConfig& config_;
   net::Network& network_;
   const net::NodeId node_;
-  const crypto::KeyPair& key_;
-  const consensus::ValidatorSet& validators_;
+  const crypto::KeyPair key_;
+  const consensus::ValidatorSet validators_;
   SubnetNode* const& parent_;
   sim::Rng& retry_rng_;
   const Address address_;

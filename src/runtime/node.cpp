@@ -93,14 +93,12 @@ SubnetNode::SubnetNode(sim::Scheduler& scheduler, net::Network& network,
       network_(network),
       registry_(registry),
       config_(std::move(config)),
-      key_(std::move(key)),
-      validators_(std::move(validators)),
       net_id_(config_.reuse_net_id.has_value() ? *config_.reuse_net_id
                                                : network.add_node()),
       mempool_(config_.mempool),
       executor_(registry_, chain::GasSchedule{}),
       retry_rng_(0x9e3779b97f4a7c15ULL ^ net_id_),
-      checkpoint_(config_, network_, net_id_, key_, validators_, parent_,
+      checkpoint_(config_, network_, net_id_, key, validators, parent_,
                   retry_rng_),
       obs_(network.obs()) {
   const obs::Labels node_labels{{"node", std::to_string(net_id_)},
@@ -163,8 +161,8 @@ SubnetNode::SubnetNode(sim::Scheduler& scheduler, net::Network& network,
   ectx.network = &network_;
   ectx.node = net_id_;
   ectx.topic = Topics::consensus(config_.subnet);
-  ectx.key = key_;
-  ectx.validators = validators_;
+  ectx.key = std::move(key);
+  ectx.validators = std::move(validators);
   ectx.source = this;
   if (wal_ != nullptr) ectx.votes = this;
   ectx.obs = &obs_;

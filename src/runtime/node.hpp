@@ -328,8 +328,6 @@ class SubnetNode final : public consensus::BlockSource,
   net::Network& network_;
   const chain::ActorRegistry& registry_;
   NodeConfig config_;
-  crypto::KeyPair key_;
-  consensus::ValidatorSet validators_;
   net::NodeId net_id_;
 
   std::unique_ptr<chain::ChainStore> store_;
