@@ -87,13 +87,12 @@ std::vector<core::FraudProof> CheckpointWatcher::record_checkpoint(
 }
 
 std::vector<core::FraudProof> CheckpointWatcher::record_share(
-    chain::Epoch epoch, const Cid& cid, const crypto::PublicKey& signer,
-    const crypto::Signature& signature) {
-  if (!reserve_epoch(epoch)) return {};
-  auto& ev = evidence_[epoch];
-  ev.sigs[cid.digest_bytes()][signer.to_bytes()] =
-      core::CheckpointSignature{signer, signature};
-  return try_assemble(epoch);
+    const SigShare& share) {
+  if (!reserve_epoch(share.epoch)) return {};
+  auto& ev = evidence_[share.epoch];
+  ev.sigs[share.checkpoint_cid.digest_bytes()][share.signer.to_bytes()] =
+      core::CheckpointSignature{share.signer, share.signature};
+  return try_assemble(share.epoch);
 }
 
 std::vector<core::FraudProof> CheckpointWatcher::try_assemble(
@@ -213,9 +212,7 @@ void CheckpointDuty::on_gossip(const SigGossip& gossip, chain::Epoch head) {
       gossip.checkpoint->cid() == share.checkpoint_cid) {
     on_fraud_proofs(watcher_.record_checkpoint(*gossip.checkpoint), head);
   }
-  on_fraud_proofs(watcher_.record_share(share.epoch, share.checkpoint_cid,
-                                        share.signer, share.signature),
-                  head);
+  on_fraud_proofs(watcher_.record_share(share), head);
   // The honest aggregation path only pools shares matching our own
   // deterministic record of that epoch's cut.
   auto cut_it = cut_checkpoints_.find(share.epoch);
@@ -249,9 +246,7 @@ void CheckpointDuty::sign_and_gossip_share(const core::Checkpoint& cp,
                                            chain::Epoch head) {
   const SigShare share = sign_share(cp, key_);
   sig_shares_[cp.epoch][share.signer.to_bytes()] = share;
-  on_fraud_proofs(watcher_.record_share(share.epoch, share.checkpoint_cid,
-                                        share.signer, share.signature),
-                  head);
+  on_fraud_proofs(watcher_.record_share(share), head);
   network_.publish(node_, Topics::signatures(config_.subnet),
                    encode(SigGossip{share, std::nullopt}));
 }

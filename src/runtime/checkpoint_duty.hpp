@@ -119,8 +119,7 @@ class CheckpointWatcher {
   /// Record one signature share already verified against the cid it
   /// claims. Returns any fraud proofs this observation completes.
   [[nodiscard]] std::vector<core::FraudProof> record_share(
-      chain::Epoch epoch, const Cid& cid, const crypto::PublicKey& signer,
-      const crypto::Signature& signature);
+      const SigShare& share);
 
   /// Drop evidence for epochs below `epoch` (bounded memory; the caller
   /// keeps a horizon of a few periods behind parent acceptance so late

@@ -186,8 +186,9 @@ std::vector<core::FraudProof> share(runtime::CheckpointWatcher& w,
                                     const core::Checkpoint& cp,
                                     const crypto::KeyPair& signer) {
   const Bytes payload = core::SignedCheckpoint::signing_payload(cp);
-  return w.record_share(cp.epoch, cp.cid(), signer.public_key(),
-                        signer.sign(payload));
+  return w.record_share(runtime::SigShare{cp.epoch, cp.cid(),
+                                          signer.public_key(),
+                                          signer.sign(payload)});
 }
 
 TEST(CheckpointWatcher, OneSignerBehindTwoCidsGivesExactlyOneProof) {
