@@ -170,8 +170,8 @@ CheckpointDuty::CheckpointDuty(const NodeConfig& config,
       &m.counter("node_fraud_proofs_submitted_total", labels);
 }
 
-std::optional<actors::SaState> CheckpointDuty::parent_sa() const {
-  if (parent_ == nullptr) return std::nullopt;
+std::shared_ptr<const actors::SaState> CheckpointDuty::parent_sa() const {
+  if (parent_ == nullptr) return nullptr;
   return parent_->sa_state_view(config_.sa_in_parent);
 }
 
@@ -220,17 +220,17 @@ void CheckpointDuty::on_gossip(const SigGossip& gossip, chain::Epoch head) {
   if (cut_it->second.cid() != share.checkpoint_cid) return;
   sig_shares_[share.epoch][share.signer.to_bytes()] = share;
   if (sig_shares_.size() > 64) sig_shares_.erase(sig_shares_.begin());
-  if (index_.has_value()) submit_checkpoint(parent_sa(), head);
+  if (index_.has_value()) submit_checkpoint(parent_sa().get(), head);
 }
 
 void CheckpointDuty::on_commit(chain::Epoch head) {
   obs::ProfileScope prof(checkpoint_phase());
   if (!index_.has_value()) return;
   // One read of the parent SA serves the whole tick.
-  const std::optional<actors::SaState> sa = parent_sa();
-  submit_checkpoint(sa, head);
+  const auto sa = parent_sa();
+  submit_checkpoint(sa.get(), head);
   regossip_share(head);
-  submit_fraud_proofs(sa, head);
+  submit_fraud_proofs(sa.get(), head);
 }
 
 void CheckpointDuty::restore(const core::Checkpoint& cp) {
@@ -293,10 +293,10 @@ void CheckpointDuty::submit_to_parent(const Address& to,
 }
 
 void CheckpointDuty::submit_checkpoint(
-    const std::optional<actors::SaState>& sa, chain::Epoch head) {
+    const actors::SaState* sa, chain::Epoch head) {
   // Prune checkpoints the parent SA has accepted, then pick the EARLIEST
   // outstanding one (prev-linkage forces in-order acceptance).
-  if (!sa.has_value()) return;
+  if (sa == nullptr) return;
   while (!cut_checkpoints_.empty() &&
          cut_checkpoints_.begin()->first <= sa->last_checkpoint_epoch) {
     const chain::Epoch accepted = cut_checkpoints_.begin()->first;
@@ -416,12 +416,14 @@ void CheckpointDuty::on_fraud_proofs(std::vector<core::FraudProof> proofs,
     pending_proofs_.emplace(std::move(key), std::move(pending));
     added = true;
   }
-  if (added && index_.has_value()) submit_fraud_proofs(parent_sa(), head);
+  if (added && index_.has_value()) {
+    submit_fraud_proofs(parent_sa().get(), head);
+  }
 }
 
 void CheckpointDuty::submit_fraud_proofs(
-    const std::optional<actors::SaState>& sa, chain::Epoch head) {
-  if (pending_proofs_.empty() || !sa.has_value()) return;
+    const actors::SaState* sa, chain::Epoch head) {
+  if (pending_proofs_.empty() || sa == nullptr) return;
   const auto sa_keys = sa->validator_keys();
 
   for (auto it = pending_proofs_.begin(); it != pending_proofs_.end();) {

@@ -236,7 +236,7 @@ class CheckpointDuty {
     RetryState retry;
   };
 
-  [[nodiscard]] std::optional<actors::SaState> parent_sa() const;
+  [[nodiscard]] std::shared_ptr<const actors::SaState> parent_sa() const;
   [[nodiscard]] bool withholds() const {
     return adversary_ != nullptr && adversary_->withholds();
   }
@@ -249,14 +249,14 @@ class CheckpointDuty {
       const core::Checkpoint& cp,
       const std::vector<crypto::PublicKey>* signers) const;
 
-  void submit_checkpoint(const std::optional<actors::SaState>& sa,
+  void submit_checkpoint(const actors::SaState* sa,
                          chain::Epoch head);
   void regossip_share(chain::Epoch head);
   /// Register freshly assembled fraud proofs (watcher output) for
   /// submission; dedups by proof digest.
   void on_fraud_proofs(std::vector<core::FraudProof> proofs,
                        chain::Epoch head);
-  void submit_fraud_proofs(const std::optional<actors::SaState>& sa,
+  void submit_fraud_proofs(const actors::SaState* sa,
                            chain::Epoch head);
 
   const NodeConfig& config_;

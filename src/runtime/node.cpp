@@ -71,15 +71,15 @@ std::shared_ptr<const actors::ScaState> sca_in(const chain::StateTree& tree) {
   return std::make_shared<const actors::ScaState>();
 }
 
-std::optional<actors::SaState> sa_in(const chain::StateTree& tree,
-                                     const Address& sa) {
+/// The SA state at `sa`: its blob's memo, shared; null when absent or
+/// undecodable.
+std::shared_ptr<const actors::SaState> sa_in(const chain::StateTree& tree,
+                                             const Address& sa) {
   const auto* entry = tree.get(sa);
   if (entry == nullptr || entry->code != chain::kCodeSubnetActor) {
-    return std::nullopt;
+    return nullptr;
   }
-  const auto decoded = actors::state_of<actors::SaState>(entry->state);
-  if (decoded == nullptr) return std::nullopt;
-  return *decoded;
+  return actors::state_of<actors::SaState>(entry->state);
 }
 
 }  // namespace
@@ -322,7 +322,8 @@ std::shared_ptr<const actors::ScaState> SubnetNode::head_sca() const {
 }
 
 std::optional<actors::SaState> SubnetNode::sa_state(const Address& sa) const {
-  return sa_in(store_->state(), sa);
+  if (auto state = sa_in(store_->state(), sa)) return *state;
+  return std::nullopt;
 }
 
 // --------------------------------------------------------------- parent view
@@ -339,7 +340,7 @@ std::shared_ptr<const actors::ScaState> SubnetNode::sca_state_view() const {
   return sca_in(view_tree());
 }
 
-std::optional<actors::SaState> SubnetNode::sa_state_view(
+std::shared_ptr<const actors::SaState> SubnetNode::sa_state_view(
     const Address& sa) const {
   return sa_in(view_tree(), sa);
 }

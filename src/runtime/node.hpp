@@ -152,8 +152,9 @@ class SubnetNode final : public consensus::BlockSource,
       const;
   /// The published head's nonce of a child validator's account.
   [[nodiscard]] std::uint64_t account_nonce_view(const Address& addr) const;
-  /// The published head's state of a child subnet's SA.
-  [[nodiscard]] std::optional<actors::SaState> sa_state_view(
+  /// The published head's state of a child subnet's SA: its blob's memo,
+  /// shared; null when absent.
+  [[nodiscard]] std::shared_ptr<const actors::SaState> sa_state_view(
       const Address& sa) const;
 
   /// Publish the current head state as the parent view. The head is an
