@@ -249,8 +249,6 @@ NodeStats SubnetNode::stats() const {
   s.block_executions = c_block_executions_->value();
   s.user_msgs_executed = c_user_msgs_->value();
   s.cross_msgs_executed = c_cross_msgs_->value();
-  s.checkpoints_cut = checkpoint_.checkpoints_cut();
-  s.checkpoints_submitted = checkpoint_.checkpoints_submitted();
   s.pulls_sent = c_pulls_sent_->value();
   s.pushes_sent = c_pushes_sent_->value();
   s.resolves_served = c_resolves_served_->value();

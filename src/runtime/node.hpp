@@ -74,6 +74,7 @@ struct NodeConfig {
 
 /// Counter snapshot exposed for benches and tests; backed by the metrics
 /// registry (families node_* labeled {node, subnet}) and assembled on read.
+/// The checkpoint counts are read from CheckpointDuty, their owner.
 struct NodeStats {
   std::uint64_t blocks_committed = 0;
   /// Block executions (build, validate, commit fallback, WAL replay). On a
@@ -81,8 +82,6 @@ struct NodeStats {
   std::uint64_t block_executions = 0;
   std::uint64_t user_msgs_executed = 0;
   std::uint64_t cross_msgs_executed = 0;
-  std::uint64_t checkpoints_cut = 0;
-  std::uint64_t checkpoints_submitted = 0;
   std::uint64_t pulls_sent = 0;
   std::uint64_t pushes_sent = 0;
   std::uint64_t resolves_served = 0;

@@ -190,13 +190,13 @@ TEST_F(RuntimeFixture, ValidateRejectsTamperedUserMessage) {
 
 TEST_F(RuntimeFixture, CheckpointStatsProgress) {
   ASSERT_TRUE(h.run_until(
-      [&] { return child->node(0).stats().checkpoints_cut >= 2; },
+      [&] { return child->node(0).checkpoint_duty().checkpoints_cut() >= 2; },
       60 * sim::kSecond));
   // Exactly one designated submitter per epoch: total submissions across
   // nodes ≈ checkpoints accepted by the SA.
   std::uint64_t submitted = 0;
   for (std::size_t i = 0; i < child->size(); ++i) {
-    submitted += child->node(i).stats().checkpoints_submitted;
+    submitted += child->node(i).checkpoint_duty().checkpoints_submitted();
   }
   const auto sa = h.root().node(0).sa_state(child->sa);
   ASSERT_TRUE(sa.has_value());
