@@ -292,8 +292,8 @@ void CheckpointDuty::submit_to_parent(const Address& to,
                    encode(chain::SignedMessage::sign(std::move(m), key_)));
 }
 
-void CheckpointDuty::submit_checkpoint(
-    const actors::SaState* sa, chain::Epoch head) {
+void CheckpointDuty::submit_checkpoint(const actors::SaState* sa,
+                                       chain::Epoch head) {
   // Prune checkpoints the parent SA has accepted, then pick the EARLIEST
   // outstanding one (prev-linkage forces in-order acceptance).
   if (sa == nullptr) return;
@@ -421,8 +421,8 @@ void CheckpointDuty::on_fraud_proofs(std::vector<core::FraudProof> proofs,
   }
 }
 
-void CheckpointDuty::submit_fraud_proofs(
-    const actors::SaState* sa, chain::Epoch head) {
+void CheckpointDuty::submit_fraud_proofs(const actors::SaState* sa,
+                                         chain::Epoch head) {
   if (pending_proofs_.empty() || sa == nullptr) return;
   const auto sa_keys = sa->validator_keys();
 

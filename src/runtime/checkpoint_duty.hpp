@@ -185,8 +185,8 @@ class CheckpointAdversary {
 /// carry the same parent-chain nonce.
 class CheckpointDuty {
  public:
-  /// `config`, `parent` (the node's parent-view pointer itself) and
-  /// `retry_rng` are the owning node's and must outlive the duty.
+  /// The reference arguments must outlive the duty. `parent` is the owning
+  /// node's parent-view pointer itself, so attach_parent re-points both.
   CheckpointDuty(const NodeConfig& config, net::Network& network,
                  net::NodeId node, crypto::KeyPair key,
                  consensus::ValidatorSet validators,
@@ -249,15 +249,12 @@ class CheckpointDuty {
       const core::Checkpoint& cp,
       const std::vector<crypto::PublicKey>* signers) const;
 
-  void submit_checkpoint(const actors::SaState* sa,
-                         chain::Epoch head);
+  void submit_checkpoint(const actors::SaState* sa, chain::Epoch head);
   void regossip_share(chain::Epoch head);
   /// Register freshly assembled fraud proofs (watcher output) for
   /// submission; dedups by proof digest.
-  void on_fraud_proofs(std::vector<core::FraudProof> proofs,
-                       chain::Epoch head);
-  void submit_fraud_proofs(const actors::SaState* sa,
-                           chain::Epoch head);
+  void on_fraud_proofs(std::vector<core::FraudProof> proofs, chain::Epoch head);
+  void submit_fraud_proofs(const actors::SaState* sa, chain::Epoch head);
 
   const NodeConfig& config_;
   net::Network& network_;
