@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "actors/methods.hpp"
 #include "chain/mempool.hpp"
 #include "chaos/invariants.hpp"
 #include "chaos/runner.hpp"
