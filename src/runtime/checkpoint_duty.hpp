@@ -249,7 +249,11 @@ class CheckpointDuty {
       const core::Checkpoint& cp,
       const std::vector<crypto::PublicKey>* signers) const;
 
+  /// Prune what `sa` accepted; as the designated submitter, submit the
+  /// earliest outstanding checkpoint once its shares meet `sa`'s policy.
   void submit_checkpoint(const actors::SaState* sa, chain::Epoch head);
+  /// Re-gossip our share of a stalled checkpoint under backoff, so shares
+  /// lost to partitions or crashes resurface after heal.
   void regossip_share(chain::Epoch head);
   /// Register freshly assembled fraud proofs (watcher output) for
   /// submission; dedups by proof digest.
