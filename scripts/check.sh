@@ -129,6 +129,11 @@ ctest --test-dir "$TSAN_DIR" --output-on-failure -R '^InternDeterminism\.'
 # while the process-wide cache builds and publishes their tables.
 ctest --test-dir "$TSAN_DIR" --output-on-failure \
   -R '^KeyTable\.ConcurrentVerifyWhileBuilding$'
+# Cross-subnet links (DESIGN.md §11): a static root + child tree at 4
+# threads with WAN-class links between the subnets' lanes, across a child
+# validator's crash and restart. Cross-lane deliveries are exactly what the
+# lookahead protects: each must land at least one window later.
+ctest --test-dir "$TSAN_DIR" --output-on-failure -R '^CrossSubnetLatency\.'
 ctest --test-dir "$TSAN_DIR" --output-on-failure -R '^ChaosSweep\.'
 ctest --test-dir "$TSAN_DIR" --output-on-failure -R '^ByzantineSmoke\.'
 

@@ -326,6 +326,21 @@ runtime::HierarchyConfig obs_config() {
   return cfg;
 }
 
+// The JSON object of one metric family, from its key to its closing brace
+// (empty when the family is absent).
+std::string json_family(const std::string& json, const std::string& family) {
+  const std::size_t start = json.find("\"" + family + "\":{");
+  if (start == std::string::npos) return {};
+  int depth = 0;
+  for (std::size_t i = json.find('{', start); i < json.size(); ++i) {
+    if (json[i] == '{') ++depth;
+    if (json[i] == '}' && --depth == 0) {
+      return json.substr(start, i + 1 - start);
+    }
+  }
+  return {};
+}
+
 // One scripted scenario: spawn a child, fund it top-down, release back
 // bottom-up; return the three export artifacts.
 struct RunArtifacts {
@@ -377,7 +392,8 @@ TEST(ObsEndToEnd, CrossMsgLatencyRecordedPerSubnet) {
   // The top-down fund ends at the child; the bottom-up release at the root.
   EXPECT_NE(a.metrics_json.find("cross_msg_e2e_latency_us"),
             std::string::npos);
-  EXPECT_NE(a.prom.find("cross_msg_e2e_latency_us_count{subnet=\"/root\"}"),
+  EXPECT_NE(json_family(a.metrics_json, "cross_msg_e2e_latency_us")
+                .find("\"subnet=/root\":{\"count\":"),
             std::string::npos);
   EXPECT_NE(a.metrics_json.find("checkpoint_sign_latency_us"),
             std::string::npos);

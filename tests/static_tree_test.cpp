@@ -238,5 +238,62 @@ TEST(StaticTreeDeterminism, SameSpecSameSeedSameRoots) {
   EXPECT_NE(a.find("/root/f0100/f0100@"), std::string::npos);
 }
 
+/// Base links of 2 ms ± 0 inside a subnet and 50 ms ± 0 between subnets:
+/// every gossip hop takes exactly one of the two, before and after a child
+/// validator's crash and restart (a bottom-up release after the restart
+/// makes the parent resolve the child's batch), and the cross link is the
+/// executor's lookahead.
+TEST(CrossSubnetLatency, EveryGossipHopTakesTheBaseOrTheCrossLink) {
+  HierarchyConfig cfg = tree_config();
+  cfg.threads = 4;
+  cfg.latency = sim::LatencyModel(2 * sim::kMillisecond, 0);
+  cfg.cross_subnet_latency =
+      HierarchyConfig::CrossSubnetLatency{50 * sim::kMillisecond, 0};
+  TreeSpec child;
+  child.name = "a";
+  child.params = tree_params("a");
+  child.engine = fast_engine();
+  child.n_validators = 3;
+  child.hot_accounts = 1;
+  TreeSpec root;
+  root.name = "root";
+  root.params = tree_params("root");
+  root.engine = fast_engine();
+  root.n_validators = 2;
+  root.children.push_back(child);
+  Hierarchy h(cfg, root);
+  EXPECT_EQ(h.executor().lookahead(), 50 * sim::kMillisecond);
+
+  Subnet& a = *h.subnets().at(1);
+  h.run_for(2 * sim::kSecond);
+  ASSERT_TRUE(h.crash_node(a, 2).ok());
+  h.run_for(sim::kSecond);
+  ASSERT_TRUE(h.restart_node(a, 2).ok());
+
+  const obs::Histogram* gossip = h.obs().metrics.find_histogram(
+      "net_delivery_latency_us", obs::Labels{{"kind", "gossip"}});
+  ASSERT_NE(gossip, nullptr);
+  // Bucket 1 is (1 ms, 2 ms] and bucket 5 is (20 ms, 50 ms]: with every
+  // observation in one of them, the sum pins each one to its upper edge.
+  ASSERT_EQ(gossip->bounds().at(1), 2 * sim::kMillisecond);
+  ASSERT_EQ(gossip->bounds().at(5), 50 * sim::kMillisecond);
+  const std::uint64_t cross_at_restart = gossip->buckets().at(5);
+  const auto key = crypto::KeyPair::from_label("a-hot-0");
+  const User sender{key, Address::key(key.public_key().to_bytes())};
+  auto release = h.send_cross(a, sender, core::SubnetId::root(), sender.addr,
+                              TokenAmount::whole(1));
+  ASSERT_TRUE(release.ok() && release.value().ok());
+  h.run_for(3 * sim::kSecond);
+  const std::uint64_t base = gossip->buckets().at(1);
+  const std::uint64_t cross = gossip->buckets().at(5);
+  EXPECT_GT(base, 0u);
+  EXPECT_GT(cross_at_restart, 0u);
+  EXPECT_GT(cross, cross_at_restart);
+  EXPECT_EQ(base + cross, gossip->count());
+  EXPECT_EQ(gossip->sum(), static_cast<std::int64_t>(
+                               base * 2 * sim::kMillisecond +
+                               cross * 50 * sim::kMillisecond));
+}
+
 }  // namespace
 }  // namespace hc::runtime
