@@ -238,12 +238,10 @@ inline const std::chrono::steady_clock::time_point kProcessStart =
 ///   BENCH_<name>.metrics.json  — schema 2: a meta block (host_cpus, worker
 ///                                threads, git SHA, wall seconds from
 ///                                process start) and the runs,
-///   BENCH_<name>.prom          — Prometheus text of the last captured
-///                                registry (if any),
 ///   BENCH_<name>.trace.json    — Chrome trace (chrome://tracing) of the
 ///                                last captured hierarchy (if any).
 /// Metric values are integers of simulated time, so two runs with the same
-/// seed produce identical "runs" arrays, .prom and .trace.json; only the
+/// seed produce identical "runs" arrays and .trace.json; only the
 /// meta block varies with the environment. scripts/bench_diff.py compares
 /// the runs, not the meta. Wall-clock attribution is perfbench's job
 /// (`perfbench/run.py --trace 1`); nothing here reads the Profiler.
@@ -276,7 +274,6 @@ class SidecarWriter {
     }
     json += "  ]\n}\n";
     (void)obs::write_text_file(path + ".metrics.json", json);
-    if (prom_) (void)obs::write_text_file(path + ".prom", *prom_);
     if (trace_) (void)obs::write_text_file(path + ".trace.json", *trace_);
   }
 
@@ -290,11 +287,10 @@ class SidecarWriter {
                         fingerprint, std::move(scale)});
   }
 
-  /// Snapshot `reg` as one run; its Prometheus text becomes the .prom.
+  /// Snapshot `reg` as one run.
   void capture(const obs::MetricsRegistry& reg, std::string label,
                std::uint64_t seed) {
     add(std::move(label), seed, obs::metrics_to_json(reg));
-    prom_ = obs::metrics_to_prometheus(reg);
   }
 
   /// Snapshot a hierarchy's metrics and keep its trace as the latest one.
@@ -329,7 +325,6 @@ class SidecarWriter {
 
   std::string name_;
   std::vector<Run> runs_;
-  std::optional<std::string> prom_;
   std::optional<std::string> trace_;
 };
 

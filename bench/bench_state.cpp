@@ -6,10 +6,10 @@
 //      the seed's from-scratch rebuild (re-encode + rehash every leaf)?
 //      Acceptance floor: >= 5x at N=10k, 1% dirty.
 //   2. What does per-message rollback cost — journal undo-log revert versus
-//      the seed's deep-copy snapshot/revert_to?
+//      the seed's deep copy, moved back in place?
 //
 // Timings are google-benchmark's own console output. The sidecar
-// (BENCH_state.metrics.json + .prom, one run labelled "all") carries only
+// (BENCH_state.metrics.json, one run labelled "all") carries only
 // the deterministic commitment cost of one incremental flush per case:
 // state_leaf_rehashes_per_flush and state_flush_cache_hits_per_flush. They
 // do not depend on the iteration count google-benchmark chooses, so two
@@ -167,7 +167,7 @@ void state_revert_snapshot(benchmark::State& state) {
   for (auto _ : state) {
     StateTree snap = t.snapshot();  // the seed's per-message rollback path
     mutate(t, actors, k, round++);
-    t.revert_to(std::move(snap));
+    t = std::move(snap);
     benchmark::DoNotOptimize(t.actor_count());
   }
   state.counters["dirty_leaves"] = static_cast<double>(k);

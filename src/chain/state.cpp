@@ -27,16 +27,6 @@ StateTree& StateTree::operator=(const StateTree& other) {
   return *this;
 }
 
-void StateTree::revert_to(StateTree snapshot) {
-  // Adopt the snapshot's state and commitment cache wholesale, but keep
-  // this instance's accumulated stats; undo info predating the wholesale
-  // replacement is meaningless.
-  CommitStats kept = stats_;
-  *this = std::move(snapshot);
-  stats_ = kept;
-  journal_.clear();
-}
-
 const ActorEntry* StateTree::get(const Address& addr) const {
   auto it = actors_.find(addr);
   return it == actors_.end() ? nullptr : &it->second;

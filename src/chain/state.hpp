@@ -13,10 +13,10 @@
 //   - journal_mark()/journal_revert(): an undo log of prior entry values,
 //     used by the executor for per-message and nested-send revert without
 //     copying the tree;
-//   - snapshot()/revert_to(): a copy of the actor map, kept for long-lived
-//     forks (genesis templates, the head copy a block executes on, the
-//     paper's SCA `save()` §III-C). Actor state is an immutable shared
-//     StateBlob, so neither a copy nor a journal prior copies state bytes.
+//   - snapshot(): a copy of the actor map, kept for long-lived forks
+//     (genesis templates, the head copy a block executes on). Actor state
+//     is an immutable shared StateBlob, so neither a copy nor a journal
+//     prior copies state bytes.
 #pragma once
 
 #include <cstdint>
@@ -234,10 +234,9 @@ class StateTree {
 
   [[nodiscard]] std::size_t journal_depth() const { return journal_.size(); }
 
-  /// Snapshot / revert for long-lived forks (SCA save()): copies the actor
-  /// map and shares every entry's state blob.
+  /// Copy for a long-lived fork: copies the actor map and shares every
+  /// entry's state blob.
   [[nodiscard]] StateTree snapshot() const { return *this; }
-  void revert_to(StateTree snapshot);
 
   [[nodiscard]] std::size_t actor_count() const { return actors_.size(); }
 

@@ -14,6 +14,21 @@ namespace {
 constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
+/// Workload injected during the fault window: this many rounds of one
+/// bottom-up release per non-root subnet plus one top-down transfer.
+constexpr std::size_t kTransferRounds = 2;
+constexpr TokenAmount kTransfer = TokenAmount::whole(3);
+/// Surge shape: senders x messages flooded at the first child's node 0 by
+/// the surge-overload scenario.
+constexpr std::size_t kSurgeSenders = 8;
+constexpr std::size_t kSurgeMessages = 200;
+/// Stake each child validator joins with (collateral at risk per head).
+constexpr TokenAmount kValidatorStake = TokenAmount::whole(5);
+/// Every injected equivocation must be slashed within this many checkpoint
+/// periods of simulated time (mean bound, checked against the
+/// fraud_detection_latency_us histogram).
+constexpr std::uint32_t kDetectBoundPeriods = 8;
+
 std::uint64_t fnv1a(std::uint64_t h, const std::string& s) {
   for (const unsigned char c : s) {
     h ^= c;
@@ -68,7 +83,7 @@ void check_byzantine(runtime::Hierarchy& h, const RunnerConfig& cfg,
     expected[ref.subnet].push_back(
         h.subnets()[ref.subnet]->validator_keys.at(ref.node).public_key());
   }
-  const auto deadline = static_cast<std::int64_t>(cfg.detect_bound_periods) *
+  const auto deadline = static_cast<std::int64_t>(kDetectBoundPeriods) *
                         static_cast<std::int64_t>(cfg.checkpoint_period) *
                         static_cast<std::int64_t>(cfg.block_time);
 
@@ -132,7 +147,7 @@ void check_byzantine(runtime::Hierarchy& h, const RunnerConfig& cfg,
         if (it == sa->validators.end()) {
           report.violations.push_back(
               tag + ": honest validator missing from the SA validator set");
-        } else if (it->stake != cfg.validator_stake) {
+        } else if (it->stake != kValidatorStake) {
           report.violations.push_back(
               tag + ": honest validator stake changed to " +
               it->stake.to_string());
@@ -174,7 +189,7 @@ void check_byzantine(runtime::Hierarchy& h, const RunnerConfig& cfg,
           tag + ": mean fraud detection latency " +
           std::to_string(hist->sum() /
                          static_cast<std::int64_t>(hist->count())) +
-          "us exceeds the " + std::to_string(cfg.detect_bound_periods) +
+          "us exceeds the " + std::to_string(kDetectBoundPeriods) +
           "-period bound");
     }
 
@@ -217,7 +232,6 @@ RunResult ChaosRunner::run(const Scenario& scenario, std::uint64_t seed) {
   cfg.mempool = config_.mempool;
   cfg.content_store = config_.content_store;
   cfg.durability.enabled = config_.durability;
-  cfg.durability.fsync_every_blocks = config_.wal_fsync_every_blocks;
   runtime::Hierarchy h(cfg);
 
   // ---- topology: children under the root, optional nested grandchild.
@@ -225,7 +239,7 @@ RunResult ChaosRunner::run(const Scenario& scenario, std::uint64_t seed) {
     auto spawned = h.spawn_subnet(h.root(), "c" + std::to_string(c),
                                   chaos_params(config_),
                                   config_.child_validators,
-                                  config_.validator_stake,
+                                  kValidatorStake,
                                   chaos_engine(config_));
     if (!spawned.ok()) {
       out.report.violations.push_back("spawn failed: " +
@@ -237,7 +251,7 @@ RunResult ChaosRunner::run(const Scenario& scenario, std::uint64_t seed) {
     auto spawned = h.spawn_subnet(*h.subnets().at(1), "g0",
                                   chaos_params(config_),
                                   config_.child_validators,
-                                  config_.validator_stake,
+                                  kValidatorStake,
                                   chaos_engine(config_));
     if (!spawned.ok()) {
       out.report.violations.push_back("nested spawn failed: " +
@@ -300,8 +314,8 @@ RunResult ChaosRunner::run(const Scenario& scenario, std::uint64_t seed) {
 
   const sim::Duration slice =
       config_.fault_window /
-      static_cast<sim::Duration>(config_.transfer_rounds + 1);
-  for (std::size_t round = 0; round < config_.transfer_rounds; ++round) {
+      static_cast<sim::Duration>(kTransferRounds + 1);
+  for (std::size_t round = 0; round < kTransferRounds; ++round) {
     h.run_for(slice);
     // Bottom-up release from every non-root subnet toward its root sink.
     for (const LocalUser& lu : locals) {
@@ -310,7 +324,7 @@ RunResult ChaosRunner::run(const Scenario& scenario, std::uint64_t seed) {
       p.to = lu.sink;
       (void)h.submit(*lu.subnet, lu.user, chain::kScaAddr,
                      actors::sca_method::kSendCross, encode(p),
-                     config_.transfer);
+                     kTransfer);
     }
     // One top-down transfer per round, rotating across subnets (a single
     // spender cannot overlap nonces within a round).
@@ -321,11 +335,11 @@ RunResult ChaosRunner::run(const Scenario& scenario, std::uint64_t seed) {
       p.to = lu.user.addr;
       (void)h.submit(h.root(), root_user.value(), chain::kScaAddr,
                      actors::sca_method::kSendCross, encode(p),
-                     config_.transfer);
+                     kTransfer);
     }
   }
   h.run_for(config_.fault_window -
-            slice * static_cast<sim::Duration>(config_.transfer_rounds));
+            slice * static_cast<sim::Duration>(kTransferRounds));
 
   // ---- heal everything the plan may have left open, then let the system
   // quiesce. Recovery must need no outside help beyond the heal itself.
@@ -485,8 +499,8 @@ std::vector<Scenario> ChaosRunner::standard_scenarios() {
        "pools shed deterministically while real traffic still settles",
        [](const RunnerConfig& cfg) {
          FaultPlan p;
-         p.surge(cfg.fault_window / 8, NodeRef{1, 0}, cfg.surge_senders,
-                 cfg.surge_messages);
+         p.surge(cfg.fault_window / 8, NodeRef{1, 0}, kSurgeSenders,
+                 kSurgeMessages);
          return p;
        },
        {}});

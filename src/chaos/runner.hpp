@@ -37,19 +37,11 @@ struct RunnerConfig {
   sim::Duration fault_window = 10 * sim::kSecond;
   sim::Duration settle = 240 * sim::kSecond;  ///< max wait for quiescence
 
-  // ---- workload injected during the fault window
-  std::size_t transfer_rounds = 2;
-  TokenAmount transfer = TokenAmount::whole(3);
-
   // ---- overload (DESIGN.md §14)
   /// Mempool capacity installed on every node. The defaults sit far above
   /// anything the standard workload queues, so only the surge scenario
   /// (and any caller opting into tighter caps) ever sheds.
   chain::MempoolConfig mempool{512, 128, 1024};
-  /// Surge shape: senders x messages flooded at the first child's node 0
-  /// by the surge-overload scenario.
-  std::size_t surge_senders = 8;
-  std::size_t surge_messages = 200;
 
   // ---- durability (DESIGN.md §15)
   /// Give every validator a durable WAL; crash_node damages the disk per
@@ -57,20 +49,10 @@ struct RunnerConfig {
   /// Off by default so the pre-durability scenario sets keep their exact
   /// behavior; the recovery scenario set requires it.
   bool durability = false;
-  /// Lazy fsync cadence for block records when durability is on.
-  std::uint32_t wal_fsync_every_blocks = 4;
   /// Resolved-content cache cap installed on every node (0 = unbounded).
   /// The recovery sweep bounds it; the bounded-queues invariant then
   /// asserts the observed peaks.
   common::CapacityPolicy content_store;
-
-  // ---- byzantine expectations
-  /// Stake each child validator joins with (collateral at risk per head).
-  TokenAmount validator_stake = TokenAmount::whole(5);
-  /// Every injected equivocation must be slashed within this many
-  /// checkpoint periods of simulated time (mean bound, checked against the
-  /// fraud_detection_latency_us histogram).
-  std::uint32_t detect_bound_periods = 8;
 
   // ---- execution
   /// Worker threads for the hierarchy's windowed executor. Any value must

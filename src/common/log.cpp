@@ -9,12 +9,10 @@ namespace hc {
 namespace {
 
 // The level is read on every (possibly disabled) log statement from any
-// ParallelExecutor worker, so it is atomic; the sink is only replaced from
-// driver context but invoked from workers, so writes serialize on a mutex
-// to keep lines whole.
+// ParallelExecutor worker, so it is atomic; workers write lines too, so
+// writes serialize on a mutex to keep lines whole.
 std::atomic<LogLevel> g_level{LogLevel::kWarn};
 std::mutex g_write_mutex;
-Log::Sink g_sink;
 
 const char* level_tag(LogLevel level) {
   switch (level) {
@@ -35,17 +33,8 @@ void Log::set_level(LogLevel level) {
 }
 LogLevel Log::level() { return g_level.load(std::memory_order_relaxed); }
 
-void Log::set_sink(Sink sink) {
-  std::lock_guard<std::mutex> lk(g_write_mutex);
-  g_sink = std::move(sink);
-}
-
 void Log::write(LogLevel level, std::string_view msg) {
   std::lock_guard<std::mutex> lk(g_write_mutex);
-  if (g_sink) {
-    g_sink(level, msg);
-    return;
-  }
   std::fprintf(stderr, "[%s] %.*s\n", level_tag(level),
                static_cast<int>(msg.size()), msg.data());
 }

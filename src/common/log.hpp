@@ -1,11 +1,10 @@
 // Minimal leveled logger.
 //
 // The simulator is single-threaded and deterministic, so the logger is
-// deliberately simple: a process-global level and sink. Tests set the level
-// to kOff; examples raise it to kInfo to narrate protocol runs.
+// deliberately simple: a process-global level, lines to stderr. Tests set
+// the level to kOff; examples raise it to kInfo to narrate protocol runs.
 #pragma once
 
-#include <functional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -16,13 +15,8 @@ enum class LogLevel { kOff = 0, kError, kWarn, kInfo, kDebug, kTrace };
 
 class Log {
  public:
-  using Sink = std::function<void(LogLevel, std::string_view)>;
-
   static void set_level(LogLevel level);
   [[nodiscard]] static LogLevel level();
-
-  /// Replace the output sink (default: stderr). Pass nullptr to restore.
-  static void set_sink(Sink sink);
 
   static void write(LogLevel level, std::string_view msg);
 

@@ -95,12 +95,6 @@ SubnetRef SubnetInterner::child_of(SubnetRef parent, const Address& sa) {
   return ref;
 }
 
-SubnetRef SubnetInterner::intern_path(const std::vector<Address>& path) {
-  SubnetRef r = kRootRef;
-  for (const Address& sa : path) r = child_of(r, sa);
-  return r;
-}
-
 std::size_t SubnetInterner::approx_bytes() const {
   const std::uint32_t n = size_.load(std::memory_order_acquire);
   std::size_t total = 0;

@@ -95,9 +95,6 @@ class SubnetInterner {
   /// sight. Lock-free on the (overwhelmingly common) hit path.
   SubnetRef child_of(SubnetRef parent, const Address& sa);
 
-  /// Intern a full root-to-leaf path (decode path).
-  SubnetRef intern_path(const std::vector<Address>& path);
-
   /// Lock-free entry access. `r` must come from this table.
   [[nodiscard]] const Entry& entry(SubnetRef r) const {
     const Block* b = blocks_[r >> kBlockBits].load(std::memory_order_acquire);

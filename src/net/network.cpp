@@ -90,11 +90,6 @@ Network::Network(sim::Scheduler& scheduler, sim::LatencyModel latency,
         "GossipConfig::mesh_degree must be >= 1 (a zero-degree mesh never "
         "forwards anything)");
   }
-  if (config_.max_hops < 1) {
-    throw std::invalid_argument(
-        "GossipConfig::max_hops must be >= 1 (messages need at least one "
-        "hop to reach a subscriber)");
-  }
   if (config_.node_queue.bounded() && !config_.node_queue.enabled()) {
     throw std::invalid_argument(
         "NodeQueuePolicy sets queue caps without a service_time — an inline "
@@ -147,9 +142,8 @@ void Network::set_node_domain(NodeId node, sim::DomainId domain) {
   }
 }
 
-void Network::set_pair_latency(NodeId a, NodeId b, sim::Duration base,
-                               sim::Duration jitter) {
-  latency_.set_pair(a, b, base, jitter);
+void Network::set_cross_domain_latency(sim::LatencyModel latency) {
+  cross_latency_ = latency;
 }
 
 NodeId Network::add_node() {
@@ -188,12 +182,6 @@ LinkFault Network::effective_fault(NodeId from, NodeId to) const {
   return out;
 }
 
-bool Network::can_reach(NodeId from, NodeId to) const {
-  if (nodes_[from].down || nodes_[to].down) return false;
-  if (!partitioned_) return true;
-  return partition_group_[from] == partition_group_[to];
-}
-
 std::optional<DropReason> Network::transmission_drop(NodeId from, NodeId to,
                                                      const LinkFault& fault) {
   if (nodes_[from].down || nodes_[to].down) return DropReason::kNodeDown;
@@ -216,7 +204,10 @@ void Network::count_drop(DropReason reason) {
 
 sim::Duration Network::transmission_delay(NodeId from, NodeId to,
                                           const LinkFault& fault) {
-  sim::Duration delay = latency_.sample(from, to, rng()) + fault.extra_delay;
+  const sim::LatencyModel& link =
+      cross_latency_ && node_domain(from) != node_domain(to) ? *cross_latency_
+                                                             : latency_;
+  sim::Duration delay = link.sample(rng()) + fault.extra_delay;
   if (fault.reorder_jitter > 0) {
     delay += static_cast<sim::Duration>(rng().uniform(
         static_cast<std::uint64_t>(fault.reorder_jitter) + 1));
@@ -445,7 +436,7 @@ void Network::publish(NodeId from, const std::string& topic, Bytes payload) {
     m_bytes_physical_->inc(payload_size);
   }
   for (NodeId peer : targets) {
-    gossip_deliver(from, peer, topic, env, from, msg_id, config_.max_hops);
+    gossip_deliver(from, peer, topic, env, from, msg_id, kMaxHops);
   }
 }
 
@@ -520,8 +511,6 @@ void Network::reset_stats() {
 void Network::set_node_down(NodeId node, bool down) {
   nodes_.at(node).down = down;
 }
-
-bool Network::node_down(NodeId node) const { return nodes_.at(node).down; }
 
 void Network::set_partition(const std::vector<std::vector<NodeId>>& groups) {
   std::fill(partition_group_.begin(), partition_group_.end(), -1);

@@ -71,14 +71,12 @@ struct NodeQueuePolicy {
 };
 
 /// Tuning knobs for the gossip mesh. Validated by Network's constructor:
-/// a zero mesh degree or a hop budget below 1 would silently disconnect the
-/// mesh, so both are rejected with std::invalid_argument — as is a queue
-/// cap without a service time (an inline network has no queue to bound).
+/// a zero mesh degree would silently disconnect the mesh, so it is rejected
+/// with std::invalid_argument — as is a queue cap without a service time
+/// (an inline network has no queue to bound).
 struct GossipConfig {
   /// Mesh degree: peers a node eagerly forwards to per topic (>= 1).
   std::size_t mesh_degree = 6;
-  /// Hop budget: messages stop propagating after this many hops (>= 1).
-  int max_hops = 16;
   /// Per-receiver delivery queue caps (disabled by default).
   NodeQueuePolicy node_queue;
 };
@@ -136,7 +134,8 @@ class Network {
 
   /// `obs` routes network metrics into a registry; nullptr falls back to
   /// the process-wide obs::default_obs(). Throws std::invalid_argument for
-  /// an invalid GossipConfig (mesh_degree == 0 or max_hops < 1).
+  /// an invalid GossipConfig (mesh_degree == 0, or queue caps without a
+  /// service time).
   Network(sim::Scheduler& scheduler, sim::LatencyModel latency,
           std::uint64_t seed, GossipConfig config = {},
           obs::Obs* obs = nullptr);
@@ -146,7 +145,6 @@ class Network {
 
   /// Register a new node; returns its dense id.
   NodeId add_node();
-  [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
 
   /// Declare which scheduler domain (event lane) a node executes in.
   /// Deliveries to the node are scheduled into that lane, and fault dice
@@ -157,12 +155,11 @@ class Network {
     return node < node_domains_.size() ? node_domains_[node] : sim::DomainId{0};
   }
 
-  /// Override the latency of one (unordered) node pair — e.g. WAN-class
-  /// cross-subnet links over LAN-class intra-subnet ones. Driver context
-  /// only; feeds LatencyModel::min_delay() and thus executor lookahead.
-  void set_pair_latency(NodeId a, NodeId b, sim::Duration base,
-                        sim::Duration jitter);
-  [[nodiscard]] const sim::LatencyModel& latency() const { return latency_; }
+  /// Sample every transmission between nodes of different scheduler
+  /// domains from `latency` instead of the base model. Each subnet is one
+  /// lane, so this gives WAN-class links between subnets over LAN-class
+  /// ones inside a subnet. Driver context only.
+  void set_cross_domain_latency(sim::LatencyModel latency);
 
   /// Install the handler invoked for point-to-point messages.
   void set_direct_handler(NodeId node, DirectHandler handler);
@@ -192,7 +189,6 @@ class Network {
 
   /// Mark a node down: it neither receives nor emits anything.
   void set_node_down(NodeId node, bool down);
-  [[nodiscard]] bool node_down(NodeId node) const;
 
   /// Split nodes into isolated groups; messages only flow within a group.
   /// Nodes absent from every group stay fully connected to each other.
@@ -302,7 +298,7 @@ class Network {
   /// inserts land in `hot`; when hot reaches kSeenHotMax it ages into
   /// `cold` and the previous cold generation is dropped, bounding a node's
   /// dedup memory at 2 * kSeenHotMax ids regardless of run length. The
-  /// duplicate-arrival window of a message (max_hops x per-hop latency) is
+  /// duplicate-arrival window of a message (kMaxHops x per-hop latency) is
   /// far shorter than the time to see 2 * kSeenHotMax fresh ids, so an id
   /// is only ever evicted long after its last copy stopped circulating.
   class SeenSet {
@@ -343,6 +339,9 @@ class Network {
   };
 
  private:
+  /// Hop budget: a gossip message stops propagating after this many hops.
+  static constexpr int kMaxHops = 16;
+
   struct Node {
     DirectHandler on_direct;
     TopicHandler on_topic;
@@ -374,7 +373,6 @@ class Network {
   /// like the pre-lane shared stream.
   [[nodiscard]] sim::Rng& rng();
 
-  [[nodiscard]] bool can_reach(NodeId from, NodeId to) const;
   /// Roll the dice for one transmission. Returns the drop reason, or
   /// nullopt when it goes through.
   [[nodiscard]] std::optional<DropReason> transmission_drop(
@@ -406,6 +404,7 @@ class Network {
 
   sim::Scheduler& scheduler_;
   sim::LatencyModel latency_;
+  std::optional<sim::LatencyModel> cross_latency_;
   std::uint64_t seed_;
   // One RNG stream per scheduler domain (index = domain id). Stream 0 is
   // seeded exactly like the historical shared stream; further streams are

@@ -92,90 +92,12 @@ void append_u64_array(std::string& out, const std::vector<std::uint64_t>& xs) {
   out += ']';
 }
 
-// "a=1,b=2" -> {a="1", b="2"}. The canonical form is produced by Labels
-// itself; a value containing ',' or '=' cannot be split back apart, so the
-// split is best-effort for such labels (documented limitation — the JSON
-// export keeps the canonical string intact). Label NAMES are sanitized to
-// the Prometheus charset and VALUES are escaped per the text exposition
-// rules, so no registry content can break the exposition syntax.
-std::string prometheus_labels(const std::string& canonical,
-                              const std::string& extra = {}) {
-  if (canonical.empty() && extra.empty()) return {};
-  std::string out = "{";
-  std::size_t pos = 0;
-  bool first = true;
-  while (pos < canonical.size()) {
-    std::size_t comma = canonical.find(',', pos);
-    if (comma == std::string::npos) comma = canonical.size();
-    const std::size_t eq = canonical.find('=', pos);
-    if (eq != std::string::npos && eq < comma) {
-      if (!first) out += ',';
-      first = false;
-      out += prometheus_sanitize_label(canonical.substr(pos, eq - pos));
-      out += "=\"";
-      out += prometheus_escape_value(canonical.substr(eq + 1, comma - eq - 1));
-      out += '"';
-    }
-    pos = comma + 1;
-  }
-  if (!extra.empty()) {
-    if (!first) out += ',';
-    out += extra;
-  }
-  out += '}';
-  return out;
-}
-
-std::string sanitize_charset(const std::string& name, bool allow_colon) {
-  std::string out;
-  out.reserve(name.size() + 1);
-  for (const char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' ||
-                    (allow_colon && c == ':');
-    out += ok ? c : '_';
-  }
-  if (out.empty() || (out.front() >= '0' && out.front() <= '9')) {
-    out.insert(out.begin(), '_');
-  }
-  return out;
-}
-
 }  // namespace
 
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
   append_escaped(out, s);
-  return out;
-}
-
-std::string prometheus_sanitize_name(const std::string& name) {
-  return sanitize_charset(name, /*allow_colon=*/true);
-}
-
-std::string prometheus_sanitize_label(const std::string& name) {
-  return sanitize_charset(name, /*allow_colon=*/false);
-}
-
-std::string prometheus_escape_value(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (const char c : value) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
   return out;
 }
 
@@ -212,48 +134,6 @@ std::string metrics_to_json(const MetricsRegistry& registry) {
     out += '}';
   }
   out += "}}";
-  return out;
-}
-
-std::string metrics_to_prometheus(const MetricsRegistry& registry) {
-  std::string out;
-  for (const auto& [raw_family, by_label] : registry.counters()) {
-    const std::string family = prometheus_sanitize_name(raw_family);
-    out += "# TYPE " + family + " counter\n";
-    for (const auto& [labelset, c] : by_label) {
-      out += family + prometheus_labels(labelset) + " " +
-             std::to_string(c.value()) + "\n";
-    }
-  }
-  for (const auto& [raw_family, by_label] : registry.gauges()) {
-    const std::string family = prometheus_sanitize_name(raw_family);
-    out += "# TYPE " + family + " gauge\n";
-    for (const auto& [labelset, g] : by_label) {
-      out += family + prometheus_labels(labelset) + " " +
-             std::to_string(g.value()) + "\n";
-    }
-  }
-  for (const auto& [raw_family, by_label] : registry.histograms()) {
-    const std::string family = prometheus_sanitize_name(raw_family);
-    out += "# TYPE " + family + " histogram\n";
-    for (const auto& [labelset, h] : by_label) {
-      std::uint64_t cumulative = 0;
-      const auto& bounds = h.bounds();
-      const auto& buckets = h.buckets();
-      for (std::size_t i = 0; i < buckets.size(); ++i) {
-        cumulative += buckets[i];
-        const std::string le =
-            i < bounds.size() ? std::to_string(bounds[i]) : std::string("+Inf");
-        out += family + "_bucket" +
-               prometheus_labels(labelset, "le=\"" + le + "\"") + " " +
-               std::to_string(cumulative) + "\n";
-      }
-      out += family + "_sum" + prometheus_labels(labelset) + " " +
-             std::to_string(h.sum()) + "\n";
-      out += family + "_count" + prometheus_labels(labelset) + " " +
-             std::to_string(h.count()) + "\n";
-    }
-  }
   return out;
 }
 

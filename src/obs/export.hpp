@@ -1,6 +1,6 @@
 // Exporters for the metrics registry and tracer.
 //
-// All three formats are deterministic: metric values are integers (simulated
+// Both formats are deterministic: metric values are integers (simulated
 // microseconds or counts), families and label sets iterate in std::map order,
 // and spans are emitted in recording order. Two same-seed runs therefore
 // produce byte-identical output, which the tests rely on.
@@ -17,33 +17,12 @@ namespace hc::obs {
 /// included).
 [[nodiscard]] std::string json_escape(const std::string& s);
 
-/// Sanitize a metric family name to the Prometheus charset
-/// [a-zA-Z_:][a-zA-Z0-9_:]*. Invalid characters become '_'; an empty or
-/// digit-leading name gains a '_' prefix. Idempotent.
-[[nodiscard]] std::string prometheus_sanitize_name(const std::string& name);
-
-/// Sanitize a label name to [a-zA-Z_][a-zA-Z0-9_]* (same rules; ':' is NOT
-/// allowed in label names, unlike family names).
-[[nodiscard]] std::string prometheus_sanitize_label(const std::string& name);
-
-/// Escape a label value for the text exposition format: backslash, double
-/// quote and newline get backslash-escaped; everything else (UTF-8
-/// included) passes through verbatim, per the Prometheus spec.
-[[nodiscard]] std::string prometheus_escape_value(const std::string& value);
-
 /// Snapshot of every counter, gauge and histogram as a JSON object:
 /// {"counters":{family:{labelset:value}},
 ///  "gauges":{...},
 ///  "histograms":{family:{labelset:{"count":..,"sum":..,
 ///                                  "bounds":[..],"buckets":[..]}}}}
 [[nodiscard]] std::string metrics_to_json(const MetricsRegistry& registry);
-
-/// Prometheus text exposition format (counters as `_total` convention is the
-/// caller's naming concern; histograms expand to _bucket/_sum/_count with
-/// cumulative le edges). Family and label names are sanitized to the
-/// Prometheus charset and label values are escaped, so hostile or merely
-/// unusual registry names cannot produce an unparseable exposition.
-[[nodiscard]] std::string metrics_to_prometheus(const MetricsRegistry& registry);
 
 /// Chrome trace-event JSON ("X" complete events, ts/dur in simulated µs,
 /// one tid per track with thread_name metadata). Load via chrome://tracing

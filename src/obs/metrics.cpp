@@ -97,15 +97,6 @@ const Counter* MetricsRegistry::find_counter(const std::string& family,
   return it == fit->second.end() ? nullptr : &it->second;
 }
 
-const Gauge* MetricsRegistry::find_gauge(const std::string& family,
-                                         const Labels& labels) const {
-  std::lock_guard<std::mutex> lk(m_);
-  auto fit = gauges_.find(family);
-  if (fit == gauges_.end()) return nullptr;
-  auto it = fit->second.find(labels.canonical());
-  return it == fit->second.end() ? nullptr : &it->second;
-}
-
 const Histogram* MetricsRegistry::find_histogram(const std::string& family,
                                                  const Labels& labels) const {
   std::lock_guard<std::mutex> lk(m_);

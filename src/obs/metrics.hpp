@@ -128,8 +128,6 @@ class MetricsRegistry {
   /// exporter plumbing.)
   [[nodiscard]] const Counter* find_counter(const std::string& family,
                                             const Labels& labels = {}) const;
-  [[nodiscard]] const Gauge* find_gauge(const std::string& family,
-                                        const Labels& labels = {}) const;
   [[nodiscard]] const Histogram* find_histogram(
       const std::string& family, const Labels& labels = {}) const;
 

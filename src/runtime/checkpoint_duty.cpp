@@ -32,10 +32,11 @@ std::size_t designated(std::uint64_t seed, chain::Epoch since,
   return static_cast<std::size_t>((seed + periods_waited) % n);
 }
 
-/// `key`'s signature share over `cp`.
-SigShare sign_share(const core::Checkpoint& cp, const crypto::KeyPair& key) {
-  return SigShare{cp.epoch, cp.cid(), key.public_key(),
-                  key.sign(core::SignedCheckpoint::signing_payload(cp))};
+/// `key`'s signature share over `cp`, whose CID is `cid`.
+SigShare sign_share(const core::Checkpoint& cp, const Cid& cid,
+                    const crypto::KeyPair& key) {
+  return SigShare{cp.epoch, cid, key.public_key(),
+                  key.sign(core::SignedCheckpoint::signing_payload_for(cid))};
 }
 
 }  // namespace
@@ -180,13 +181,13 @@ std::shared_ptr<const actors::SaState> CheckpointDuty::parent_sa() const {
 void CheckpointDuty::on_cut(const core::Checkpoint& cp, chain::Epoch head) {
   obs::ProfileScope prof(checkpoint_phase());
   c_checkpoints_cut_->inc();
-  cut_checkpoints_[cp.epoch] = cp;
+  const Cut& cut = cut_checkpoints_[cp.epoch] = Cut{cp, cp.cid()};
   // Every full node attributes its own deterministic cut content to its
   // cid; gossiped shares attach to it in the watcher.
   on_fraud_proofs(watcher_.record_checkpoint(cp), head);
   if (!index_.has_value()) return;
   // Paper Fig. 2: a signature window opens for the cut checkpoint.
-  if (!withholds()) sign_and_gossip_share(cp, head);
+  if (!withholds()) sign_and_gossip_share(cut, head);
   if (adversary_ != nullptr) adversary_->on_cut(*this, cp);
 }
 
@@ -217,7 +218,7 @@ void CheckpointDuty::on_gossip(const SigGossip& gossip, chain::Epoch head) {
   // deterministic record of that epoch's cut.
   auto cut_it = cut_checkpoints_.find(share.epoch);
   if (cut_it == cut_checkpoints_.end()) return;
-  if (cut_it->second.cid() != share.checkpoint_cid) return;
+  if (cut_it->second.cid != share.checkpoint_cid) return;
   sig_shares_[share.epoch][share.signer.to_bytes()] = share;
   if (sig_shares_.size() > 64) sig_shares_.erase(sig_shares_.begin());
   if (index_.has_value()) submit_checkpoint(parent_sa().get(), head);
@@ -237,15 +238,15 @@ void CheckpointDuty::restore(const core::Checkpoint& cp) {
   obs::ProfileScope prof(checkpoint_phase());
   // Epochs the parent has since accepted get pruned by the first
   // submit_checkpoint().
-  cut_checkpoints_[cp.epoch] = cp;
+  cut_checkpoints_[cp.epoch] = Cut{cp, cp.cid()};
 }
 
 // ------------------------------------------------------- share and submit
 
-void CheckpointDuty::sign_and_gossip_share(const core::Checkpoint& cp,
+void CheckpointDuty::sign_and_gossip_share(const Cut& cut,
                                            chain::Epoch head) {
-  const SigShare share = sign_share(cp, key_);
-  sig_shares_[cp.epoch][share.signer.to_bytes()] = share;
+  const SigShare share = sign_share(cut.checkpoint, cut.cid, key_);
+  sig_shares_[share.epoch][share.signer.to_bytes()] = share;
   on_fraud_proofs(watcher_.record_share(share), head);
   network_.publish(node_, Topics::signatures(config_.subnet),
                    encode(SigGossip{share, std::nullopt}));
@@ -253,19 +254,17 @@ void CheckpointDuty::sign_and_gossip_share(const core::Checkpoint& cp,
 
 void CheckpointDuty::gossip_share_with_content(const core::Checkpoint& cp) {
   network_.publish(node_, Topics::signatures(config_.subnet),
-                   encode(SigGossip{sign_share(cp, key_), cp}));
+                   encode(SigGossip{sign_share(cp, cp.cid(), key_), cp}));
 }
 
 core::SignedCheckpoint CheckpointDuty::pooled_signatures(
-    const core::Checkpoint& cp,
-    const std::vector<crypto::PublicKey>* signers) const {
+    const Cut& cut, const std::vector<crypto::PublicKey>* signers) const {
   core::SignedCheckpoint sc;
-  sc.checkpoint = cp;
-  const auto shares_it = sig_shares_.find(cp.epoch);
+  sc.checkpoint = cut.checkpoint;
+  const auto shares_it = sig_shares_.find(cut.checkpoint.epoch);
   if (shares_it == sig_shares_.end()) return sc;
-  const Cid cid = cp.cid();
   for (const auto& [signer_bytes, share] : shares_it->second) {
-    if (share.checkpoint_cid != cid) continue;
+    if (share.checkpoint_cid != cut.cid) continue;
     if (signers != nullptr &&
         std::find(signers->begin(), signers->end(), share.signer) ==
             signers->end()) {
@@ -317,7 +316,8 @@ void CheckpointDuty::submit_checkpoint(const actors::SaState* sa,
   // A withholding validator never volunteers for submission duty either.
   if (withholds()) return;
   if (cut_checkpoints_.empty()) return;
-  const core::Checkpoint& cp = cut_checkpoints_.begin()->second;
+  const Cut& cut = cut_checkpoints_.begin()->second;
+  const core::Checkpoint& cp = cut.checkpoint;
 
   // Designated submitter rotates per checkpoint.
   const auto seed = static_cast<std::uint64_t>(cp.epoch / period_);
@@ -335,7 +335,7 @@ void CheckpointDuty::submit_checkpoint(const actors::SaState* sa,
   // restricted to signers the SA currently registers (the validator set in
   // the SA changes on leave/slash; stale signers would fail its policy).
   const auto sa_keys = sa->validator_keys();
-  const core::SignedCheckpoint sc = pooled_signatures(cp, &sa_keys);
+  const core::SignedCheckpoint sc = pooled_signatures(cut, &sa_keys);
   // Read the threshold from the SA's LIVE policy, not the static node
   // config: slashing shrinks the validator set and clamps the policy with
   // it (a 3-of-3 subnet that loses a validator becomes 2-of-2, not wedged).

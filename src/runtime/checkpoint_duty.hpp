@@ -229,6 +229,12 @@ class CheckpointDuty {
   }
 
  private:
+  /// A cut checkpoint with its CID, hashed once at the cut: every share
+  /// received and every submission attempt compares against it.
+  struct Cut {
+    core::Checkpoint checkpoint;
+    Cid cid;
+  };
   struct PendingProof {
     core::FraudProof proof;
     std::vector<crypto::PublicKey> guilty;
@@ -241,13 +247,12 @@ class CheckpointDuty {
     return adversary_ != nullptr && adversary_->withholds();
   }
 
-  /// Sign `cp`, pool the share, feed it to the watcher and gossip it.
-  void sign_and_gossip_share(const core::Checkpoint& cp, chain::Epoch head);
-  /// `cp` with the pooled shares that sign exactly its CID, optionally
+  /// Sign `cut`, pool the share, feed it to the watcher and gossip it.
+  void sign_and_gossip_share(const Cut& cut, chain::Epoch head);
+  /// `cut` with the pooled shares that sign exactly its CID, optionally
   /// restricted to `signers`.
   [[nodiscard]] core::SignedCheckpoint pooled_signatures(
-      const core::Checkpoint& cp,
-      const std::vector<crypto::PublicKey>* signers) const;
+      const Cut& cut, const std::vector<crypto::PublicKey>* signers) const;
 
   /// Prune what `sa` accepted; as the designated submitter, submit the
   /// earliest outstanding checkpoint once its shares meet `sa`'s policy.
@@ -277,7 +282,7 @@ class CheckpointDuty {
   std::map<chain::Epoch, std::map<Bytes, SigShare>> sig_shares_;
   /// Checkpoints cut by this chain that the parent SA has not (yet)
   /// accepted; rebuilt deterministically from block events on catch-up.
-  std::map<chain::Epoch, core::Checkpoint> cut_checkpoints_;
+  std::map<chain::Epoch, Cut> cut_checkpoints_;
   std::map<chain::Epoch, RetryState> submit_retry_;
   std::map<chain::Epoch, RetryState> share_retry_;
   CheckpointWatcher watcher_;

@@ -31,6 +31,12 @@ SubnetNode& Subnet::api_node() const {
 
 namespace {
 
+/// Genesis balance of the faucet account that funds users and validators.
+constexpr TokenAmount kFaucetBalance = TokenAmount::whole(1000000000);
+
+/// Per-validator collateral of a statically built subnet (TreeSpec).
+constexpr TokenAmount kStaticStake = TokenAmount::whole(10);
+
 /// Genesis state shared by every chain: Init actor + SCA.
 chain::StateTree base_genesis(const core::SubnetId& self,
                               std::uint32_t checkpoint_period,
@@ -48,18 +54,57 @@ chain::StateTree base_genesis(const core::SubnetId& self,
   return tree;
 }
 
+/// The model of every cross-lane (= cross-subnet) link, when configured.
+std::optional<sim::LatencyModel> cross_model(const HierarchyConfig& cfg) {
+  if (!cfg.cross_subnet_latency) return std::nullopt;
+  return sim::LatencyModel(cfg.cross_subnet_latency->base,
+                           cfg.cross_subnet_latency->jitter);
+}
+
 /// Conservative lookahead for the windowed executor: the smallest delay
-/// any cross-lane (= cross-subnet) delivery can have. With the override
-/// knob set, every cross-subnet pair uses it, so its floor IS the bound;
-/// otherwise fall back to the base model's global floor (smaller than
-/// necessary — same-subnet links are same-lane — but always safe).
+/// any cross-lane delivery can have. With the cross-subnet model set, every
+/// cross-lane link uses it, so its floor IS the bound; otherwise fall back
+/// to the base model's floor (smaller than necessary — same-subnet links
+/// are same-lane — but always safe).
 sim::Duration executor_lookahead(const HierarchyConfig& cfg) {
-  if (cfg.cross_subnet_latency.has_value()) {
-    const auto& x = *cfg.cross_subnet_latency;
-    const sim::Duration floor = x.jitter <= 0 ? x.base : x.base - x.jitter;
-    return std::max<sim::Duration>(sim::Duration{1}, floor);
+  return cross_model(cfg).value_or(cfg.latency).min_delay();
+}
+
+/// Parent view for validator slot `i` of a child subnet: the first alive
+/// parent replica from slot `i` on, round-robin, so views spread across
+/// the parent's replicas (paper §II: child nodes run full nodes on the
+/// parent subnet). nullptr when every parent replica is crashed.
+SubnetNode* parent_view_for(const Subnet& subnet, std::size_t i) {
+  const Subnet& parent = *subnet.parent;
+  for (std::size_t off = 0; off < parent.size(); ++off) {
+    const std::size_t slot = (i + off) % parent.size();
+    if (parent.alive(slot)) return parent.nodes[slot].get();
   }
-  return cfg.latency.min_delay();
+  return nullptr;
+}
+
+/// The faucet that funds users and validators on the root chain.
+User faucet_identity() {
+  const auto key = crypto::KeyPair::from_label("hc/faucet");
+  return User{key, Address::key(key.public_key().to_bytes())};
+}
+
+/// A message from `from` at its next nonce on `api`'s chain, signed, at
+/// gas price 1 atto; each caller picks its gas limit.
+chain::SignedMessage sign_next(SubnetNode& api, const User& from,
+                               const Address& to, TokenAmount value,
+                               chain::MethodNum method, Bytes params,
+                               std::uint64_t gas_limit) {
+  chain::Message m;
+  m.from = from.addr;
+  m.to = to;
+  m.nonce = api.account_nonce(from.addr);
+  m.value = value;
+  m.method = method;
+  m.params = std::move(params);
+  m.gas_limit = gas_limit;
+  m.gas_price = TokenAmount::atto(1);
+  return chain::SignedMessage::sign(std::move(m), from.key);
 }
 
 /// FNV-1a over a string; part of the deterministic disk-fault seed
@@ -85,6 +130,9 @@ consensus::ValidatorSet make_validator_set(
 }  // namespace
 
 void Hierarchy::init_common() {
+  if (auto cross = cross_model(config_)) {
+    network_.set_cross_domain_latency(*cross);
+  }
   scheduler_.attach_obs(&obs_);
   obs_.tracer.set_clock([this] { return scheduler_.now(); });
   actors::install_standard_actors(registry_);
@@ -130,19 +178,8 @@ void Hierarchy::boot_subnet(Subnet& subnet, chain::StateTree genesis) {
     auto node = std::make_unique<SubnetNode>(
         scheduler_, network_, registry_, node_config(subnet, i),
         subnet.validator_keys[i], validators, subnet.genesis);
-    install_cross_latency(node->net_id(), subnet);
     if (subnet.parent != nullptr) {
-      // Spread parent views across alive parent replicas (paper §II:
-      // child nodes run full nodes on the parent subnet).
-      SubnetNode* view = nullptr;
-      for (std::size_t off = 0; off < subnet.parent->size(); ++off) {
-        const std::size_t slot = (i + off) % subnet.parent->size();
-        if (subnet.parent->alive(slot)) {
-          view = subnet.parent->nodes[slot].get();
-          break;
-        }
-      }
-      node->attach_parent(view);
+      node->attach_parent(parent_view_for(subnet, i));
     }
     subnet.nodes.push_back(std::move(node));
     subnet.node_ids.push_back(subnet.nodes.back()->net_id());
@@ -156,7 +193,7 @@ Hierarchy::Hierarchy(HierarchyConfig config)
       network_(scheduler_, config_.latency, config_.seed, config_.gossip,
                &obs_),
       executor_(scheduler_, config_.threads, executor_lookahead(config_)),
-      faucet_(crypto::KeyPair::from_label("hc/faucet")) {
+      faucet_(faucet_identity()) {
   init_common();
 
   auto root = std::make_unique<Subnet>();
@@ -174,8 +211,8 @@ Hierarchy::Hierarchy(HierarchyConfig config)
                    config_.topdown_window_cap);
   chain::ActorEntry faucet_entry;
   faucet_entry.code = chain::kCodeAccount;
-  faucet_entry.balance = config_.faucet_balance;
-  genesis.set(Address::key(faucet_.public_key().to_bytes()), faucet_entry);
+  faucet_entry.balance = kFaucetBalance;
+  genesis.set(faucet_.addr, faucet_entry);
   // Root validators get small gas allowances.
   for (const auto& k : root->validator_keys) {
     chain::ActorEntry v;
@@ -205,7 +242,7 @@ Hierarchy::Hierarchy(HierarchyConfig config, const TreeSpec& spec)
       network_(scheduler_, config_.latency, config_.seed, config_.gossip,
                &obs_),
       executor_(scheduler_, config_.threads, executor_lookahead(config_)),
-      faucet_(crypto::KeyPair::from_label("hc/faucet")) {
+      faucet_(faucet_identity()) {
   init_common();
   boot_staged(compose_static(spec, nullptr, Address()));
 }
@@ -213,6 +250,10 @@ Hierarchy::Hierarchy(HierarchyConfig config, const TreeSpec& spec)
 Hierarchy::Staged Hierarchy::compose_static(const TreeSpec& spec,
                                             Subnet* parent,
                                             const Address& sa) {
+  if (spec.n_validators == 0) {
+    throw std::invalid_argument("static subnet " + spec.name +
+                                " needs validators");
+  }
   Staged st;
   st.subnet = std::make_unique<Subnet>();
   Subnet& s = *st.subnet;
@@ -242,8 +283,8 @@ Hierarchy::Staged Hierarchy::compose_static(const TreeSpec& spec,
     // statically built tree.
     chain::ActorEntry faucet_entry;
     faucet_entry.code = chain::kCodeAccount;
-    faucet_entry.balance = config_.faucet_balance;
-    genesis.set(Address::key(faucet_.public_key().to_bytes()), faucet_entry);
+    faucet_entry.balance = kFaucetBalance;
+    genesis.set(faucet_.addr, faucet_entry);
   }
   for (const auto& k : s.validator_keys) {
     chain::ActorEntry v;
@@ -293,8 +334,8 @@ Hierarchy::Staged Hierarchy::compose_static(const TreeSpec& spec,
       sa_state.registered = true;
       for (const auto& key : child.subnet->validator_keys) {
         sa_state.validators.push_back(
-            actors::ValidatorInfo{key.public_key(), child_spec.stake_each});
-        sa_state.total_stake += child_spec.stake_each;
+            actors::ValidatorInfo{key.public_key(), kStaticStake});
+        sa_state.total_stake += kStaticStake;
       }
       chain::ActorEntry sa_actor;
       sa_actor.code = chain::kCodeSubnetActor;
@@ -375,16 +416,9 @@ Result<User> Hierarchy::make_user(const std::string& label, TokenAmount funds,
                                          std::to_string(label_counter_++));
   user.addr = Address::key(user.key.public_key().to_bytes());
 
-  User faucet_user{faucet_, Address::key(faucet_.public_key().to_bytes())};
-  chain::Message m;
-  m.from = faucet_user.addr;
-  m.to = user.addr;
-  m.nonce = root_->api_node().account_nonce(faucet_user.addr);
-  m.value = funds;
-  m.gas_limit = 1u << 22;
-  m.gas_price = TokenAmount::atto(1);
-  HC_TRY_STATUS(root_->api_node().submit_message(
-      chain::SignedMessage::sign(std::move(m), faucet_)));
+  SubnetNode& api = root_->api_node();
+  HC_TRY_STATUS(api.submit_message(
+      sign_next(api, faucet_, user.addr, funds, 0, {}, 1u << 22)));
   const bool funded = run_until(
       [&] { return root_->api_node().balance(user.addr) >= funds; }, timeout);
   if (!funded) {
@@ -396,17 +430,9 @@ Result<User> Hierarchy::make_user(const std::string& label, TokenAmount funds,
 Status Hierarchy::submit(Subnet& subnet, const User& user, const Address& to,
                          chain::MethodNum method, Bytes params,
                          TokenAmount value) {
-  chain::Message m;
-  m.from = user.addr;
-  m.to = to;
-  m.nonce = subnet.api_node().account_nonce(user.addr);
-  m.value = value;
-  m.method = method;
-  m.params = std::move(params);
-  m.gas_limit = 1u << 26;
-  m.gas_price = TokenAmount::atto(1);
-  return subnet.api_node().submit_message(
-      chain::SignedMessage::sign(std::move(m), user.key));
+  SubnetNode& api = subnet.api_node();
+  return api.submit_message(sign_next(api, user, to, value, method,
+                                      std::move(params), 1u << 26));
 }
 
 Result<chain::Receipt> Hierarchy::call(Subnet& subnet, const User& user,
@@ -414,17 +440,9 @@ Result<chain::Receipt> Hierarchy::call(Subnet& subnet, const User& user,
                                        chain::MethodNum method, Bytes params,
                                        TokenAmount value,
                                        sim::Duration timeout) {
-  const std::uint64_t nonce = subnet.api_node().account_nonce(user.addr);
-  chain::Message m;
-  m.from = user.addr;
-  m.to = to;
-  m.nonce = nonce;
-  m.value = value;
-  m.method = method;
-  m.params = std::move(params);
-  m.gas_limit = 1u << 26;
-  m.gas_price = TokenAmount::atto(1);
-  const auto sm = chain::SignedMessage::sign(std::move(m), user.key);
+  const auto sm = sign_next(subnet.api_node(), user, to, value, method,
+                            std::move(params), 1u << 26);
+  const std::uint64_t nonce = sm.message.nonce;
   HC_TRY_STATUS(subnet.api_node().submit_message(sm));
 
   // Wait until the account nonce passes ours, then locate the receipt.
@@ -465,11 +483,6 @@ Result<Subnet*> Hierarchy::spawn_subnet(Subnet& parent,
   if (n_validators == 0) {
     return Error(Errc::kInvalidArgument, "subnet needs validators");
   }
-  if (!parent.id.is_root()) {
-    // Validators of a nested subnet need funds on the parent chain, which
-    // themselves arrive via cross-net funding from the root.
-  }
-
   // 1. Create and fund validator identities on the PARENT chain.
   std::vector<crypto::KeyPair> keys;
   std::vector<User> users;
@@ -484,17 +497,9 @@ Result<Subnet*> Hierarchy::spawn_subnet(Subnet& parent,
       stake_each + TokenAmount::whole(100);  // stake + gas headroom
   for (const auto& u : users) {
     if (parent.id.is_root()) {
-      User faucet_user{faucet_,
-                       Address::key(faucet_.public_key().to_bytes())};
-      chain::Message m;
-      m.from = faucet_user.addr;
-      m.to = u.addr;
-      m.nonce = root_->api_node().account_nonce(faucet_user.addr);
-      m.value = validator_funds;
-      m.gas_limit = 1u << 22;
-      m.gas_price = TokenAmount::atto(1);
-      HC_TRY_STATUS(root_->api_node().submit_message(
-          chain::SignedMessage::sign(std::move(m), faucet_)));
+      SubnetNode& api = root_->api_node();
+      HC_TRY_STATUS(api.submit_message(sign_next(
+          api, faucet_, u.addr, validator_funds, 0, {}, 1u << 22)));
       if (!run_until([&] {
             return root_->api_node().balance(u.addr) >= validator_funds;
           }, timeout)) {
@@ -654,15 +659,7 @@ Status Hierarchy::restart_node(Subnet& subnet, std::size_t i) {
       scheduler_, network_, registry_, nc, subnet.validator_keys.at(i),
       make_validator_set(subnet.validator_keys), subnet.genesis);
   if (subnet.parent != nullptr) {
-    SubnetNode* view = nullptr;
-    for (std::size_t off = 0; off < subnet.parent->size(); ++off) {
-      const std::size_t slot = (i + off) % subnet.parent->size();
-      if (subnet.parent->alive(slot)) {
-        view = subnet.parent->nodes[slot].get();
-        break;
-      }
-    }
-    node->attach_parent(view);
+    node->attach_parent(parent_view_for(subnet, i));
   }
 
   network_.set_node_down(subnet.node_ids.at(i), false);
@@ -681,17 +678,6 @@ Status Hierarchy::restart_node(Subnet& subnet, std::size_t i) {
     }
   }
   return ok_status();
-}
-
-void Hierarchy::install_cross_latency(net::NodeId id, const Subnet& home) {
-  if (!config_.cross_subnet_latency.has_value()) return;
-  const auto& x = *config_.cross_subnet_latency;
-  for (const auto& s : subnets_) {
-    if (s.get() == &home) continue;
-    for (const net::NodeId other : s->node_ids) {
-      network_.set_pair_latency(id, other, x.base, x.jitter);
-    }
-  }
 }
 
 Result<chain::Receipt> Hierarchy::send_cross(Subnet& from, const User& user,

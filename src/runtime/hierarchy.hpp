@@ -52,9 +52,6 @@ struct HierarchyConfig {
   std::size_t root_validators = 4;
   consensus::EngineConfig root_engine;
 
-  /// Genesis balance of the faucet account used to fund users/validators.
-  TokenAmount faucet_balance = TokenAmount::whole(1000000000);
-
   /// Worker threads for windowed parallel execution (one scheduler lane
   /// per subnet). 1 keeps execution sequential but still window-driven,
   /// so 1- and N-thread runs of the same seed replay byte-identically
@@ -76,10 +73,11 @@ struct HierarchyConfig {
   };
   Durability durability;
 
-  /// Optional latency override installed on every cross-subnet node pair.
-  /// Models the paper's deployment (co-located subnet validators, WAN
-  /// between subnets) and widens the executor's conservative lookahead
-  /// (= the minimum cross-lane delay), and with it the usable parallelism.
+  /// Optional latency of every link between two subnets' lanes (a node
+  /// outside every subnet sits in lane 0). Models the paper's deployment
+  /// (co-located subnet validators, WAN between subnets) and widens the
+  /// executor's conservative lookahead (= the minimum cross-lane delay),
+  /// and with it the usable parallelism.
   struct CrossSubnetLatency {
     sim::Duration base = 0;
     sim::Duration jitter = 0;
@@ -146,10 +144,10 @@ struct TreeSpec {
   std::string name = "root";
   core::SubnetParams params;
   consensus::EngineConfig engine;
+  /// At least 1. Each validator's collateral in the parent's SA/SCA
+  /// entries is 10 whole tokens (fabricated escrow; nothing to fund or
+  /// join at runtime).
   std::size_t n_validators = 1;
-  /// Per-validator collateral recorded in the parent's SA/SCA entries
-  /// (fabricated escrow; nothing to fund or join at runtime).
-  TokenAmount stake_each = TokenAmount::whole(10);
   /// Pre-funded cold accounts Address::id(1000+j), j < accounts — account
   /// mass without per-account keypairs (a keyed identity costs ~100× the
   /// bytes of an id address at 10⁶ scale).
@@ -180,7 +178,8 @@ class Hierarchy {
   /// immediately — no spawn protocol, no cross-net funding. The spec
   /// root replaces config.root_params/root_validators/root_engine. The
   /// faucet account still exists on the root chain, so make_user() and
-  /// dynamic spawn_subnet() compose with a static tree.
+  /// dynamic spawn_subnet() compose with a static tree. Throws
+  /// std::invalid_argument when a subnet of the spec has no validators.
   Hierarchy(HierarchyConfig config, const TreeSpec& spec);
 
   ~Hierarchy();
@@ -288,11 +287,7 @@ class Hierarchy {
                                                        std::size_t i) const;
 
  private:
-  /// Install the cross-subnet latency override (when configured) between
-  /// `id` and every node of every OTHER subnet spawned so far.
-  void install_cross_latency(net::NodeId id, const Subnet& home);
-
-  /// Scheduler/obs/actor wiring shared by both constructors.
+  /// Scheduler/network/obs/actor wiring shared by both constructors.
   void init_common();
 
   /// The per-node config every boot path derives from (subnet identity +
@@ -320,7 +315,7 @@ class Hierarchy {
   net::Network network_;
   sim::ParallelExecutor executor_;
   chain::ActorRegistry registry_;
-  crypto::KeyPair faucet_;
+  User faucet_;
   std::vector<std::unique_ptr<Subnet>> subnets_;
   Subnet* root_ = nullptr;
   std::uint64_t label_counter_ = 0;

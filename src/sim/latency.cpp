@@ -4,38 +4,13 @@
 
 namespace hc::sim {
 
-std::uint64_t LatencyModel::pair_key(NodeId a, NodeId b) {
-  if (a > b) std::swap(a, b);
-  return (static_cast<std::uint64_t>(a) << 32) | b;
-}
-
-void LatencyModel::set_pair(NodeId a, NodeId b, Duration base,
-                            Duration jitter) {
-  overrides_[pair_key(a, b)] = Link{base, jitter};
-}
-
-Duration LatencyModel::sample(NodeId from, NodeId to, Rng& rng) const {
-  Duration base = base_;
-  Duration jitter = jitter_;
-  if (auto it = overrides_.find(pair_key(from, to)); it != overrides_.end()) {
-    base = it->second.base;
-    jitter = it->second.jitter;
-  }
-  if (jitter <= 0) return std::max<Duration>(base, 1);
-  const Duration lo = base - jitter;
-  const Duration hi = base + jitter;
-  return std::max<Duration>(rng.range(lo, hi), 1);
+Duration LatencyModel::sample(Rng& rng) const {
+  if (jitter_ <= 0) return std::max<Duration>(base_, 1);
+  return std::max<Duration>(rng.range(base_ - jitter_, base_ + jitter_), 1);
 }
 
 Duration LatencyModel::min_delay() const {
-  const auto floor_of = [](Duration base, Duration jitter) {
-    return std::max<Duration>(jitter <= 0 ? base : base - jitter, 1);
-  };
-  Duration m = floor_of(base_, jitter_);
-  for (const auto& [key, link] : overrides_) {
-    m = std::min(m, floor_of(link.base, link.jitter));
-  }
-  return m;
+  return std::max<Duration>(jitter_ <= 0 ? base_ : base_ - jitter_, 1);
 }
 
 }  // namespace hc::sim

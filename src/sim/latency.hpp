@@ -2,12 +2,12 @@
 //
 // The paper's deployment target is a planetary P2P network (libp2p over
 // WAN); the model here reproduces its relevant characteristics: a base
-// propagation delay, jitter, and optional per-link overrides (e.g. to give
-// a co-located subnet LAN-class latency while the rootnet sees WAN-class).
+// propagation delay and jitter. net::Network holds one model for links
+// inside a subnet and, optionally, a second for links between subnets
+// (co-located validators on LAN-class links, WAN-class links between).
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "sim/clock.hpp"
 #include "sim/rng.hpp"
@@ -19,7 +19,7 @@ using NodeId = std::uint32_t;
 
 class LatencyModel {
  public:
-  /// Uniform jittered latency: base ± jitter for every pair.
+  /// Uniform jittered latency: base ± jitter.
   LatencyModel(Duration base, Duration jitter) : base_(base), jitter_(jitter) {}
 
   /// WAN default: 80ms ± 40ms, roughly public-internet gossip hops.
@@ -31,27 +31,16 @@ class LatencyModel {
     return LatencyModel(kMillisecond, kMillisecond / 2);
   }
 
-  /// Override the delay between a specific (unordered) node pair.
-  void set_pair(NodeId a, NodeId b, Duration base, Duration jitter);
+  /// Sample a delivery delay for one transmission.
+  [[nodiscard]] Duration sample(Rng& rng) const;
 
-  /// Sample a delivery delay for a concrete transmission.
-  [[nodiscard]] Duration sample(NodeId from, NodeId to, Rng& rng) const;
-
-  /// Smallest delay sample() can ever return, over the base model and all
-  /// pair overrides. ParallelExecutor uses this as its conservative
-  /// lookahead: no delivery can land sooner than this.
+  /// Smallest delay sample() can ever return. ParallelExecutor uses it as
+  /// its conservative lookahead: no delivery can land sooner than this.
   [[nodiscard]] Duration min_delay() const;
 
  private:
-  struct Link {
-    Duration base;
-    Duration jitter;
-  };
-  [[nodiscard]] static std::uint64_t pair_key(NodeId a, NodeId b);
-
   Duration base_;
   Duration jitter_;
-  std::unordered_map<std::uint64_t, Link> overrides_;
 };
 
 }  // namespace hc::sim

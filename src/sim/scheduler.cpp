@@ -45,11 +45,6 @@ EventId Scheduler::schedule(Duration delay, Callback fn) {
   return insert(current_domain(), now() + delay, std::move(fn));
 }
 
-EventId Scheduler::schedule_at(Time when, Callback fn) {
-  assert(when >= now() && "cannot schedule in the past");
-  return insert(current_domain(), when, std::move(fn));
-}
-
 EventId Scheduler::schedule_in(DomainId domain, Duration delay, Callback fn) {
   assert(delay >= 0 && "cannot schedule in the past");
   return insert(domain, now() + delay, std::move(fn));

@@ -70,9 +70,6 @@ class Scheduler {
   /// still asynchronous). Returns an id usable with cancel().
   EventId schedule(Duration delay, Callback fn);
 
-  /// Schedule at an absolute time (>= now()).
-  EventId schedule_at(Time when, Callback fn);
-
   /// Schedule into a specific domain's lane. From inside a parallel
   /// window, a cross-domain send is deferred through the source lane's
   /// outbox and merged into the destination heap at the next barrier;

@@ -83,7 +83,6 @@ class DurableLog {
   void truncate(std::size_t bytes);
 
   [[nodiscard]] std::size_t size_bytes() const { return file_.size(); }
-  [[nodiscard]] std::size_t durable_bytes() const { return durable_; }
   [[nodiscard]] std::uint64_t appends() const { return appends_; }
   [[nodiscard]] std::uint64_t fsyncs() const { return fsyncs_; }
   [[nodiscard]] bool empty() const { return file_.empty(); }

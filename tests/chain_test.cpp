@@ -377,7 +377,7 @@ TEST(StateTreeOps, SnapshotRevert) {
   StateTree snap = t.snapshot();
   t.get_or_create(Address::id(1)).balance = TokenAmount();
   t.set(Address::id(2), ActorEntry{});
-  t.revert_to(std::move(snap));
+  t = std::move(snap);
   EXPECT_EQ(t.get(Address::id(1))->balance, TokenAmount::whole(5));
   EXPECT_FALSE(t.has(Address::id(2)));
 }
@@ -459,12 +459,12 @@ TEST(StateCommitment, DifferentialRandomOps) {
       ASSERT_EQ(t.flush(), before) << "journal revert diverged at step "
                                    << step;
     } else {
-      // Deep-copy snapshot / revert (the SCA save() path).
+      // Deep-copy snapshot, moved back in place.
       StateTree snap = t.snapshot();
       for (int j = 0; j < 3; ++j) {
         t.set(Address::id(rng() % 512), random_entry(rng));
       }
-      t.revert_to(std::move(snap));
+      t = std::move(snap);
     }
     const Cid root = t.flush();
     ASSERT_EQ(root, reference_root(t)) << "root diverged at step " << step;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -303,10 +304,35 @@ TEST(NetConfig, InvalidGossipConfigIsRejected) {
   no_mesh.mesh_degree = 0;
   EXPECT_THROW(Network(sched, sim::LatencyModel(1000, 0), 1, no_mesh),
                std::invalid_argument);
-  GossipConfig no_hops;
-  no_hops.max_hops = 0;
-  EXPECT_THROW(Network(sched, sim::LatencyModel(1000, 0), 1, no_hops),
-               std::invalid_argument);
+}
+
+// Each subnet is one scheduler domain: links inside a domain sample the
+// base model, links between domains the cross-domain model.
+TEST(NetLatency, CrossDomainLinksTakeTheCrossModel) {
+  sim::Scheduler sched;
+  Network net(sched, sim::LatencyModel(1000, 0), /*seed=*/1);
+  net.set_cross_domain_latency(sim::LatencyModel(50000, 0));
+  const sim::DomainId lane_a = sched.add_domain();
+  const sim::DomainId lane_b = sched.add_domain();
+  const NodeId a0 = net.add_node();
+  const NodeId a1 = net.add_node();
+  const NodeId b0 = net.add_node();
+  net.set_node_domain(a0, lane_a);
+  net.set_node_domain(a1, lane_a);
+  net.set_node_domain(b0, lane_b);
+  std::map<NodeId, sim::Time> arrivals;
+  for (const NodeId n : {a0, a1, b0}) {
+    net.set_direct_handler(n, [&, n](NodeId, const Bytes&) {
+      arrivals[n] = sched.now();
+    });
+  }
+  net.send(a0, a1, Bytes{1});
+  net.send(a0, b0, Bytes{2});
+  net.send(b0, a0, Bytes{3});
+  sched.run_all();
+  const std::map<NodeId, sim::Time> expected = {
+      {a0, 50000}, {a1, 1000}, {b0, 50000}};
+  EXPECT_EQ(arrivals, expected);
 }
 
 TEST_F(NetFixture, LinkFaultDropsOnlyThatDirection) {

@@ -159,70 +159,6 @@ TEST(Export, MetricsJsonShape) {
   EXPECT_NE(j.find("\"count\":1"), std::string::npos);
 }
 
-TEST(Export, PrometheusHistogramIsCumulativeWithInf) {
-  MetricsRegistry reg;
-  Histogram& h = reg.histogram("lat_us", {{"subnet", "/root"}}, {10, 20});
-  h.observe(5);
-  h.observe(15);
-  h.observe(99);
-  const std::string p = metrics_to_prometheus(reg);
-  EXPECT_NE(p.find("lat_us_bucket{subnet=\"/root\",le=\"10\"} 1"),
-            std::string::npos);
-  EXPECT_NE(p.find("lat_us_bucket{subnet=\"/root\",le=\"20\"} 2"),
-            std::string::npos);
-  EXPECT_NE(p.find("lat_us_bucket{subnet=\"/root\",le=\"+Inf\"} 3"),
-            std::string::npos);
-  EXPECT_NE(p.find("lat_us_count{subnet=\"/root\"} 3"), std::string::npos);
-}
-
-TEST(Export, PrometheusSanitizersHandleHostileNames) {
-  EXPECT_EQ(prometheus_sanitize_name("lat_us"), "lat_us");  // idempotent
-  EXPECT_EQ(prometheus_sanitize_name("9abc"), "_9abc");
-  EXPECT_EQ(prometheus_sanitize_name("ns:lat us\n"), "ns:lat_us_");
-  EXPECT_EQ(prometheus_sanitize_name(""), "_");
-  EXPECT_EQ(prometheus_sanitize_label("subnet"), "subnet");
-  EXPECT_EQ(prometheus_sanitize_label("sub:net"), "sub_net");  // no ':' here
-  EXPECT_EQ(prometheus_sanitize_label("bad key!"), "bad_key_");
-  EXPECT_EQ(prometheus_escape_value("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-  // UTF-8 label values pass through verbatim per the exposition spec.
-  EXPECT_EQ(prometheus_escape_value("/root/caf\xc3\xa9"), "/root/caf\xc3\xa9");
-}
-
-TEST(Export, PrometheusSurvivesHostileRegistryContent) {
-  MetricsRegistry reg;
-  reg.counter("1 bad\nname", {{"bad key!", "va\"l\\ue\nnewline"}}).inc(2);
-  reg.gauge("queue depth", {}).set(7);
-  reg.histogram("lat(us)", {{"sub:net", "/ro\"ot"}}, {10}).observe(5);
-  const std::string p = metrics_to_prometheus(reg);
-  // Family and label names are sanitized, values escaped.
-  EXPECT_NE(p.find("# TYPE _1_bad_name counter"), std::string::npos);
-  EXPECT_NE(p.find("_1_bad_name{bad_key_=\"va\\\"l\\\\ue\\nnewline\"} 2"),
-            std::string::npos);
-  EXPECT_NE(p.find("queue_depth 7"), std::string::npos);
-  EXPECT_NE(p.find("lat_us__bucket{sub_net=\"/ro\\\"ot\",le=\"10\"} 1"),
-            std::string::npos);
-  EXPECT_NE(p.find("lat_us__count{sub_net=\"/ro\\\"ot\"} 1"),
-            std::string::npos);
-  // No raw hostile bytes survive anywhere in a metric-name position:
-  // every sample line's name prefix is in the Prometheus charset.
-  EXPECT_EQ(p.find("1 bad"), std::string::npos);
-  EXPECT_EQ(p.find("bad key!"), std::string::npos);
-  EXPECT_EQ(p.find("queue depth"), std::string::npos);
-  EXPECT_EQ(p.find("lat(us)"), std::string::npos);
-  std::size_t pos = 0;
-  while (pos < p.size()) {
-    std::size_t eol = p.find('\n', pos);
-    if (eol == std::string::npos) eol = p.size();
-    const std::string line = p.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (line.empty() || line[0] == '#') continue;
-    const std::size_t name_end = line.find_first_of("{ ");
-    ASSERT_NE(name_end, std::string::npos) << line;
-    const std::string name = line.substr(0, name_end);
-    EXPECT_EQ(prometheus_sanitize_name(name), name) << line;
-  }
-}
-
 // Satellite: instruments updated concurrently from worker lanes must merge
 // into exactly the bytes a single-threaded run would export. Counters and
 // histogram buckets commute; the trace exporter canonicalizes span order.
@@ -261,8 +197,6 @@ TEST(Export, ConcurrentLaneExportsMatchSequentialByteForByte) {
 
   EXPECT_EQ(metrics_to_json(concurrent.metrics),
             metrics_to_json(sequential.metrics));
-  EXPECT_EQ(metrics_to_prometheus(concurrent.metrics),
-            metrics_to_prometheus(sequential.metrics));
   EXPECT_EQ(trace_to_chrome_json(concurrent.tracer),
             trace_to_chrome_json(sequential.tracer));
 }
@@ -342,10 +276,9 @@ std::string json_family(const std::string& json, const std::string& family) {
 }
 
 // One scripted scenario: spawn a child, fund it top-down, release back
-// bottom-up; return the three export artifacts.
+// bottom-up; return the two export artifacts.
 struct RunArtifacts {
   std::string metrics_json;
-  std::string prom;
   std::string chrome;
   bool ok = false;
 };
@@ -380,7 +313,6 @@ RunArtifacts scripted_run() {
   if (!release.ok() || !release.value().ok()) return out;
   h.run_for(10 * sim::kSecond);
   out.metrics_json = metrics_to_json(h.obs().metrics);
-  out.prom = metrics_to_prometheus(h.obs().metrics);
   out.chrome = trace_to_chrome_json(h.obs().tracer);
   out.ok = true;
   return out;
@@ -410,7 +342,6 @@ TEST(ObsEndToEnd, SameSeedRunsExportIdenticalBytes) {
   ASSERT_TRUE(a.ok);
   ASSERT_TRUE(b.ok);
   EXPECT_EQ(a.metrics_json, b.metrics_json);
-  EXPECT_EQ(a.prom, b.prom);
   EXPECT_EQ(a.chrome, b.chrome);
 }
 

@@ -237,26 +237,17 @@ TEST(Latency, SampleWithinJitterBounds) {
   LatencyModel m(1000, 200);
   Rng rng(21);
   for (int i = 0; i < 500; ++i) {
-    const Duration d = m.sample(0, 1, rng);
+    const Duration d = m.sample(rng);
     EXPECT_GE(d, 800);
     EXPECT_LE(d, 1200);
   }
-}
-
-TEST(Latency, PairOverrideApplies) {
-  LatencyModel m(1000, 0);
-  m.set_pair(2, 3, 50, 0);
-  Rng rng(23);
-  EXPECT_EQ(m.sample(0, 1, rng), 1000);
-  EXPECT_EQ(m.sample(2, 3, rng), 50);
-  EXPECT_EQ(m.sample(3, 2, rng), 50);  // unordered pair
 }
 
 TEST(Latency, NeverZeroOrNegative) {
   LatencyModel m(1, 5);  // jitter bigger than base
   Rng rng(29);
   for (int i = 0; i < 200; ++i) {
-    EXPECT_GE(m.sample(0, 1, rng), 1);
+    EXPECT_GE(m.sample(rng), 1);
   }
 }
 

@@ -7,6 +7,8 @@
 // views, bounded chain retention, deterministic mem accounting.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "actors/methods.hpp"
 #include "obs/export.hpp"
 #include "runtime/hierarchy.hpp"
@@ -106,7 +108,7 @@ TEST_F(StaticTreeFixture, FabricatedRegistrationMatchesSpawnedState) {
   for (const auto& [sa, entry] : sca.subnets) {
     EXPECT_TRUE(sa == Address::id(100) || sa == Address::id(101));
     EXPECT_EQ(entry.sa, sa);
-    EXPECT_EQ(entry.collateral, TokenAmount::whole(10));  // 1 × stake_each
+    EXPECT_EQ(entry.collateral, TokenAmount::whole(10));  // 1 validator × 10
     // The child's full genesis supply is escrowed as circulating supply.
     EXPECT_GT(entry.circulating_supply, TokenAmount());
   }
@@ -188,6 +190,18 @@ TEST_F(StaticTreeFixture, DynamicSpawnComposesWithStaticTree) {
   // the static range.
   EXPECT_EQ(spawned.value()->sa, Address::id(102));
   EXPECT_EQ(h.subnets().size(), 5u);
+}
+
+// spawn_subnet refuses a subnet without validators; a static tree must
+// too, or the parent records it as registered with no collateral and no
+// node ever runs it.
+TEST(StaticTreeValidation, SubnetWithoutValidatorsIsRejected) {
+  TreeSpec spec = small_city();
+  spec.children.at(0).children.at(0).n_validators = 0;
+  EXPECT_THROW(Hierarchy(tree_config(), spec), std::invalid_argument);
+  spec = small_city();
+  spec.n_validators = 0;
+  EXPECT_THROW(Hierarchy(tree_config(), spec), std::invalid_argument);
 }
 
 TEST(StaticTreeRetention, BoundedWindowAndMemGauges) {
