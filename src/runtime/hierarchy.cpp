@@ -483,6 +483,7 @@ Result<Subnet*> Hierarchy::spawn_subnet(Subnet& parent,
   if (n_validators == 0) {
     return Error(Errc::kInvalidArgument, "subnet needs validators");
   }
+
   // 1. Create and fund validator identities on the PARENT chain.
   std::vector<crypto::KeyPair> keys;
   std::vector<User> users;
