@@ -19,14 +19,9 @@ struct ExecParams {
   chain::CodeId code = 0;
   Bytes ctor_state;  // initial serialized state for the new actor
 
-  void encode_to(Encoder& e) const { e.varint(code).bytes(ctor_state); }
-  [[nodiscard]] static Result<ExecParams> decode_from(Decoder& d) {
-    ExecParams p;
-    HC_TRY(code, d.varint());
-    HC_TRY(ctor, d.bytes());
-    p.code = code;
-    p.ctor_state = std::move(ctor);
-    return p;
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.varint(s.code).bytes(s.ctor_state);
   }
 };
 
@@ -44,14 +39,9 @@ struct KvParams {
   Bytes key;
   Bytes value;  // used by kPut / kApplyOutput
 
-  void encode_to(Encoder& e) const { e.bytes(key).bytes(value); }
-  [[nodiscard]] static Result<KvParams> decode_from(Decoder& d) {
-    KvParams p;
-    HC_TRY(key, d.bytes());
-    HC_TRY(value, d.bytes());
-    p.key = std::move(key);
-    p.value = std::move(value);
-    return p;
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.bytes(s.key).bytes(s.value);
   }
 };
 
@@ -71,18 +61,9 @@ struct KvState {
     Bytes value;
     bool locked = false;
 
-    void encode_to(Encoder& e) const {
-      e.bytes(key).bytes(value).boolean(locked);
-    }
-    [[nodiscard]] static Result<Entry> decode_from(Decoder& d) {
-      Entry en;
-      HC_TRY(key, d.bytes());
-      HC_TRY(value, d.bytes());
-      HC_TRY(locked, d.boolean());
-      en.key = std::move(key);
-      en.value = std::move(value);
-      en.locked = locked;
-      return en;
+    template <class S, class Io>
+    static void fields(S& s, Io& io) {
+      io.bytes(s.key).bytes(s.value).boolean(s.locked);
     }
     bool operator==(const Entry&) const = default;
   };
@@ -95,12 +76,9 @@ struct KvState {
     return nullptr;
   }
 
-  void encode_to(Encoder& e) const { e.vec(entries); }
-  [[nodiscard]] static Result<KvState> decode_from(Decoder& d) {
-    KvState s;
-    HC_TRY(entries, d.vec<Entry>());
-    s.entries = std::move(entries);
-    return s;
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.vec(s.entries);
   }
   bool operator==(const KvState&) const = default;
 };

@@ -22,14 +22,9 @@ struct ValidatorInfo {
     return Address::key(pubkey.to_bytes());
   }
 
-  void encode_to(Encoder& e) const { e.obj(pubkey).obj(stake); }
-  [[nodiscard]] static Result<ValidatorInfo> decode_from(Decoder& d) {
-    ValidatorInfo v;
-    HC_TRY(pk, d.obj<crypto::PublicKey>());
-    HC_TRY(stake, d.obj<TokenAmount>());
-    v.pubkey = pk;
-    v.stake = stake;
-    return v;
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.obj(s.pubkey).obj(s.stake);
   }
   bool operator==(const ValidatorInfo&) const = default;
 };
@@ -52,8 +47,12 @@ struct SaState {
     return keys;
   }
 
-  void encode_to(Encoder& e) const;
-  [[nodiscard]] static Result<SaState> decode_from(Decoder& d);
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.obj(s.params).obj(s.subnet_id).boolean(s.registered).boolean(s.killed);
+    io.vec(s.validators).obj(s.total_stake).obj(s.last_checkpoint);
+    io.i64(s.last_checkpoint_epoch);
+  }
   bool operator==(const SaState&) const = default;
 };
 

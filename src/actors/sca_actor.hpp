@@ -28,20 +28,9 @@ struct CrossParams {
   chain::MethodNum method = 0;
   Bytes inner_params;
 
-  void encode_to(Encoder& e) const {
-    e.obj(dest).obj(to).varint(method).bytes(inner_params);
-  }
-  [[nodiscard]] static Result<CrossParams> decode_from(Decoder& d) {
-    CrossParams p;
-    HC_TRY(dest, d.obj<core::SubnetId>());
-    HC_TRY(to, d.obj<Address>());
-    HC_TRY(method, d.varint());
-    HC_TRY(inner, d.bytes());
-    p.dest = std::move(dest);
-    p.to = to;
-    p.method = method;
-    p.inner_params = std::move(inner);
-    return p;
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.obj(s.dest).obj(s.to).varint(s.method).bytes(s.inner_params);
   }
 };
 
@@ -49,24 +38,18 @@ struct ReleaseStakeParams {
   TokenAmount amount;
   Address recipient;
 
-  void encode_to(Encoder& e) const { e.obj(amount).obj(recipient); }
-  [[nodiscard]] static Result<ReleaseStakeParams> decode_from(Decoder& d) {
-    ReleaseStakeParams p;
-    HC_TRY(amount, d.obj<TokenAmount>());
-    HC_TRY(recipient, d.obj<Address>());
-    p.amount = amount;
-    p.recipient = recipient;
-    return p;
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.obj(s.amount).obj(s.recipient);
   }
 };
 
 struct KillParams {
   Address recipient;
 
-  void encode_to(Encoder& e) const { e.obj(recipient); }
-  [[nodiscard]] static Result<KillParams> decode_from(Decoder& d) {
-    HC_TRY(recipient, d.obj<Address>());
-    return KillParams{recipient};
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.obj(s.recipient);
   }
 };
 
@@ -75,14 +58,9 @@ struct CutParams {
   chain::Epoch epoch = 0;
   Cid proof;  // CID of the block anchoring this checkpoint
 
-  void encode_to(Encoder& e) const { e.i64(epoch).obj(proof); }
-  [[nodiscard]] static Result<CutParams> decode_from(Decoder& d) {
-    CutParams p;
-    HC_TRY(epoch, d.i64());
-    HC_TRY(proof, d.obj<Cid>());
-    p.epoch = epoch;
-    p.proof = proof;
-    return p;
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.i64(s.epoch).obj(s.proof);
   }
 };
 
@@ -90,14 +68,9 @@ struct ApplyBottomUpParams {
   std::uint64_t nonce = 0;
   core::CrossMsgBatch batch;
 
-  void encode_to(Encoder& e) const { e.varint(nonce).obj(batch); }
-  [[nodiscard]] static Result<ApplyBottomUpParams> decode_from(Decoder& d) {
-    ApplyBottomUpParams p;
-    HC_TRY(nonce, d.varint());
-    HC_TRY(batch, d.obj<core::CrossMsgBatch>());
-    p.nonce = nonce;
-    p.batch = std::move(batch);
-    return p;
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.varint(s.nonce).obj(s.batch);
   }
 };
 
@@ -114,35 +87,19 @@ struct RecoverParams {
   chain::ActorEntry claimed_entry;   // its state entry
   crypto::MerkleProof proof;         // inclusion under header.state_root
 
-  void encode_to(Encoder& e) const {
-    e.obj(sa).obj(checkpoint).obj(header).obj(claimed_addr);
-    e.obj(claimed_entry).vec(proof);
-  }
-  [[nodiscard]] static Result<RecoverParams> decode_from(Decoder& d) {
-    RecoverParams p;
-    HC_TRY(sa, d.obj<Address>());
-    HC_TRY(cp, d.obj<core::Checkpoint>());
-    HC_TRY(header, d.obj<chain::BlockHeader>());
-    HC_TRY(addr, d.obj<Address>());
-    HC_TRY(entry, d.obj<chain::ActorEntry>());
-    HC_TRY(proof, d.vec<crypto::MerkleStep>());
-    p.sa = sa;
-    p.checkpoint = std::move(cp);
-    p.header = header;
-    p.claimed_addr = addr;
-    p.claimed_entry = std::move(entry);
-    p.proof = std::move(proof);
-    return p;
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.obj(s.sa).obj(s.checkpoint).obj(s.header).obj(s.claimed_addr);
+    io.obj(s.claimed_entry).vec(s.proof);
   }
 };
 
 struct SaveParams {
   Cid state_root;
 
-  void encode_to(Encoder& e) const { e.obj(state_root); }
-  [[nodiscard]] static Result<SaveParams> decode_from(Decoder& d) {
-    HC_TRY(root, d.obj<Cid>());
-    return SaveParams{root};
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.obj(s.state_root);
   }
 };
 
@@ -150,14 +107,9 @@ struct AtomicInitParams {
   std::vector<AtomicParty> parties;
   std::vector<Cid> input_cids;
 
-  void encode_to(Encoder& e) const { e.vec(parties).vec(input_cids); }
-  [[nodiscard]] static Result<AtomicInitParams> decode_from(Decoder& d) {
-    AtomicInitParams p;
-    HC_TRY(parties, d.vec<AtomicParty>());
-    HC_TRY(inputs, d.vec<Cid>());
-    p.parties = std::move(parties);
-    p.input_cids = std::move(inputs);
-    return p;
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.vec(s.parties).vec(s.input_cids);
   }
 };
 
@@ -165,24 +117,18 @@ struct AtomicSubmitParams {
   std::uint64_t exec_id = 0;
   Cid output;
 
-  void encode_to(Encoder& e) const { e.varint(exec_id).obj(output); }
-  [[nodiscard]] static Result<AtomicSubmitParams> decode_from(Decoder& d) {
-    AtomicSubmitParams p;
-    HC_TRY(id, d.varint());
-    HC_TRY(output, d.obj<Cid>());
-    p.exec_id = id;
-    p.output = output;
-    return p;
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.varint(s.exec_id).obj(s.output);
   }
 };
 
 struct AtomicAbortParams {
   std::uint64_t exec_id = 0;
 
-  void encode_to(Encoder& e) const { e.varint(exec_id); }
-  [[nodiscard]] static Result<AtomicAbortParams> decode_from(Decoder& d) {
-    HC_TRY(id, d.varint());
-    return AtomicAbortParams{id};
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.varint(s.exec_id);
   }
 };
 
@@ -192,17 +138,9 @@ struct AtomicNotice {
   std::uint64_t exec_id = 0;
   AtomicStatus status = AtomicStatus::kPending;
 
-  void encode_to(Encoder& e) const {
-    e.varint(exec_id).u8(static_cast<std::uint8_t>(status));
-  }
-  [[nodiscard]] static Result<AtomicNotice> decode_from(Decoder& d) {
-    AtomicNotice n;
-    HC_TRY(id, d.varint());
-    HC_TRY(status, d.u8());
-    if (status > 2) return Error(Errc::kDecodeError, "bad atomic status");
-    n.exec_id = id;
-    n.status = static_cast<AtomicStatus>(status);
-    return n;
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.varint(s.exec_id).enumeration(s.status);
   }
 };
 

@@ -52,8 +52,15 @@ struct SubnetEntry {
   /// `sca/topdown-shed` event.
   std::uint64_t topdown_shed = 0;
 
-  void encode_to(Encoder& e) const;
-  [[nodiscard]] static Result<SubnetEntry> decode_from(Decoder& d);
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.obj(s.id).obj(s.sa).enumeration(s.status);
+    io.obj(s.collateral).obj(s.min_collateral).obj(s.circulating_supply);
+    io.varint(s.topdown_nonce).vec(s.topdown_queue).vec(s.checkpoints);
+    io.i64(s.last_checkpoint_epoch);
+    io.vec(s.recovered);
+    io.varint(s.topdown_since_checkpoint).varint(s.topdown_shed);
+  }
   bool operator==(const SubnetEntry&) const = default;
 };
 
@@ -68,20 +75,9 @@ struct SlashRecord {
   /// Collateral share actually burned for this validator.
   TokenAmount burned;
 
-  void encode_to(Encoder& e) const {
-    e.obj(subnet).i64(epoch).obj(signer).obj(burned);
-  }
-  [[nodiscard]] static Result<SlashRecord> decode_from(Decoder& d) {
-    SlashRecord r;
-    HC_TRY(subnet, d.obj<core::SubnetId>());
-    HC_TRY(epoch, d.i64());
-    HC_TRY(signer, d.obj<crypto::PublicKey>());
-    HC_TRY(burned, d.obj<TokenAmount>());
-    r.subnet = std::move(subnet);
-    r.epoch = epoch;
-    r.signer = signer;
-    r.burned = burned;
-    return r;
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.obj(s.subnet).i64(s.epoch).obj(s.signer).obj(s.burned);
   }
   bool operator==(const SlashRecord&) const = default;
 };
@@ -92,18 +88,9 @@ struct PendingBottomUp {
   core::CrossMsgMeta meta;
   bool executed = false;
 
-  void encode_to(Encoder& e) const {
-    e.varint(nonce).obj(meta).boolean(executed);
-  }
-  [[nodiscard]] static Result<PendingBottomUp> decode_from(Decoder& d) {
-    PendingBottomUp p;
-    HC_TRY(nonce, d.varint());
-    HC_TRY(meta, d.obj<core::CrossMsgMeta>());
-    HC_TRY(executed, d.boolean());
-    p.nonce = nonce;
-    p.meta = std::move(meta);
-    p.executed = executed;
-    return p;
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.varint(s.nonce).obj(s.meta).boolean(s.executed);
   }
   bool operator==(const PendingBottomUp&) const = default;
 };
@@ -113,14 +100,9 @@ struct AtomicParty {
   core::SubnetId subnet;
   Address addr;
 
-  void encode_to(Encoder& e) const { e.obj(subnet).obj(addr); }
-  [[nodiscard]] static Result<AtomicParty> decode_from(Decoder& d) {
-    AtomicParty p;
-    HC_TRY(subnet, d.obj<core::SubnetId>());
-    HC_TRY(addr, d.obj<Address>());
-    p.subnet = std::move(subnet);
-    p.addr = addr;
-    return p;
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.obj(s.subnet).obj(s.addr);
   }
   bool operator==(const AtomicParty&) const = default;
 };
@@ -129,6 +111,7 @@ enum class AtomicStatus : std::uint8_t {
   kPending = 0,
   kCommitted = 1,
   kAborted = 2,
+  kLast = kAborted,
 };
 
 /// Coordinator record for one atomic execution (2PC with the SCA of the
@@ -143,8 +126,11 @@ struct AtomicExec {
 
   [[nodiscard]] bool all_submitted_and_equal() const;
 
-  void encode_to(Encoder& e) const;
-  [[nodiscard]] static Result<AtomicExec> decode_from(Decoder& d);
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.varint(s.id).vec(s.parties).vec(s.input_cids);
+    io.enumeration(s.status).vec(s.outputs);
+  }
   bool operator==(const AtomicExec&) const = default;
 };
 
@@ -153,14 +139,9 @@ struct StateSnapshot {
   chain::Epoch epoch = 0;
   Cid state_root;
 
-  void encode_to(Encoder& e) const { e.i64(epoch).obj(state_root); }
-  [[nodiscard]] static Result<StateSnapshot> decode_from(Decoder& d) {
-    StateSnapshot s;
-    HC_TRY(epoch, d.i64());
-    HC_TRY(root, d.obj<Cid>());
-    s.epoch = epoch;
-    s.state_root = root;
-    return s;
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.i64(s.epoch).obj(s.state_root);
   }
   bool operator==(const StateSnapshot&) const = default;
 };
@@ -231,8 +212,20 @@ struct ScaState {
   /// The direct child entry on the path toward `dest` (nullptr if none).
   [[nodiscard]] SubnetEntry* child_toward(const core::SubnetId& dest);
 
-  void encode_to(Encoder& e) const;
-  [[nodiscard]] static Result<ScaState> decode_from(Decoder& d);
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.obj(s.self).u32(s.checkpoint_period).map(s.subnets, 1u << 16);
+    io.vec(s.window_msgs).vec(s.forward_meta).vec(s.window_children);
+    io.opt(s.pending_checkpoint);
+    io.obj(s.last_own_checkpoint).i64(s.last_own_checkpoint_epoch);
+    io.map(s.msg_registry, 1u << 20);
+    io.varint(s.bottomup_nonce).vec(s.pending_bottomup);
+    io.varint(s.applied_bottomup_nonce).varint(s.applied_topdown_nonce);
+    io.varint(s.next_exec_id).map(s.atomic_execs, 1u << 16);
+    io.vec(s.snapshots);
+    io.vec(s.fraud_digests).vec(s.slash_records);
+    io.varint(s.topdown_window_cap).i64(s.breaker_stall_epochs);
+  }
   bool operator==(const ScaState&) const = default;
 };
 

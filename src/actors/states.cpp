@@ -1,82 +1,9 @@
-// Codec implementations for SA/SCA state structures.
-#include "actors/sa_state.hpp"
+// SCA state helpers.
 #include "actors/sca_state.hpp"
 
 #include <algorithm>
 
 namespace hc::actors {
-
-// ------------------------------------------------------------------ SA
-
-void SaState::encode_to(Encoder& e) const {
-  e.obj(params).obj(subnet_id).boolean(registered).boolean(killed);
-  e.vec(validators).obj(total_stake).obj(last_checkpoint);
-  e.i64(last_checkpoint_epoch);
-}
-
-Result<SaState> SaState::decode_from(Decoder& d) {
-  SaState s;
-  HC_TRY(params, d.obj<core::SubnetParams>());
-  HC_TRY(subnet_id, d.obj<core::SubnetId>());
-  HC_TRY(registered, d.boolean());
-  HC_TRY(killed, d.boolean());
-  HC_TRY(validators, d.vec<ValidatorInfo>());
-  HC_TRY(total_stake, d.obj<TokenAmount>());
-  HC_TRY(last_checkpoint, d.obj<Cid>());
-  HC_TRY(epoch, d.i64());
-  s.params = std::move(params);
-  s.subnet_id = std::move(subnet_id);
-  s.registered = registered;
-  s.killed = killed;
-  s.validators = std::move(validators);
-  s.total_stake = total_stake;
-  s.last_checkpoint = last_checkpoint;
-  s.last_checkpoint_epoch = epoch;
-  return s;
-}
-
-// ----------------------------------------------------------------- SCA
-
-void SubnetEntry::encode_to(Encoder& e) const {
-  e.obj(id).obj(sa).u8(static_cast<std::uint8_t>(status));
-  e.obj(collateral).obj(min_collateral).obj(circulating_supply);
-  e.varint(topdown_nonce).vec(topdown_queue).vec(checkpoints);
-  e.i64(last_checkpoint_epoch);
-  e.vec(recovered);
-  e.varint(topdown_since_checkpoint).varint(topdown_shed);
-}
-
-Result<SubnetEntry> SubnetEntry::decode_from(Decoder& d) {
-  SubnetEntry s;
-  HC_TRY(id, d.obj<core::SubnetId>());
-  HC_TRY(sa, d.obj<Address>());
-  HC_TRY(status, d.u8());
-  if (status > 2) return Error(Errc::kDecodeError, "bad subnet status");
-  HC_TRY(collateral, d.obj<TokenAmount>());
-  HC_TRY(min_collateral, d.obj<TokenAmount>());
-  HC_TRY(supply, d.obj<TokenAmount>());
-  HC_TRY(nonce, d.varint());
-  HC_TRY(queue, d.vec<core::CrossMsg>());
-  HC_TRY(checkpoints, d.vec<Cid>());
-  HC_TRY(epoch, d.i64());
-  HC_TRY(recovered, d.vec<Address>());
-  HC_TRY(since_cp, d.varint());
-  HC_TRY(shed, d.varint());
-  s.id = std::move(id);
-  s.sa = sa;
-  s.status = static_cast<core::SubnetStatus>(status);
-  s.collateral = collateral;
-  s.min_collateral = min_collateral;
-  s.circulating_supply = supply;
-  s.topdown_nonce = nonce;
-  s.topdown_queue = std::move(queue);
-  s.checkpoints = std::move(checkpoints);
-  s.last_checkpoint_epoch = epoch;
-  s.recovered = std::move(recovered);
-  s.topdown_since_checkpoint = since_cp;
-  s.topdown_shed = shed;
-  return s;
-}
 
 bool AtomicExec::all_submitted_and_equal() const {
   if (outputs.size() != parties.size()) return false;
@@ -85,27 +12,6 @@ bool AtomicExec::all_submitted_and_equal() const {
   }
   return std::all_of(outputs.begin(), outputs.end(),
                      [&](const Cid& c) { return c == outputs.front(); });
-}
-
-void AtomicExec::encode_to(Encoder& e) const {
-  e.varint(id).vec(parties).vec(input_cids);
-  e.u8(static_cast<std::uint8_t>(status)).vec(outputs);
-}
-
-Result<AtomicExec> AtomicExec::decode_from(Decoder& d) {
-  AtomicExec a;
-  HC_TRY(id, d.varint());
-  HC_TRY(parties, d.vec<AtomicParty>());
-  HC_TRY(inputs, d.vec<Cid>());
-  HC_TRY(status, d.u8());
-  if (status > 2) return Error(Errc::kDecodeError, "bad atomic status");
-  HC_TRY(outputs, d.vec<Cid>());
-  a.id = id;
-  a.parties = std::move(parties);
-  a.input_cids = std::move(inputs);
-  a.status = static_cast<AtomicStatus>(status);
-  a.outputs = std::move(outputs);
-  return a;
 }
 
 const SubnetEntry* ScaState::find_subnet(const Address& sa) const {
@@ -122,101 +28,6 @@ SubnetEntry* ScaState::child_toward(const core::SubnetId& dest) {
   if (!self.is_prefix_of(dest) || self == dest) return nullptr;
   const core::SubnetId next = self.down_toward(dest);
   return find_subnet(next.actor());
-}
-
-void ScaState::encode_to(Encoder& e) const {
-  e.obj(self).u32(checkpoint_period);
-  e.varint(subnets.size());
-  for (const auto& [sa, entry] : subnets) {
-    e.obj(sa).obj(entry);
-  }
-  e.vec(window_msgs).vec(forward_meta).vec(window_children);
-  e.boolean(pending_checkpoint.has_value());
-  if (pending_checkpoint) e.obj(*pending_checkpoint);
-  e.obj(last_own_checkpoint).i64(last_own_checkpoint_epoch);
-  e.varint(msg_registry.size());
-  for (const auto& [k, v] : msg_registry) {
-    e.bytes(k).bytes(v);
-  }
-  e.varint(bottomup_nonce).vec(pending_bottomup);
-  e.varint(applied_bottomup_nonce).varint(applied_topdown_nonce);
-  e.varint(next_exec_id);
-  e.varint(atomic_execs.size());
-  for (const auto& [id, exec] : atomic_execs) {
-    e.varint(id).obj(exec);
-  }
-  e.vec(snapshots);
-  e.vec(fraud_digests).vec(slash_records);
-  e.varint(topdown_window_cap).i64(breaker_stall_epochs);
-}
-
-Result<ScaState> ScaState::decode_from(Decoder& d) {
-  ScaState s;
-  HC_TRY(self, d.obj<core::SubnetId>());
-  HC_TRY(period, d.u32());
-  s.self = std::move(self);
-  s.checkpoint_period = period;
-  HC_TRY(n_subnets, d.varint());
-  if (n_subnets > (1u << 16)) {
-    return Error(Errc::kDecodeError, "too many subnets");
-  }
-  for (std::uint64_t i = 0; i < n_subnets; ++i) {
-    HC_TRY(sa, d.obj<Address>());
-    HC_TRY(entry, d.obj<SubnetEntry>());
-    s.subnets.emplace(sa, std::move(entry));
-  }
-  HC_TRY(window_msgs, d.vec<core::CrossMsg>());
-  HC_TRY(forward_meta, d.vec<core::CrossMsgMeta>());
-  HC_TRY(window_children, d.vec<core::ChildCheck>());
-  s.window_msgs = std::move(window_msgs);
-  s.forward_meta = std::move(forward_meta);
-  s.window_children = std::move(window_children);
-  HC_TRY(has_pending, d.boolean());
-  if (has_pending) {
-    HC_TRY(cp, d.obj<core::Checkpoint>());
-    s.pending_checkpoint = std::move(cp);
-  }
-  HC_TRY(last_cp, d.obj<Cid>());
-  HC_TRY(last_epoch, d.i64());
-  s.last_own_checkpoint = last_cp;
-  s.last_own_checkpoint_epoch = last_epoch;
-  HC_TRY(n_reg, d.varint());
-  if (n_reg > (1u << 20)) return Error(Errc::kDecodeError, "registry too big");
-  for (std::uint64_t i = 0; i < n_reg; ++i) {
-    HC_TRY(k, d.bytes());
-    HC_TRY(v, d.bytes());
-    s.msg_registry.emplace(std::move(k), std::move(v));
-  }
-  HC_TRY(bu_nonce, d.varint());
-  HC_TRY(pending_bu, d.vec<PendingBottomUp>());
-  HC_TRY(applied_bu, d.varint());
-  HC_TRY(applied_td, d.varint());
-  HC_TRY(next_exec, d.varint());
-  s.bottomup_nonce = bu_nonce;
-  s.pending_bottomup = std::move(pending_bu);
-  s.applied_bottomup_nonce = applied_bu;
-  s.applied_topdown_nonce = applied_td;
-  s.next_exec_id = next_exec;
-  HC_TRY(n_atomic, d.varint());
-  if (n_atomic > (1u << 16)) {
-    return Error(Errc::kDecodeError, "too many atomic execs");
-  }
-  for (std::uint64_t i = 0; i < n_atomic; ++i) {
-    HC_TRY(id, d.varint());
-    HC_TRY(exec, d.obj<AtomicExec>());
-    s.atomic_execs.emplace(id, std::move(exec));
-  }
-  HC_TRY(snapshots, d.vec<StateSnapshot>());
-  s.snapshots = std::move(snapshots);
-  HC_TRY(fraud_digests, d.vec<Cid>());
-  HC_TRY(slash_records, d.vec<SlashRecord>());
-  s.fraud_digests = std::move(fraud_digests);
-  s.slash_records = std::move(slash_records);
-  HC_TRY(td_cap, d.varint());
-  HC_TRY(stall_epochs, d.i64());
-  s.topdown_window_cap = td_cap;
-  s.breaker_stall_epochs = stall_epochs;
-  return s;
 }
 
 bool ScaState::slashed(const core::SubnetId& subnet, chain::Epoch epoch,

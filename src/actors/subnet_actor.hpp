@@ -23,10 +23,9 @@ namespace hc::actors {
 struct JoinParams {
   crypto::PublicKey pubkey;
 
-  void encode_to(Encoder& e) const { e.obj(pubkey); }
-  [[nodiscard]] static Result<JoinParams> decode_from(Decoder& d) {
-    HC_TRY(pk, d.obj<crypto::PublicKey>());
-    return JoinParams{pk};
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.obj(s.pubkey);
   }
 };
 
@@ -34,12 +33,9 @@ struct JoinParams {
 struct SlashParams {
   std::vector<crypto::PublicKey> guilty;
 
-  void encode_to(Encoder& e) const { e.vec(guilty); }
-  [[nodiscard]] static Result<SlashParams> decode_from(Decoder& d) {
-    SlashParams p;
-    HC_TRY(guilty, d.vec<crypto::PublicKey>());
-    p.guilty = std::move(guilty);
-    return p;
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.vec(s.guilty);
   }
 };
 

@@ -2,33 +2,6 @@
 
 namespace hc::chain {
 
-void BlockHeader::encode_to(Encoder& e) const {
-  e.obj(miner).i64(height).obj(parent).obj(state_root);
-  e.raw(BytesView(msgs_root.data(), msgs_root.size()));
-  e.i64(timestamp).bytes(ticket).bytes(proof);
-}
-
-Result<BlockHeader> BlockHeader::decode_from(Decoder& d) {
-  BlockHeader h;
-  HC_TRY(miner, d.obj<Address>());
-  HC_TRY(height, d.i64());
-  HC_TRY(parent, d.obj<Cid>());
-  HC_TRY(state_root, d.obj<Cid>());
-  HC_TRY(root_raw, d.raw(32));
-  HC_TRY(timestamp, d.i64());
-  HC_TRY(ticket, d.bytes());
-  HC_TRY(proof, d.bytes());
-  h.miner = miner;
-  h.height = height;
-  h.parent = parent;
-  h.state_root = state_root;
-  std::copy(root_raw.begin(), root_raw.end(), h.msgs_root.begin());
-  h.timestamp = timestamp;
-  h.ticket = std::move(ticket);
-  h.proof = std::move(proof);
-  return h;
-}
-
 Cid BlockHeader::cid() const { return Cid::of(CidCodec::kBlock, encode(*this)); }
 
 Digest Block::compute_msgs_root() const {
@@ -49,21 +22,6 @@ std::size_t Block::mem_bytes() const {
     total += sizeof(m) + m.params.size();
   }
   return total;
-}
-
-void Block::encode_to(Encoder& e) const {
-  e.obj(header).vec(messages).vec(cross_messages);
-}
-
-Result<Block> Block::decode_from(Decoder& d) {
-  Block b;
-  HC_TRY(header, d.obj<BlockHeader>());
-  HC_TRY(messages, d.vec<SignedMessage>());
-  HC_TRY(cross, d.vec<Message>());
-  b.header = header;
-  b.messages = std::move(messages);
-  b.cross_messages = std::move(cross);
-  return b;
 }
 
 }  // namespace hc::chain

@@ -29,8 +29,11 @@ struct BlockHeader {
   Bytes ticket;         // consensus-specific randomness/leader proof
   Bytes proof;          // consensus-specific commitment (e.g. quorum cert)
 
-  void encode_to(Encoder& e) const;
-  [[nodiscard]] static Result<BlockHeader> decode_from(Decoder& d);
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.obj(s.miner).i64(s.height).obj(s.parent).obj(s.state_root);
+    io.raw(s.msgs_root).i64(s.timestamp).bytes(s.ticket).bytes(s.proof);
+  }
   [[nodiscard]] Cid cid() const;
   bool operator==(const BlockHeader&) const = default;
 };
@@ -48,8 +51,10 @@ struct Block {
   /// accounting (DESIGN.md §17); never allocator capacities.
   [[nodiscard]] std::size_t mem_bytes() const;
 
-  void encode_to(Encoder& e) const;
-  [[nodiscard]] static Result<Block> decode_from(Decoder& d);
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.obj(s.header).vec(s.messages).vec(s.cross_messages);
+  }
   [[nodiscard]] Cid cid() const { return header.cid(); }
   bool operator==(const Block&) const = default;
 };

@@ -4,32 +4,6 @@
 
 namespace hc::chain {
 
-void Message::encode_to(Encoder& e) const {
-  e.obj(from).obj(to).varint(nonce).obj(value).varint(method).bytes(params);
-  e.varint(gas_limit).obj(gas_price);
-}
-
-Result<Message> Message::decode_from(Decoder& d) {
-  Message m;
-  HC_TRY(from, d.obj<Address>());
-  HC_TRY(to, d.obj<Address>());
-  HC_TRY(nonce, d.varint());
-  HC_TRY(value, d.obj<TokenAmount>());
-  HC_TRY(method, d.varint());
-  HC_TRY(params, d.bytes());
-  HC_TRY(gas_limit, d.varint());
-  HC_TRY(gas_price, d.obj<TokenAmount>());
-  m.from = from;
-  m.to = to;
-  m.nonce = nonce;
-  m.value = value;
-  m.method = method;
-  m.params = std::move(params);
-  m.gas_limit = gas_limit;
-  m.gas_price = gas_price;
-  return m;
-}
-
 Cid Message::cid() const { return Cid::of(CidCodec::kMessage, encode(*this)); }
 
 SignedMessage SignedMessage::sign(Message msg, const crypto::KeyPair& key) {
@@ -55,21 +29,6 @@ bool SignedMessage::verify_with(Arena& arena) const {
 
 bool SignedMessage::sender_matches_key() const {
   return message.from == Address::key(pubkey.to_bytes());
-}
-
-void SignedMessage::encode_to(Encoder& e) const {
-  e.obj(message).obj(pubkey).obj(signature);
-}
-
-Result<SignedMessage> SignedMessage::decode_from(Decoder& d) {
-  SignedMessage sm;
-  HC_TRY(msg, d.obj<Message>());
-  HC_TRY(pk, d.obj<crypto::PublicKey>());
-  HC_TRY(sig, d.obj<crypto::Signature>());
-  sm.message = std::move(msg);
-  sm.pubkey = pk;
-  sm.signature = sig;
-  return sm;
 }
 
 Cid SignedMessage::cid() const {

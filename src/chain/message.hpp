@@ -32,8 +32,11 @@ struct Message {
   std::uint64_t gas_limit = 0;
   TokenAmount gas_price;  // atto per gas unit
 
-  void encode_to(Encoder& e) const;
-  [[nodiscard]] static Result<Message> decode_from(Decoder& d);
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.obj(s.from).obj(s.to).varint(s.nonce).obj(s.value).varint(s.method);
+    io.bytes(s.params).varint(s.gas_limit).obj(s.gas_price);
+  }
 
   /// Content id of the canonical encoding.
   [[nodiscard]] Cid cid() const;
@@ -64,8 +67,10 @@ struct SignedMessage {
   /// key address of the attached public key.
   [[nodiscard]] bool sender_matches_key() const;
 
-  void encode_to(Encoder& e) const;
-  [[nodiscard]] static Result<SignedMessage> decode_from(Decoder& d);
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.obj(s.message).obj(s.pubkey).obj(s.signature);
+  }
 
   [[nodiscard]] Cid cid() const;
 

@@ -32,14 +32,9 @@ struct ActorEvent {
   std::string kind;
   Bytes payload;
 
-  void encode_to(Encoder& e) const { e.str(kind).bytes(payload); }
-  [[nodiscard]] static Result<ActorEvent> decode_from(Decoder& d) {
-    ActorEvent ev;
-    HC_TRY(kind, d.str());
-    HC_TRY(payload, d.bytes());
-    ev.kind = std::move(kind);
-    ev.payload = std::move(payload);
-    return ev;
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.str(s.kind).bytes(s.payload);
   }
   bool operator==(const ActorEvent&) const = default;
 };

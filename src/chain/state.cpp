@@ -120,26 +120,17 @@ TokenAmount StateTree::total_balance() const {
   return total;
 }
 
-void StateTree::encode_to(Encoder& e) const {
-  e.varint(actors_.size());
-  for (const auto& [addr, entry] : actors_) {
-    e.obj(addr).obj(entry);
-  }
-}
+void StateTree::encode_to(Encoder& e) const { e.map(actors_, kMaxActors); }
 
 Result<StateTree> StateTree::decode_from(Decoder& d) {
   StateTree t;
-  HC_TRY(count, d.varint());
-  if (count > (1u << 22)) {
-    return Error(Errc::kDecodeError, "state tree too large");
-  }
-  for (std::uint64_t i = 0; i < count; ++i) {
-    HC_TRY(addr, d.obj<Address>());
-    HC_TRY(entry, d.obj<ActorEntry>());
+  FieldReader r(d);
+  r.map(t.actors_, kMaxActors);
+  HC_TRY_STATUS(r.status());
+  for (const auto& [addr, entry] : t.actors_) {
     t.clean_total_ += entry.balance;  // decoded entries start clean
-    t.actors_.emplace(addr, std::move(entry));
   }
-  t.structure_dirty_ = count > 0;  // no cached tree yet
+  t.structure_dirty_ = !t.actors_.empty();  // no cached tree yet
   return t;
 }
 

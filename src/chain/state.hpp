@@ -90,6 +90,7 @@ class StateBlob {
     return rep_ == nullptr ? kEmpty : rep_->bytes;
   }
   [[nodiscard]] BytesView view() const { return bytes(); }
+  operator BytesView() const { return bytes(); }  // NOLINT: encodes as bytes
   [[nodiscard]] std::size_t size() const { return bytes().size(); }
   [[nodiscard]] bool empty() const { return bytes().empty(); }
 
@@ -133,20 +134,9 @@ struct ActorEntry {
   std::uint64_t nonce = 0;  // meaningful for account actors
   StateBlob state;          // actor-specific serialized state
 
-  void encode_to(Encoder& e) const {
-    e.varint(code).obj(balance).varint(nonce).bytes(state.view());
-  }
-  [[nodiscard]] static Result<ActorEntry> decode_from(Decoder& d) {
-    ActorEntry a;
-    HC_TRY(code, d.varint());
-    HC_TRY(balance, d.obj<TokenAmount>());
-    HC_TRY(nonce, d.varint());
-    HC_TRY(state, d.bytes());
-    a.code = code;
-    a.balance = balance;
-    a.nonce = nonce;
-    a.state = std::move(state);
-    return a;
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.varint(s.code).obj(s.balance).varint(s.nonce).bytes(s.state);
   }
   bool operator==(const ActorEntry&) const = default;
 };
@@ -271,6 +261,8 @@ class StateTree {
   [[nodiscard]] static Result<StateTree> decode_from(Decoder& d);
 
  private:
+  static constexpr std::size_t kMaxActors = std::size_t{1} << 22;
+
   struct JournalEntry {
     Address addr;
     std::optional<ActorEntry> prior;  // nullopt: entry did not exist

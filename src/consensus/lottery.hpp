@@ -23,12 +23,9 @@ namespace hc::consensus {
 struct LotteryVoteState {
   chain::Epoch proposed_height = 0;
 
-  void encode_to(Encoder& e) const { e.i64(proposed_height); }
-  static Result<LotteryVoteState> decode_from(Decoder& d) {
-    LotteryVoteState s;
-    HC_TRY(proposed_height, d.i64());
-    s.proposed_height = proposed_height;
-    return s;
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.i64(s.proposed_height);
   }
 };
 

@@ -21,12 +21,9 @@ namespace hc::consensus {
 struct PoaVoteState {
   chain::Epoch last_produced = 0;
 
-  void encode_to(Encoder& e) const { e.i64(last_produced); }
-  static Result<PoaVoteState> decode_from(Decoder& d) {
-    PoaVoteState s;
-    HC_TRY(last_produced, d.i64());
-    s.last_produced = last_produced;
-    return s;
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.i64(s.last_produced);
   }
 };
 

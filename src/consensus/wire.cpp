@@ -9,7 +9,7 @@ Bytes WireMsg::signing_payload(WireKind kind, chain::Epoch height,
                                std::uint32_t round, const Cid& cid) {
   Encoder e;
   e.str("hc/consensus-vote");
-  e.u8(static_cast<std::uint8_t>(kind)).i64(height).u32(round).obj(cid);
+  e.enumeration(kind).i64(height).u32(round).obj(cid);
   return std::move(e).take();
 }
 
@@ -32,33 +32,6 @@ bool WireMsg::verify() const {
       sender, signing_payload(kind, height, round, block_cid), signature);
 }
 
-void WireMsg::encode_to(Encoder& e) const {
-  e.u8(static_cast<std::uint8_t>(kind)).i64(height).u32(round);
-  e.obj(block_cid).bytes(block).bytes(extra).obj(sender).obj(signature);
-}
-
-Result<WireMsg> WireMsg::decode_from(Decoder& d) {
-  WireMsg m;
-  HC_TRY(kind, d.u8());
-  if (kind > 4) return Error(Errc::kDecodeError, "bad wire kind");
-  HC_TRY(height, d.i64());
-  HC_TRY(round, d.u32());
-  HC_TRY(cid, d.obj<Cid>());
-  HC_TRY(block, d.bytes());
-  HC_TRY(extra, d.bytes());
-  HC_TRY(sender, d.obj<crypto::PublicKey>());
-  HC_TRY(sig, d.obj<crypto::Signature>());
-  m.kind = static_cast<WireKind>(kind);
-  m.height = height;
-  m.round = round;
-  m.block_cid = cid;
-  m.block = std::move(block);
-  m.extra = std::move(extra);
-  m.sender = sender;
-  m.signature = sig;
-  return m;
-}
-
 bool QuorumCert::verify(WireKind vote_kind, std::size_t quorum) const {
   if (signers.size() != signatures.size()) return false;
   const Bytes payload =
@@ -73,25 +46,6 @@ bool QuorumCert::verify(WireKind vote_kind, std::size_t quorum) const {
     ++valid;
   }
   return valid >= quorum;
-}
-
-void QuorumCert::encode_to(Encoder& e) const {
-  e.i64(height).u32(round).obj(block_cid).vec(signers).vec(signatures);
-}
-
-Result<QuorumCert> QuorumCert::decode_from(Decoder& d) {
-  QuorumCert q;
-  HC_TRY(height, d.i64());
-  HC_TRY(round, d.u32());
-  HC_TRY(cid, d.obj<Cid>());
-  HC_TRY(signers, d.vec<crypto::PublicKey>());
-  HC_TRY(sigs, d.vec<crypto::Signature>());
-  q.height = height;
-  q.round = round;
-  q.block_cid = cid;
-  q.signers = std::move(signers);
-  q.signatures = std::move(sigs);
-  return q;
 }
 
 }  // namespace hc::consensus

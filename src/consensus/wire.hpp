@@ -16,6 +16,7 @@ enum class WireKind : std::uint8_t {
   kPrecommit = 3,  // Tendermint policy, last phase: its QuorumCert
   kAck = 4,        // rrBFT policy's one phase (its QuorumCert); null CID =
                    // BlockSync request
+  kLast = kAck,
 };
 
 /// One consensus message. Votes reference blocks by CID; kBlock/kProposal
@@ -45,8 +46,11 @@ struct WireMsg {
   /// Check the signature against `sender`.
   [[nodiscard]] bool verify() const;
 
-  void encode_to(Encoder& e) const;
-  [[nodiscard]] static Result<WireMsg> decode_from(Decoder& d);
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.enumeration(s.kind).i64(s.height).u32(s.round).obj(s.block_cid);
+    io.bytes(s.block).bytes(s.extra).obj(s.sender).obj(s.signature);
+  }
 };
 
 /// A quorum certificate: the votes that justified a commit. Stored as the
@@ -62,8 +66,11 @@ struct QuorumCert {
   /// cid) and that there are at least `quorum` distinct signers.
   [[nodiscard]] bool verify(WireKind vote_kind, std::size_t quorum) const;
 
-  void encode_to(Encoder& e) const;
-  [[nodiscard]] static Result<QuorumCert> decode_from(Decoder& d);
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.i64(s.height).u32(s.round).obj(s.block_cid);
+    io.vec(s.signers).vec(s.signatures);
+  }
 };
 
 }  // namespace hc::consensus

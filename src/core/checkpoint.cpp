@@ -3,40 +3,6 @@
 
 namespace hc::core {
 
-void ChildCheck::encode_to(Encoder& e) const {
-  e.obj(subnet).vec(checkpoints);
-}
-
-Result<ChildCheck> ChildCheck::decode_from(Decoder& d) {
-  ChildCheck c;
-  HC_TRY(subnet, d.obj<SubnetId>());
-  HC_TRY(cids, d.vec<Cid>());
-  c.subnet = std::move(subnet);
-  c.checkpoints = std::move(cids);
-  return c;
-}
-
-void Checkpoint::encode_to(Encoder& e) const {
-  e.obj(source).i64(epoch).obj(proof).obj(prev).vec(children).vec(cross_meta);
-}
-
-Result<Checkpoint> Checkpoint::decode_from(Decoder& d) {
-  Checkpoint c;
-  HC_TRY(source, d.obj<SubnetId>());
-  HC_TRY(epoch, d.i64());
-  HC_TRY(proof, d.obj<Cid>());
-  HC_TRY(prev, d.obj<Cid>());
-  HC_TRY(children, d.vec<ChildCheck>());
-  HC_TRY(meta, d.vec<CrossMsgMeta>());
-  c.source = std::move(source);
-  c.epoch = epoch;
-  c.proof = proof;
-  c.prev = prev;
-  c.children = std::move(children);
-  c.cross_meta = std::move(meta);
-  return c;
-}
-
 Cid Checkpoint::cid() const {
   return Cid::of(CidCodec::kCheckpoint, encode(*this));
 }
@@ -71,19 +37,6 @@ bool SignedCheckpoint::signatures_valid() const {
     if (!crypto::verify_cached(s.signer, payload, s.signature)) return false;
   }
   return true;
-}
-
-void SignedCheckpoint::encode_to(Encoder& e) const {
-  e.obj(checkpoint).vec(signatures);
-}
-
-Result<SignedCheckpoint> SignedCheckpoint::decode_from(Decoder& d) {
-  SignedCheckpoint sc;
-  HC_TRY(cp, d.obj<Checkpoint>());
-  HC_TRY(sigs, d.vec<CheckpointSignature>());
-  sc.checkpoint = std::move(cp);
-  sc.signatures = std::move(sigs);
-  return sc;
 }
 
 }  // namespace hc::core

@@ -23,8 +23,10 @@ struct ChildCheck {
   SubnetId subnet;
   std::vector<Cid> checkpoints;
 
-  void encode_to(Encoder& e) const;
-  [[nodiscard]] static Result<ChildCheck> decode_from(Decoder& d);
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.obj(s.subnet).vec(s.checkpoints);
+  }
   bool operator==(const ChildCheck&) const = default;
 };
 
@@ -36,8 +38,11 @@ struct Checkpoint {
   std::vector<ChildCheck> children;
   std::vector<CrossMsgMeta> cross_meta;
 
-  void encode_to(Encoder& e) const;
-  [[nodiscard]] static Result<Checkpoint> decode_from(Decoder& d);
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.obj(s.source).i64(s.epoch).obj(s.proof).obj(s.prev);
+    io.vec(s.children).vec(s.cross_meta);
+  }
   [[nodiscard]] Cid cid() const;
   bool operator==(const Checkpoint&) const = default;
 
@@ -50,14 +55,9 @@ struct CheckpointSignature {
   crypto::PublicKey signer;
   crypto::Signature signature;
 
-  void encode_to(Encoder& e) const { e.obj(signer).obj(signature); }
-  [[nodiscard]] static Result<CheckpointSignature> decode_from(Decoder& d) {
-    CheckpointSignature cs;
-    HC_TRY(signer, d.obj<crypto::PublicKey>());
-    HC_TRY(sig, d.obj<crypto::Signature>());
-    cs.signer = signer;
-    cs.signature = sig;
-    return cs;
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.obj(s.signer).obj(s.signature);
   }
   bool operator==(const CheckpointSignature&) const = default;
 };
@@ -82,8 +82,10 @@ struct SignedCheckpoint {
   /// threshold checks are the SignaturePolicy's job — see policy.hpp).
   [[nodiscard]] bool signatures_valid() const;
 
-  void encode_to(Encoder& e) const;
-  [[nodiscard]] static Result<SignedCheckpoint> decode_from(Decoder& d);
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.obj(s.checkpoint).vec(s.signatures);
+  }
   bool operator==(const SignedCheckpoint&) const = default;
 };
 

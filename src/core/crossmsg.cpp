@@ -8,23 +8,6 @@ CrossMsgKind CrossMsg::kind() const {
   return CrossMsgKind::kPath;
 }
 
-void CrossMsg::encode_to(Encoder& e) const {
-  e.obj(from_subnet).obj(to_subnet).obj(msg).varint(nonce);
-}
-
-Result<CrossMsg> CrossMsg::decode_from(Decoder& d) {
-  CrossMsg c;
-  HC_TRY(from, d.obj<SubnetId>());
-  HC_TRY(to, d.obj<SubnetId>());
-  HC_TRY(msg, d.obj<chain::Message>());
-  HC_TRY(nonce, d.varint());
-  c.from_subnet = std::move(from);
-  c.to_subnet = std::move(to);
-  c.msg = std::move(msg);
-  c.nonce = nonce;
-  return c;
-}
-
 Cid CrossMsg::cid() const {
   return Cid::of(CidCodec::kCrossMsgs, encode(*this));
 }
@@ -33,27 +16,6 @@ TokenAmount CrossMsgBatch::total_value() const {
   TokenAmount total;
   for (const auto& m : msgs) total += m.msg.value;
   return total;
-}
-
-void CrossMsgMeta::encode_to(Encoder& e) const {
-  e.obj(from).obj(to).varint(nonce).obj(msgs_cid).u32(msg_count).obj(value);
-}
-
-Result<CrossMsgMeta> CrossMsgMeta::decode_from(Decoder& d) {
-  CrossMsgMeta m;
-  HC_TRY(from, d.obj<SubnetId>());
-  HC_TRY(to, d.obj<SubnetId>());
-  HC_TRY(nonce, d.varint());
-  HC_TRY(cid, d.obj<Cid>());
-  HC_TRY(count, d.u32());
-  HC_TRY(value, d.obj<TokenAmount>());
-  m.from = std::move(from);
-  m.to = std::move(to);
-  m.nonce = nonce;
-  m.msgs_cid = cid;
-  m.msg_count = count;
-  m.value = value;
-  return m;
 }
 
 }  // namespace hc::core

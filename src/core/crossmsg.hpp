@@ -33,8 +33,10 @@ struct CrossMsg {
   /// Classify relative routing (paper §IV-A).
   [[nodiscard]] CrossMsgKind kind() const;
 
-  void encode_to(Encoder& e) const;
-  [[nodiscard]] static Result<CrossMsg> decode_from(Decoder& d);
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.obj(s.from_subnet).obj(s.to_subnet).obj(s.msg).varint(s.nonce);
+  }
   [[nodiscard]] Cid cid() const;
   bool operator==(const CrossMsg&) const = default;
 };
@@ -44,12 +46,9 @@ struct CrossMsg {
 struct CrossMsgBatch {
   std::vector<CrossMsg> msgs;
 
-  void encode_to(Encoder& e) const { e.vec(msgs); }
-  [[nodiscard]] static Result<CrossMsgBatch> decode_from(Decoder& d) {
-    CrossMsgBatch b;
-    HC_TRY(msgs, d.vec<CrossMsg>());
-    b.msgs = std::move(msgs);
-    return b;
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.vec(s.msgs);
   }
   [[nodiscard]] Cid cid() const {
     return Cid::of(CidCodec::kCrossMsgs, encode(*this));
@@ -69,8 +68,11 @@ struct CrossMsgMeta {
   std::uint32_t msg_count = 0;
   TokenAmount value;        // total tokens carried (for supply accounting)
 
-  void encode_to(Encoder& e) const;
-  [[nodiscard]] static Result<CrossMsgMeta> decode_from(Decoder& d);
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.obj(s.from).obj(s.to).varint(s.nonce).obj(s.msgs_cid);
+    io.u32(s.msg_count).obj(s.value);
+  }
   bool operator==(const CrossMsgMeta&) const = default;
 };
 

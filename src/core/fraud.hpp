@@ -33,14 +33,9 @@ struct FraudProof {
   /// swapped) hashes to the same digest.
   [[nodiscard]] Cid digest() const;
 
-  void encode_to(Encoder& e) const { e.obj(first).obj(second); }
-  [[nodiscard]] static Result<FraudProof> decode_from(Decoder& d) {
-    FraudProof fp;
-    HC_TRY(a, d.obj<SignedCheckpoint>());
-    HC_TRY(b, d.obj<SignedCheckpoint>());
-    fp.first = std::move(a);
-    fp.second = std::move(b);
-    return fp;
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.obj(s.first).obj(s.second);
   }
   bool operator==(const FraudProof&) const = default;
 };

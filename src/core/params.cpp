@@ -12,28 +12,4 @@ std::string_view consensus_name(ConsensusType t) {
   return "unknown";
 }
 
-void SubnetParams::encode_to(Encoder& e) const {
-  e.str(name).u8(static_cast<std::uint8_t>(consensus));
-  e.obj(min_validator_stake).obj(min_collateral);
-  e.u32(checkpoint_period).obj(checkpoint_policy);
-}
-
-Result<SubnetParams> SubnetParams::decode_from(Decoder& d) {
-  SubnetParams p;
-  HC_TRY(name, d.str());
-  HC_TRY(consensus, d.u8());
-  if (consensus > 3) return Error(Errc::kDecodeError, "bad consensus type");
-  HC_TRY(stake, d.obj<TokenAmount>());
-  HC_TRY(collateral, d.obj<TokenAmount>());
-  HC_TRY(period, d.u32());
-  HC_TRY(policy, d.obj<SignaturePolicy>());
-  p.name = std::move(name);
-  p.consensus = static_cast<ConsensusType>(consensus);
-  p.min_validator_stake = stake;
-  p.min_collateral = collateral;
-  p.checkpoint_period = period;
-  p.checkpoint_policy = policy;
-  return p;
-}
-
 }  // namespace hc::core

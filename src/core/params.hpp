@@ -19,6 +19,7 @@ enum class ConsensusType : std::uint8_t {
   kPowerLottery = 1,   // Filecoin EC-style weighted leader lottery
   kTendermint = 2,     // 3-phase BFT
   kRoundRobinBft = 3,  // MirBFT stand-in: rotating-leader BFT batching
+  kLast = kRoundRobinBft,
 };
 
 [[nodiscard]] std::string_view consensus_name(ConsensusType t);
@@ -28,6 +29,7 @@ enum class SubnetStatus : std::uint8_t {
   kActive = 0,
   kInactive = 1,  // collateral below minimum; cross-net interaction frozen
   kKilled = 2,
+  kLast = kKilled,
 };
 
 /// Parameters fixed at SA deployment (paper §III-A: "The contract specifies
@@ -42,8 +44,12 @@ struct SubnetParams {
   std::uint32_t checkpoint_period = 10;  // in subnet epochs
   SignaturePolicy checkpoint_policy;
 
-  void encode_to(Encoder& e) const;
-  [[nodiscard]] static Result<SubnetParams> decode_from(Decoder& d);
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.str(s.name).enumeration(s.consensus);
+    io.obj(s.min_validator_stake).obj(s.min_collateral);
+    io.u32(s.checkpoint_period).obj(s.checkpoint_policy);
+  }
   bool operator==(const SubnetParams&) const = default;
 };
 

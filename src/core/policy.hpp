@@ -24,6 +24,7 @@ enum class SignaturePolicyKind : std::uint8_t {
   kSingle = 0,     // any one registered validator
   kMultiSig = 1,   // at least `threshold` distinct validator signatures
   kThreshold = 2,  // t-of-n threshold signature (aggregate)
+  kLast = kThreshold,
 };
 
 struct SignaturePolicy {
@@ -51,14 +52,9 @@ struct SignaturePolicy {
   /// aggregate to a single signature on the wire).
   [[nodiscard]] std::size_t compact_proof_size(std::size_t n_signatures) const;
 
-  void encode_to(Encoder& e) const {
-    e.u8(static_cast<std::uint8_t>(kind)).u32(threshold);
-  }
-  [[nodiscard]] static Result<SignaturePolicy> decode_from(Decoder& d) {
-    HC_TRY(kind, d.u8());
-    HC_TRY(threshold, d.u32());
-    if (kind > 2) return Error(Errc::kDecodeError, "bad policy kind");
-    return SignaturePolicy{static_cast<SignaturePolicyKind>(kind), threshold};
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.enumeration(s.kind).u32(s.threshold);
   }
   bool operator==(const SignaturePolicy&) const = default;
 };

@@ -55,11 +55,7 @@ std::strong_ordering operator<=>(const SubnetId& a, const SubnetId& b) {
   return a.path() <=> b.path();
 }
 
-void SubnetId::encode_to(Encoder& e) const {
-  const auto& path = entry_().path;
-  e.varint(path.size());
-  for (const auto& a : path) e.obj(a);
-}
+void SubnetId::encode_to(Encoder& e) const { e.vec(entry_().path); }
 
 Result<SubnetId> SubnetId::decode_from(Decoder& d) {
   HC_TRY(count, d.varint());

@@ -6,7 +6,6 @@
 // unchanged (no duplication, avoiding the CVE-2012-2459-style ambiguity).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -29,16 +28,9 @@ struct MerkleStep {
   Digest sibling;
   bool sibling_on_left = false;
 
-  void encode_to(Encoder& e) const {
-    e.raw(digest_view(sibling)).boolean(sibling_on_left);
-  }
-  [[nodiscard]] static Result<MerkleStep> decode_from(Decoder& d) {
-    MerkleStep s;
-    HC_TRY(raw, d.raw(32));
-    std::copy(raw.begin(), raw.end(), s.sibling.begin());
-    HC_TRY(left, d.boolean());
-    s.sibling_on_left = left;
-    return s;
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.raw(s.sibling).boolean(s.sibling_on_left);
   }
   bool operator==(const MerkleStep&) const = default;
 };

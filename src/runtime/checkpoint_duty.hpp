@@ -42,15 +42,9 @@ struct SigShare {
   crypto::PublicKey signer;
   crypto::Signature signature;
 
-  void encode_to(Encoder& e) const {
-    e.i64(epoch).obj(checkpoint_cid).obj(signer).obj(signature);
-  }
-  [[nodiscard]] static Result<SigShare> decode_from(Decoder& d) {
-    HC_TRY(epoch, d.i64());
-    HC_TRY(cid, d.obj<Cid>());
-    HC_TRY(signer, d.obj<crypto::PublicKey>());
-    HC_TRY(sig, d.obj<crypto::Signature>());
-    return SigShare{epoch, cid, signer, sig};
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.i64(s.epoch).obj(s.checkpoint_cid).obj(s.signer).obj(s.signature);
   }
 };
 
@@ -65,20 +59,9 @@ struct SigGossip {
   SigShare share;
   std::optional<core::Checkpoint> checkpoint;
 
-  void encode_to(Encoder& e) const {
-    e.obj(share).boolean(checkpoint.has_value());
-    if (checkpoint) e.obj(*checkpoint);
-  }
-  [[nodiscard]] static Result<SigGossip> decode_from(Decoder& d) {
-    SigGossip g;
-    HC_TRY(share, d.obj<SigShare>());
-    HC_TRY(has_cp, d.boolean());
-    g.share = std::move(share);
-    if (has_cp) {
-      HC_TRY(cp, d.obj<core::Checkpoint>());
-      g.checkpoint = std::move(cp);
-    }
-    return g;
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.obj(s.share).opt(s.checkpoint);
   }
 };
 

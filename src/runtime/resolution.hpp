@@ -19,6 +19,7 @@ enum class ResolutionKind : std::uint8_t {
   kPush = 0,
   kPull = 1,
   kResolve = 2,
+  kLast = kResolve,
 };
 
 struct ResolutionMsg {
@@ -27,21 +28,9 @@ struct ResolutionMsg {
   Bytes content;            // batch bytes (push/resolve); empty for pull
   core::SubnetId reply_to;  // pull only: where to publish the resolve
 
-  void encode_to(Encoder& e) const {
-    e.u8(static_cast<std::uint8_t>(kind)).obj(cid).bytes(content).obj(reply_to);
-  }
-  [[nodiscard]] static Result<ResolutionMsg> decode_from(Decoder& d) {
-    ResolutionMsg m;
-    HC_TRY(kind, d.u8());
-    if (kind > 2) return Error(Errc::kDecodeError, "bad resolution kind");
-    HC_TRY(cid, d.obj<Cid>());
-    HC_TRY(content, d.bytes());
-    HC_TRY(reply, d.obj<core::SubnetId>());
-    m.kind = static_cast<ResolutionKind>(kind);
-    m.cid = cid;
-    m.content = std::move(content);
-    m.reply_to = std::move(reply);
-    return m;
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.enumeration(s.kind).obj(s.cid).bytes(s.content).obj(s.reply_to);
   }
 };
 

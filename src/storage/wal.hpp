@@ -32,6 +32,8 @@ enum class WalRecordType : std::uint8_t {
   kBlock = 1,
   kCheckpoint = 2,
   kVoteState = 3,
+  kFirst = kBlock,
+  kLast = kVoteState,
 };
 
 struct WalRecord {
@@ -40,26 +42,9 @@ struct WalRecord {
   Bytes payload;
   Bytes aux;
 
-  void encode_to(Encoder& e) const {
-    e.u8(static_cast<std::uint8_t>(type))
-        .u64(height)
-        .bytes(payload)
-        .bytes(aux);
-  }
-  static Result<WalRecord> decode_from(Decoder& d) {
-    WalRecord r;
-    HC_TRY(type, d.u8());
-    if (type < 1 || type > 3) {
-      return Error(Errc::kDecodeError, "unknown WAL record type");
-    }
-    r.type = static_cast<WalRecordType>(type);
-    HC_TRY(height, d.u64());
-    r.height = height;
-    HC_TRY(payload, d.bytes());
-    r.payload = std::move(payload);
-    HC_TRY(aux, d.bytes());
-    r.aux = std::move(aux);
-    return r;
+  template <class S, class Io>
+  static void fields(S& s, Io& io) {
+    io.enumeration(s.type).u64(s.height).bytes(s.payload).bytes(s.aux);
   }
 };
 
