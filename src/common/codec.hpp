@@ -308,10 +308,15 @@ class FieldReader {
     return *this;
   }
 
-  /// A container's element count, within `max`.
+  /// A container's element count, within `max` and the input left: every
+  /// element encodes to at least one byte, so a larger count is malformed
+  /// and must not size an allocation.
   bool count(std::uint64_t& n, std::size_t max) {
     varint(n);
     if (ok() && n > max) fail(Error(Errc::kDecodeError, "count over cap"));
+    if (ok() && n > d_.remaining()) {
+      fail(Error(Errc::kDecodeError, "count exceeds input"));
+    }
     return ok();
   }
 

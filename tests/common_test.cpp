@@ -179,6 +179,26 @@ TEST(Codec, VectorCountGuard) {
   EXPECT_FALSE(d.vec<Pair>().ok());
 }
 
+// A count the input cannot hold fails before anything is reserved: a blob
+// that is only varint(2^20) would otherwise reserve 2^20 elements.
+TEST(Codec, VectorCountBoundedByInput) {
+  const Bytes blob = encode_varint(1u << 20);
+  Decoder d(blob);
+  auto r = d.vec<Pair>();
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().message(), "count exceeds input");
+}
+
+TEST(Codec, MapCountBoundedByInput) {
+  const Bytes blob = encode_varint(2);
+  Decoder d(blob);
+  FieldReader r(d);
+  std::map<std::uint64_t, Bytes> m;
+  r.map(m, 16);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().error().message(), "count exceeds input");
+}
+
 // ------------------------------------------------- codec encode modes
 
 TEST(Codec, SizerMatchesOwnedEncoding) {
