@@ -9,7 +9,14 @@ BlockSync::BlockSync(const EngineContext& ctx, sim::Duration block_time,
     : ctx_(ctx),
       block_time_(block_time),
       metrics_(metrics),
-      verify_proof_(std::move(verify_proof)) {}
+      verify_proof_(std::move(verify_proof)) {
+  // A replica restarted with no vote state recovered cannot tell how far
+  // behind it is, nor which heights it already produced: hold production
+  // as after a relayed commit, until it has heard from its peers.
+  if (ctx_.restarted && (ctx_.votes == nullptr || !ctx_.votes->recovered())) {
+    hold_until_ = ctx_.scheduler->now() + 5 * block_time_;
+  }
+}
 
 bool BlockSync::owns(const WireMsg& msg) {
   return msg.kind == WireKind::kBlock ||

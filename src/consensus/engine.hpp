@@ -137,6 +137,8 @@ struct EngineContext {
   BlockSource* source = nullptr;
   /// Write-ahead vote persistence; nullptr = volatile (no durability).
   VoteStore* votes = nullptr;
+  /// Rebuilt after a crash (Hierarchy::restart_node), not a fresh boot.
+  bool restarted = false;
   std::uint64_t rng_seed = 0;
   /// Metrics/trace sink; nullptr falls back to obs::default_obs().
   obs::Obs* obs = nullptr;

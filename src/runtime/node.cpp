@@ -165,6 +165,7 @@ SubnetNode::SubnetNode(sim::Scheduler& scheduler, net::Network& network,
   ectx.validators = std::move(validators);
   ectx.source = this;
   if (wal_ != nullptr) ectx.votes = this;
+  ectx.restarted = config_.reuse_net_id.has_value();
   ectx.obs = &obs_;
   ectx.scope = config_.subnet.to_string();
   engine_ =

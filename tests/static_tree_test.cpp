@@ -7,6 +7,7 @@
 // views, bounded chain retention, deterministic mem accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "actors/methods.hpp"
@@ -307,6 +308,46 @@ TEST(CrossSubnetLatency, EveryGossipHopTakesTheBaseOrTheCrossLink) {
   EXPECT_EQ(gossip->sum(), static_cast<std::int64_t>(
                                base * 2 * sim::kMillisecond +
                                cross * 50 * sim::kMillisecond));
+}
+
+/// A volatile PoA validator restarted from genesis leads height 1 (slot 1 of
+/// 3). It must first sync to its peers' head: producing its own height 1
+/// would fork it off for good (PoA has no reorg), and its peers would then
+/// wait forever at the next height it leads.
+TEST(StaticTreeRestart, VolatileHeightOneLeaderRejoinsItsPeers) {
+  TreeSpec child;
+  child.name = "a";
+  child.params = tree_params("a");
+  child.engine = fast_engine();
+  child.n_validators = 3;
+  child.hot_accounts = 1;
+  TreeSpec root;
+  root.name = "root";
+  root.params = tree_params("root");
+  root.engine = fast_engine();
+  root.n_validators = 2;
+  root.children.push_back(child);
+  Hierarchy h(tree_config(), root);
+
+  Subnet& a = *h.subnets().at(1);
+  h.run_for(2 * sim::kSecond);
+  ASSERT_TRUE(h.crash_node(a, 1).ok());
+  h.run_for(sim::kSecond);
+  ASSERT_TRUE(h.restart_node(a, 1).ok());
+  h.run_for(2 * sim::kSecond);
+  chain::Epoch low = a.nodes[0]->chain().height();
+  for (const auto& n : a.nodes) low = std::min(low, n->chain().height());
+  EXPECT_GT(low, 22);  // past the first height the restarted node leads
+  for (const auto& n : a.nodes) {
+    EXPECT_EQ(n->chain().block_at(low)->cid(),
+              a.nodes[0]->chain().block_at(low)->cid());
+  }
+
+  const auto key = crypto::KeyPair::from_label("a-hot-0");
+  const User sender{key, Address::key(key.public_key().to_bytes())};
+  auto release = h.send_cross(a, sender, core::SubnetId::root(), sender.addr,
+                              TokenAmount::whole(1));
+  ASSERT_TRUE(release.ok() && release.value().ok());
 }
 
 }  // namespace
