@@ -34,6 +34,13 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
   -R '^(U256|Field|Scalar|Curve|Schnorr|BatchVerify|Sha256|KeyTable)\.'
 
+# Codec stage: the field-list walker parses untrusted bytes from the
+# network and the disk, so the codec suites (range rejections, count
+# bounds, byte pins, decoder fuzzing) run under the sanitizers next —
+# an out-of-bounds read in a decoder would hide here.
+ctest --test-dir "$BUILD_DIR" --output-on-failure \
+  -R '^(Codec|CodecFuzz|WireBytes)\.'
+
 # Chaos smoke next: the standard fault scenarios x 3 seeds (DESIGN.md §9)
 # under the sanitizers — fault-handling regressions fail fast, before the
 # full suite spends its time.
