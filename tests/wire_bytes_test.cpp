@@ -222,14 +222,6 @@ Bytes patched(const T& x, std::size_t at, std::uint8_t value) {
   return b;
 }
 
-/// An Encoder's bytes followed by `pad` zero bytes, so that a count check
-/// against the remaining input cannot be what rejects the count before it.
-Bytes padded(const Encoder& e, std::size_t pad) {
-  Bytes b = e.data();
-  b.resize(b.size() + pad, 0);
-  return b;
-}
-
 // ---------------------------------------------------------------- pins
 
 TEST(WireBytes, Address) {
@@ -891,42 +883,61 @@ TEST(WireBytes, RejectsWalRecordTypeOutsideRange) {
   expect_rejected<storage::WalRecord>(patched(r, 0, 4));
 }
 
-/// The ScaState prefix before `msg_registry`, every field empty.
-Encoder sca_prefix_to_registry() {
+/// `base` with the empty container whose count byte sits at `at` replaced
+/// by `n` copies of `element`. Every other byte stays valid, so only a cap
+/// can reject the count.
+Bytes with_count(const Bytes& base, std::size_t at, std::uint64_t n,
+                 const Bytes& element) {
+  EXPECT_EQ(base.at(at), 0);  // an empty container's count
   Encoder e;
-  e.obj(child()).u32(5);
-  e.varint(0);                         // subnets
-  e.varint(0).varint(0).varint(0);     // window msgs, forward meta, children
-  e.boolean(false);                    // pending checkpoint
-  e.obj(Cid()).i64(-1);                // last own checkpoint
-  return e;
+  e.raw(BytesView(base).first(at)).varint(n);
+  for (std::uint64_t i = 0; i < n; ++i) e.raw(element);
+  e.raw(BytesView(base).subspan(at + 1));
+  return std::move(e).take();
+}
+
+// Where a default ScaState's (self = root) encoding holds each map count.
+constexpr std::size_t kSubnetsAt = 1 + 4;  // self, checkpoint period
+// Subnets, three vectors, the pending-checkpoint flag, last own checkpoint.
+constexpr std::size_t kRegistryAt = kSubnetsAt + 1 + 3 + 1 + 33 + 8;
+// Registry, bottom-up nonce, pending bottom-up, two cursors, next exec id.
+constexpr std::size_t kAtomicExecsAt = kRegistryAt + 6;
+
+/// A ScaState map holding `cap` copies of `entry` decodes; one more is
+/// rejected.
+void expect_sca_map_cap(std::size_t at, std::uint64_t cap,
+                        const Encoder& entry) {
+  const Bytes base = encode(actors::ScaState{});
+  EXPECT_TRUE(
+      decode<actors::ScaState>(with_count(base, at, cap, entry.data())).ok());
+  expect_rejected<actors::ScaState>(
+      with_count(base, at, cap + 1, entry.data()));
 }
 
 TEST(WireBytes, RejectsScaSubnetCountOverCap) {
-  Encoder e;
-  e.obj(child()).u32(5).varint((1u << 16) + 1);
-  expect_rejected<actors::ScaState>(padded(e, (1u << 16) + 1));
+  Encoder entry;
+  entry.obj(Address{}).obj(actors::SubnetEntry{});
+  expect_sca_map_cap(kSubnetsAt, 1u << 16, entry);
 }
 
 TEST(WireBytes, RejectsScaRegistryCountOverCap) {
-  Encoder e = sca_prefix_to_registry();
-  e.varint((1u << 20) + 1);
-  expect_rejected<actors::ScaState>(padded(e, (1u << 20) + 1));
+  Encoder entry;
+  entry.bytes({}).bytes({});
+  expect_sca_map_cap(kRegistryAt, 1u << 20, entry);
 }
 
 TEST(WireBytes, RejectsScaAtomicExecCountOverCap) {
-  Encoder e = sca_prefix_to_registry();
-  e.varint(0);                          // registry
-  e.varint(0).varint(0);                // bottom-up nonce, pending bottom-up
-  e.varint(0).varint(0).varint(1);      // cursors, next exec id
-  e.varint((1u << 16) + 1);
-  expect_rejected<actors::ScaState>(padded(e, (1u << 16) + 1));
+  Encoder entry;
+  entry.varint(0).obj(actors::AtomicExec{});
+  expect_sca_map_cap(kAtomicExecsAt, 1u << 16, entry);
 }
 
 TEST(WireBytes, RejectsVectorCountOverCap) {
-  Encoder e;
-  e.varint((1u << 20) + 1);
-  expect_rejected<core::CrossMsgBatch>(padded(e, (1u << 20) + 1));
+  // SubnetEntry::recovered, whose elements (invalid addresses) encode to
+  // one byte each; two varints follow it.
+  const Bytes base = encode(actors::SubnetEntry{});
+  expect_rejected<actors::SubnetEntry>(with_count(
+      base, base.size() - 3, (1u << 20) + 1, encode(Address{})));
 }
 
 TEST(WireBytes, RejectsTrailingBytes) {
