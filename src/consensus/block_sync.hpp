@@ -68,9 +68,9 @@ class BlockSync {
   /// The leader engines' production hold: true for five block times after
   /// a relayed copy committed, or after a restart that recovered no vote
   /// state (the window covers a stall-detection delay plus a serve round
-  /// trip). Having accepted a relayed copy proves this
-  /// replica is behind, and producing for a height the true chain already
-  /// holds would fork it off for good (PoA and the lottery have no reorg).
+  /// trip). Having accepted a relayed copy proves this replica is behind,
+  /// and producing for a height the true chain already holds would fork
+  /// it off for good (PoA and the lottery have no reorg).
   /// Each relayed commit re-arms it, so it ends only once replay drained.
   [[nodiscard]] bool holding() const;
 
