@@ -4,7 +4,8 @@
 // saturating transfer load and exports the counters that gate it
 // (scripts/bench_diff.py against the committed BENCH_hotpath.json):
 //
-//   alloc_bytes_total             arena demand of executors + mempools
+//   alloc_bytes_total             signing-payload bytes the executors and
+//                                 mempools encode
 //   payload_decode_hits_total     envelope decode-cache hits (sharing)
 //   payload_decode_misses_total   actual codec decodes of gossip payloads
 //   net_bytes_sent_total          logical gossip volume (per-hop)
@@ -59,7 +60,7 @@ void run_hotpath(benchmark::State& state) {
 
     // Snapshot the process-wide decode counters around the window; their
     // deltas are mirrored into this run's registry so the sidecar (and the
-    // bench_diff gate) sees them alongside the per-run arena/net counters.
+    // bench_diff gate) sees them alongside the per-run alloc/net counters.
     const std::uint64_t hits0 = net::Envelope::decode_hits();
     const std::uint64_t misses0 = net::Envelope::decode_misses();
     std::uint64_t committed0 = 0;

@@ -31,8 +31,9 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 # 16-byte loads and the multi-block loop are where an overread would hide.
 # The per-key comb suite (KeyTable) indexes a 63-entry table by bits
 # gathered from both GLV halves, and its cache hands tables across threads.
+# The SigCache suite drives its generational rotation and its shard locks.
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R '^(U256|Field|Scalar|Curve|Schnorr|BatchVerify|Sha256|KeyTable)\.'
+  -R '^(U256|Field|Scalar|Curve|Schnorr|SigCache|Sha256|KeyTable)\.'
 
 # Codec stage: the field-list walker parses untrusted bytes from the
 # network and the disk, so the codec suites (range rejections, count
@@ -133,9 +134,11 @@ ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$(nproc)" \
 # 1/2/4 threads).
 ctest --test-dir "$TSAN_DIR" --output-on-failure -R '^InternDeterminism\.'
 # Per-key comb tables (DESIGN.md §16): four threads verify the same keys
-# while the process-wide cache builds and publishes their tables.
+# while the process-wide cache builds and publishes their tables. Every
+# lane's block check takes a SigCache shard lock once per signature; four
+# threads check overlapping valid and invalid triples through it.
 ctest --test-dir "$TSAN_DIR" --output-on-failure \
-  -R '^KeyTable\.ConcurrentVerifyWhileBuilding$'
+  -R '^(KeyTable\.ConcurrentVerifyWhileBuilding|SigCache\.ConcurrentVerifyCachedAgreesWithVerify)$'
 # Cross-subnet links (DESIGN.md §11): a static root + child tree at 4
 # threads with WAN-class links between the subnets' lanes, across a child
 # validator's crash and restart. Cross-lane deliveries are exactly what the
@@ -193,10 +196,10 @@ python3 scripts/bench_diff.py \
 
 # Hot-path memory gate (DESIGN.md §16): saturating load on a small
 # hierarchy. The bench itself fails when the envelope decode cache never
-# hits or physical bytes exceed logical bytes; bench_diff then holds arena
-# demand (alloc_bytes_total) and the decode hit/miss counts — deterministic
-# per seed, so unchanged code diffs exactly zero — to the committed
-# baseline.
+# hits or physical bytes exceed logical bytes; bench_diff then holds the
+# signing-payload bytes encoded (alloc_bytes_total) and the decode hit/miss
+# counts — deterministic per seed, so unchanged code diffs exactly zero —
+# to the committed baseline.
 (cd "$PERF_OUT" && ../bench/bench_hotpath --threads 1)
 python3 scripts/bench_diff.py \
   BENCH_hotpath.json "$PERF_OUT/BENCH_hotpath.metrics.json"
@@ -204,7 +207,8 @@ python3 scripts/bench_diff.py \
 # Consensus-engine gate (DESIGN.md §3): the tab1 rows run every engine
 # (PoA, power lottery, Tendermint, rrBFT) at 4 and 16 validators under
 # saturating load; bench_diff holds committed work, event count, commit
-# p99 and arena demand per engine to the committed baseline.
+# p99 and signing-payload bytes (alloc_bytes_total) per engine to the
+# committed baseline.
 (cd "$PERF_OUT" && ../bench/bench_tab1_consensus --threads 1)
 python3 scripts/bench_diff.py \
   BENCH_tab1.json "$PERF_OUT/BENCH_tab1_consensus.metrics.json"

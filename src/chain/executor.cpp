@@ -3,7 +3,7 @@
 #include <cassert>
 
 #include "common/hash.hpp"
-#include "crypto/batchverify.hpp"
+#include "crypto/sigcache.hpp"
 #include "obs/profile.hpp"
 
 namespace hc::chain {
@@ -217,7 +217,7 @@ Receipt Executor::invoke_message(StateTree& tree, const Message& msg,
 
 Receipt Executor::apply(StateTree& tree, const SignedMessage& sm,
                         const ExecutionContext& ctx) const {
-  return apply(tree, sm, ctx, sm.verify_with(arena_));
+  return apply(tree, sm, ctx, sm.verify());
 }
 
 Receipt Executor::apply(StateTree& tree, const SignedMessage& sm,
@@ -298,17 +298,14 @@ Receipt Executor::apply_implicit(StateTree& tree, const Message& msg,
 }
 
 std::vector<char> Executor::verify_block(const Block& block) const {
-  std::vector<char> sig_ok(block.messages.size(), 0);
-  if (block.messages.empty()) return sig_ok;
-  crypto::BatchVerifier batch;
+  std::vector<char> sig_ok;
+  sig_ok.reserve(block.messages.size());
   for (const auto& sm : block.messages) {
-    batch.add(sm.pubkey, arena_.encode_obj(sm.message), sm.signature);
-  }
-  const std::vector<bool> verified = batch.flush();
-  arena_.reset();
-  for (std::size_t i = 0; i < block.messages.size(); ++i) {
-    sig_ok[i] =
-        (verified[i] && block.messages[i].sender_matches_key()) ? 1 : 0;
+    const Bytes payload = encode(sm.message);
+    payload_bytes_ += payload.size();
+    const bool ok = crypto::verify_cached(sm.pubkey, payload, sm.signature) &&
+                    sm.sender_matches_key();
+    sig_ok.push_back(ok ? 1 : 0);
   }
   return sig_ok;
 }

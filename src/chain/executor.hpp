@@ -12,7 +12,9 @@
 // subnets").
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chain/actor.hpp"
@@ -21,7 +23,6 @@
 #include "chain/message.hpp"
 #include "chain/receipt.hpp"
 #include "chain/state.hpp"
-#include "common/arena.hpp"
 
 namespace hc::chain {
 
@@ -41,10 +42,9 @@ class Executor {
   Receipt apply(StateTree& tree, const SignedMessage& sm,
                 const ExecutionContext& ctx) const;
 
-  /// Same, with the signature outcome precomputed by a batch pre-pass
-  /// (verify_block resolves a whole block's signatures through one
-  /// BatchVerifier before executing). Semantics are identical to apply():
-  /// the intrinsic-gas check still precedes the signature check.
+  /// Same, with the signature outcome precomputed (verify_block resolves a
+  /// whole block's signatures before executing). Semantics are identical to
+  /// apply(): the intrinsic-gas check still precedes the signature check.
   Receipt apply(StateTree& tree, const SignedMessage& sm,
                 const ExecutionContext& ctx, bool sig_valid) const;
 
@@ -53,11 +53,10 @@ class Executor {
   Receipt apply_implicit(StateTree& tree, const Message& msg,
                          const ExecutionContext& ctx) const;
 
-  /// Resolve every user signature of a block in one batched pass: entry i
-  /// is 1 when messages[i] carries a valid signature by the key its sender
-  /// address names. Payloads are encoded into the block arena, then the
-  /// whole block resolves against the SigCache in one shard-grouped pass
-  /// with real Schnorr math only for misses.
+  /// Resolve every user signature of a block: entry i is 1 when
+  /// messages[i] carries a valid signature by the key its sender address
+  /// names. Each signature goes through the SigCache (crypto::verify_cached),
+  /// so real Schnorr math runs only for triples not seen before.
   [[nodiscard]] std::vector<char> verify_block(const Block& block) const;
 
   /// Apply all messages of a block in order (cross-msgs first, mirroring
@@ -72,10 +71,11 @@ class Executor {
 
   [[nodiscard]] const GasSchedule& schedule() const { return schedule_; }
 
-  /// Per-block transient arena (signature payloads, scratch). Reset at the
-  /// end of every verify_block; exposed so the owning node can flush its
-  /// allocation stats into obs counters at deterministic points.
-  [[nodiscard]] Arena& arena() const { return arena_; }
+  /// Signing-payload bytes verify_block encoded since the last call; the
+  /// owning node drains this into obs at deterministic points.
+  [[nodiscard]] std::uint64_t take_payload_bytes() const {
+    return std::exchange(payload_bytes_, 0);
+  }
 
   /// Internal invocation path shared by top-level apply and nested sends.
   /// Exposed for the Runtime implementation; not part of the public API.
@@ -93,9 +93,9 @@ class Executor {
   const ActorRegistry& registry_;
   GasSchedule schedule_;
   // Mutable: verify_block is logically const (the VM has no state of its
-  // own) but reuses this scratch arena across blocks. Executors are
-  // lane-local, never shared across threads.
-  mutable Arena arena_;
+  // own) but tallies what it encodes. Executors are lane-local, never
+  // shared across threads.
+  mutable std::uint64_t payload_bytes_ = 0;
 };
 
 }  // namespace hc::chain

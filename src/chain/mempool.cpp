@@ -18,8 +18,11 @@ void Mempool::erase_one(const Address& sender, std::uint64_t nonce) {
 }
 
 Status Mempool::add(SignedMessage msg, std::uint64_t next_nonce) {
-  const bool sig_ok = msg.verify_with(arena_);
-  arena_.reset();
+  const bool sig_ok = msg.verify();
+  // verify() encodes the signing payload only once the sender matches.
+  if (sig_ok || msg.sender_matches_key()) {
+    payload_bytes_ += encoded_size(msg.message);
+  }
   if (!sig_ok) {
     return Error(Errc::kInvalidSignature, "mempool rejects unsigned message");
   }

@@ -16,10 +16,10 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "chain/message.hpp"
-#include "common/arena.hpp"
 #include "common/capacity.hpp"
 #include "common/result.hpp"
 
@@ -74,9 +74,11 @@ class Mempool {
   /// higher-priority arrivals. peak_items tracks the high-water size.
   [[nodiscard]] const common::ShedStats& shed_stats() const { return shed_; }
 
-  /// Admission scratch arena (signature payload re-encodes). Exposed so the
-  /// owning node can flush allocation stats to obs at deterministic points.
-  [[nodiscard]] Arena& arena() { return arena_; }
+  /// Signing-payload bytes admission encoded since the last call; the
+  /// owning node drains this into obs at deterministic points.
+  [[nodiscard]] std::uint64_t take_payload_bytes() {
+    return std::exchange(payload_bytes_, 0);
+  }
 
  private:
   /// Priority key for eviction: evict the *smallest* under (gas_price asc,
@@ -96,9 +98,7 @@ class Mempool {
   std::map<Address, std::map<std::uint64_t, SignedMessage>> pending_;
   std::size_t size_ = 0;
   common::ShedStats shed_;
-  // Scratch for per-admission transients; reset after every add(). Small
-  // chunks: an admission encodes exactly one signing payload.
-  Arena arena_{4 * 1024};
+  std::uint64_t payload_bytes_ = 0;
 };
 
 }  // namespace hc::chain

@@ -22,11 +22,6 @@ bool SignedMessage::verify() const {
   return crypto::verify_cached(pubkey, encode(message), signature);
 }
 
-bool SignedMessage::verify_with(Arena& arena) const {
-  if (!sender_matches_key()) return false;
-  return crypto::verify_cached(pubkey, arena.encode_obj(message), signature);
-}
-
 bool SignedMessage::sender_matches_key() const {
   return message.from == Address::key(pubkey.to_bytes());
 }

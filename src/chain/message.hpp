@@ -11,7 +11,6 @@
 #include <cstdint>
 
 #include "common/address.hpp"
-#include "common/arena.hpp"
 #include "common/cid.hpp"
 #include "common/codec.hpp"
 #include "common/token.hpp"
@@ -57,11 +56,6 @@ struct SignedMessage {
 
   /// Check the signature AND that `message.from` matches the public key.
   [[nodiscard]] bool verify() const;
-
-  /// Same check, but the canonical signing payload is encoded into `arena`
-  /// instead of a fresh heap buffer — the admission/execution hot path,
-  /// where payloads die at the owner's next arena reset.
-  [[nodiscard]] bool verify_with(Arena& arena) const;
 
   /// The sender-address binding half of verify(): message.from must be the
   /// key address of the attached public key.

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/bytes.hpp"
-#include "common/codec.hpp"
 #include "chain/gas.hpp"
 
 namespace hc::chain {
@@ -32,10 +31,6 @@ struct ActorEvent {
   std::string kind;
   Bytes payload;
 
-  template <class S, class Io>
-  static void fields(S& s, Io& io) {
-    io.str(s.kind).bytes(s.payload);
-  }
   bool operator==(const ActorEvent&) const = default;
 };
 

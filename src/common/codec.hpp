@@ -52,7 +52,7 @@ concept HasFields = requires(T& v, Encoder& e) { T::fields(v, e); };
 ///  - counting (Encoder::sizer()): writes nothing, only tracks size() —
 ///    the first pass of a size-precomputed encode;
 ///  - external (Encoder(out, cap)): writes into caller storage previously
-///    sized by a counting pass (arena blocks, exactly-reserved vectors).
+///    sized by a counting pass (encode()'s exactly-reserved buffer).
 class Encoder {
  public:
   Encoder() = default;

@@ -1,7 +1,5 @@
 #include "crypto/sigcache.hpp"
 
-#include <vector>
-
 #include "common/hash.hpp"
 #include "crypto/schnorr.hpp"
 #include "obs/obs.hpp"
@@ -68,63 +66,6 @@ bool SigCache::lookup(std::uint64_t key, bool& result) const {
   }
   misses_counter().inc();
   return false;
-}
-
-void SigCache::lookup_batch(const std::uint64_t* keys, std::size_t n,
-                            std::uint8_t* present,
-                            std::uint8_t* results) const {
-  // Bucket entry indices by shard so each mutex is locked once.
-  std::vector<std::uint32_t> by_shard[kShardCount];
-  for (std::size_t i = 0; i < n; ++i) {
-    by_shard[keys[i] & (kShardCount - 1)].push_back(
-        static_cast<std::uint32_t>(i));
-  }
-  std::uint64_t hits = 0;
-  for (std::size_t s = 0; s < kShardCount; ++s) {
-    if (by_shard[s].empty()) continue;
-    Shard& shard = shards_[s];
-    std::lock_guard<std::mutex> lk(shard.m);
-    for (std::uint32_t i : by_shard[s]) {
-      const std::uint64_t key = keys[i];
-      if (auto it = shard.hot.find(key); it != shard.hot.end()) {
-        present[i] = 1;
-        results[i] = it->second ? 1 : 0;
-        ++hits;
-      } else if (auto it2 = shard.cold.find(key); it2 != shard.cold.end()) {
-        present[i] = 1;
-        results[i] = it2->second ? 1 : 0;
-        shard.hot.emplace(key, it2->second);  // promote: recently touched
-        ++hits;
-      } else {
-        present[i] = 0;
-      }
-    }
-  }
-  hits_counter().inc(hits);
-  misses_counter().inc(n - hits);
-}
-
-void SigCache::store_batch(const std::uint64_t* keys,
-                           const std::uint8_t* results,
-                           const std::uint8_t* skip, std::size_t n) {
-  std::vector<std::uint32_t> by_shard[kShardCount];
-  for (std::size_t i = 0; i < n; ++i) {
-    if (skip != nullptr && skip[i] != 0) continue;
-    by_shard[keys[i] & (kShardCount - 1)].push_back(
-        static_cast<std::uint32_t>(i));
-  }
-  for (std::size_t s = 0; s < kShardCount; ++s) {
-    if (by_shard[s].empty()) continue;
-    Shard& shard = shards_[s];
-    std::lock_guard<std::mutex> lk(shard.m);
-    for (std::uint32_t i : by_shard[s]) {
-      shard.hot.emplace(keys[i], results[i] != 0);
-      if (shard.hot.size() >= kShardHotMax) {
-        shard.cold = std::move(shard.hot);
-        shard.hot.clear();
-      }
-    }
-  }
 }
 
 void SigCache::store(std::uint64_t key, bool result) {

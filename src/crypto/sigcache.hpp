@@ -40,32 +40,19 @@ class SigCache {
   /// Record an outcome.
   void store(std::uint64_t key, bool result);
 
-  /// Batched lookup for `n` keys: sets `present[i]` / `results[i]` (0/1)
-  /// per key. Keys are grouped by shard first so each shard mutex is taken
-  /// at most once per call, instead of once per signature as with lookup()
-  /// in a loop — the cache-side half of BatchVerifier's per-block pass.
-  void lookup_batch(const std::uint64_t* keys, std::size_t n,
-                    std::uint8_t* present, std::uint8_t* results) const;
-
-  /// Batched store; same shard-grouped single-lock discipline. Entries with
-  /// `skip[i]` nonzero are ignored (already-cached hits from the lookup
-  /// pass). `skip` may be null to store everything.
-  void store_batch(const std::uint64_t* keys, const std::uint8_t* results,
-                   const std::uint8_t* skip, std::size_t n);
-
   /// Lookup outcomes so far: the process-wide registry's
   /// crypto_sigcache_{hits,misses}_total.
   [[nodiscard]] std::uint64_t hits() const;
   [[nodiscard]] std::uint64_t misses() const;
-
- private:
-  SigCache();
 
   static constexpr std::size_t kMaxEntries = 1u << 20;
   static constexpr std::size_t kShardCount = 16;
   // Rotate a shard's generations when its hot map reaches half the
   // shard's share of the capacity, so hot + cold stay within budget.
   static constexpr std::size_t kShardHotMax = kMaxEntries / kShardCount / 2;
+
+ private:
+  SigCache();
 
   struct Shard {
     mutable std::mutex m;

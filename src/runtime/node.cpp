@@ -208,12 +208,9 @@ void SubnetNode::attach_parent(SubnetNode* parent) {
 
 void SubnetNode::add_viewer() {
   ++viewers_;
-  // First viewer while windowed snapshots are live: publish immediately
-  // (we are in driver context, lanes parked) so the child never reads
-  // cross-lane live state.
-  if (views_enabled_ && view_published_ == nullptr) {
-    view_published_ = store_->state_ptr();
-  }
+  // First viewer: publish immediately (we are in driver context, lanes
+  // parked) so the child never reads cross-lane live state.
+  if (view_published_ == nullptr) view_published_ = store_->state_ptr();
 }
 
 void SubnetNode::remove_viewer() {
@@ -267,9 +264,9 @@ void SubnetNode::sync_mempool_obs() {
   g_mempool_peak_->set(static_cast<std::int64_t>(shed.peak_items));
 }
 
-void SubnetNode::sync_arena_obs() {
-  const std::uint64_t demand = executor_.arena().take_bytes_requested() +
-                               mempool_.arena().take_bytes_requested();
+void SubnetNode::sync_alloc_obs() {
+  const std::uint64_t demand =
+      executor_.take_payload_bytes() + mempool_.take_payload_bytes();
   if (demand > 0) c_alloc_bytes_->inc(demand);
 }
 
@@ -345,7 +342,6 @@ std::shared_ptr<const actors::SaState> SubnetNode::sa_state_view(
 }
 
 void SubnetNode::publish_view() {
-  views_enabled_ = true;
   if (viewers_ == 0) return;  // leaf: no child reader, publish nothing
   view_published_ = store_->state_ptr();
 }
@@ -587,8 +583,8 @@ Status SubnetNode::validate_block(const chain::Block& block) {
     return Error(Errc::kInvalidArgument, "msgs root mismatch");
   }
   HC_TRY_STATUS(validate_cross_messages(block));
-  // One batched pass through the sharded signature cache; execution below
-  // reuses the outcomes instead of resolving every signature again.
+  // One pass through the signature cache; execution below reuses the
+  // outcomes instead of resolving every signature again.
   const std::vector<char> sig_ok = executor_.verify_block(block);
   if (std::find(sig_ok.begin(), sig_ok.end(), 0) != sig_ok.end()) {
     return Error(Errc::kInvalidSignature, "unsigned user message in block");
@@ -599,7 +595,7 @@ Status SubnetNode::validate_block(const chain::Block& block) {
   // state root when it was kept.
   if (find_executed(cid) != nullptr) return ok_status();
   ExecutedBlock run = execute(block, sig_ok);
-  sync_arena_obs();
+  sync_alloc_obs();
   if (run.state.flush() != block.header.state_root) {
     return Error(Errc::kInvalidArgument, "state root mismatch");
   }
@@ -671,7 +667,7 @@ void SubnetNode::commit_block(chain::Block block, Bytes proof) {
   mempool_.remove_included(committed.messages);
   mempool_.prune_stale([this](const Address& a) { return account_nonce(a); });
   sync_mempool_obs();
-  sync_arena_obs();
+  sync_alloc_obs();
   // Height-paced so every replica samples at the same commits regardless
   // of wall-clock (deterministic exports); O(actors) per sample.
   if (g_mem_bytes_ != nullptr && height % 8 == 0) refresh_mem_metrics();
@@ -1000,7 +996,7 @@ void SubnetNode::handle_msgs_topic(const net::Envelope& payload) {
   // of the shared decode (still one parse for N subscribers).
   (void)mempool_.add(*msg.value(), next_nonce);
   sync_mempool_obs();
-  sync_arena_obs();
+  sync_alloc_obs();
 }
 
 void SubnetNode::handle_resolve_topic(const net::Envelope& payload) {

@@ -143,8 +143,8 @@ class SubnetNode final : public consensus::BlockSource,
   // Child nodes run in a different scheduler lane than their parent; they
   // must read the parent through the head state published at the last
   // window barrier, never through the live accessors above (DESIGN.md
-  // §11). While no view has been published (raw single-lane usage without
-  // a Hierarchy), these fall back to live state.
+  // §11). While no view is published (no child attached), these read live
+  // state.
   /// The published head's SCA state: its blob's memo, shared by every
   /// reader.
   [[nodiscard]] std::shared_ptr<const actors::ScaState> sca_state_view()
@@ -293,9 +293,10 @@ class SubnetNode final : public consensus::BlockSource,
   /// counters and refresh the occupancy gauges. Lane-local (cheap deltas).
   void sync_mempool_obs();
 
-  /// Flush the executor/mempool arenas' cumulative allocation demand into
-  /// `alloc_bytes_total`. Called at the deterministic arena reset points.
-  void sync_arena_obs();
+  /// Drain the executor's and the mempool's signing-payload byte tallies
+  /// into `alloc_bytes_total`. Called at deterministic points (after a
+  /// validation's execution, a commit and a gossip admission).
+  void sync_alloc_obs();
 
   /// The state tree the parent-facing _view accessors read from.
   [[nodiscard]] const chain::StateTree& view_tree() const;
@@ -340,18 +341,14 @@ class SubnetNode final : public consensus::BlockSource,
   /// barrier. Readers in other lanes only ever dereference this pointer,
   /// which publish_view() swaps between windows; commits inside the window
   /// install a new head and never touch the published tree. Null until a
-  /// child attaches (viewer gating, §17) or for raw single-lane usage.
+  /// child attaches (viewer gating, §17).
   std::shared_ptr<const chain::StateTree> view_published_;
   /// Child nodes holding this node as parent view; maintained by
   /// attach_parent()/~SubnetNode from driver context. The view above is
   /// only published while this is > 0.
   int viewers_ = 0;
-  /// Set by the first publish_view(): views are in use (windowed
-  /// execution), so a late-attaching viewer must be served a view
-  /// immediately instead of waiting for the next barrier.
-  bool views_enabled_ = false;
   /// Bump the viewer count; publishes an immediate view for the first
-  /// viewer once windowed execution is live.
+  /// viewer instead of waiting for the next barrier.
   void add_viewer();
   /// Drop one viewer; the last one releases the view.
   void remove_viewer();
@@ -423,8 +420,8 @@ class SubnetNode final : public consensus::BlockSource,
   obs::Counter* c_mempool_shed_[common::kShedReasonCount];
   obs::Gauge* g_mempool_;
   obs::Gauge* g_mempool_peak_;
-  /// Cumulative arena allocation demand ({node, subnet}), flushed from the
-  /// executor's and mempool's Arena stats by sync_arena_obs().
+  /// Signing-payload bytes encoded ({node, subnet}), drained from the
+  /// executor's and mempool's tallies by sync_alloc_obs().
   obs::Counter* c_alloc_bytes_;
   obs::Histogram* h_commit_latency_;
   /// Durability counters ({node, subnet}); resolved only when a disk is

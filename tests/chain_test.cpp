@@ -694,6 +694,32 @@ TEST_F(ChainFixture, TamperedSignatureRejected) {
   EXPECT_EQ(r.exit, ExitCode::kSysInvalidSignature);
 }
 
+TEST_F(ChainFixture, VerifyBlockFlagsEachMessage) {
+  auto exec = make_executor();
+  Block block;
+  block.header.height = ctx.height;
+  block.header.miner = ctx.miner;
+  block.messages.push_back(make_msg(0, {}, TokenAmount::whole(1), 0, bob_addr));
+  // Valid signature over a message that was changed after signing.
+  block.messages.push_back(make_msg(0, {}, TokenAmount::whole(1), 1, bob_addr));
+  block.messages.back().message.value = TokenAmount::whole(50);
+  // Valid signature by bob over a message whose sender is alice's address.
+  Message m;
+  m.from = alice_addr;
+  m.to = bob_addr;
+  m.nonce = 1;
+  m.gas_limit = 1u << 20;
+  m.gas_price = TokenAmount::atto(1);
+  block.messages.push_back(SignedMessage::sign(m, bob));
+
+  EXPECT_EQ(exec.verify_block(block), (std::vector<char>{1, 0, 0}));
+  const std::vector<Receipt> receipts = exec.apply_block(tree, block);
+  ASSERT_EQ(receipts.size(), 3u);
+  EXPECT_EQ(receipts[0].exit, ExitCode::kOk);
+  EXPECT_EQ(receipts[1].exit, ExitCode::kSysInvalidSignature);
+  EXPECT_EQ(receipts[2].exit, ExitCode::kSysInvalidSignature);
+}
+
 TEST_F(ChainFixture, InternalSendReachesPeerActor) {
   auto exec = make_executor();
   // Deploy a second counter and call it through the first.

@@ -7,7 +7,6 @@
 #include <random>
 
 #include "common/address.hpp"
-#include "common/arena.hpp"
 #include "common/bytes.hpp"
 #include "common/cid.hpp"
 #include "common/codec.hpp"
@@ -239,56 +238,6 @@ TEST(Codec, TwoPassEncodeNeverReallocates) {
   auto back = d.vec<Pair>();
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value(), in);
-}
-
-// --------------------------------------------------------------- arena
-
-TEST(Arena, AllocationsAreAlignedAndDisjoint) {
-  Arena arena(256);
-  std::uint8_t* a = arena.allocate(9);
-  std::uint8_t* b = arena.allocate(24);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a) % 8, 0u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % 8, 0u);
-  EXPECT_GE(b, a + 9);  // no overlap
-  std::memset(a, 0xaa, 9);
-  std::memset(b, 0xbb, 24);
-  EXPECT_EQ(a[8], 0xaa);
-  EXPECT_EQ(b[0], 0xbb);
-}
-
-TEST(Arena, CopyAndEncodeObjMatchHeapEncoding) {
-  Arena arena;
-  const Bytes src = to_bytes("arena-copy");
-  const BytesView copied = arena.copy(src);
-  EXPECT_EQ(Bytes(copied.begin(), copied.end()), src);
-
-  const Pair p{77, "arena-encode"};
-  const BytesView enc = arena.encode_obj(p);
-  EXPECT_EQ(Bytes(enc.begin(), enc.end()), encode(p));
-}
-
-TEST(Arena, ResetRetainsChunksAndDropsOversized) {
-  Arena arena(128);
-  (void)arena.allocate(64);
-  (void)arena.allocate(4096);  // oversized: dedicated chunk
-  EXPECT_EQ(arena.stats().bytes_requested, 64u + 4096u);
-  EXPECT_GE(arena.stats().high_water, 64u + 4096u);
-  arena.reset();
-  // Demand survives reset (cumulative until taken); the owner drains it.
-  EXPECT_EQ(arena.take_bytes_requested(), 64u + 4096u);
-  EXPECT_EQ(arena.take_bytes_requested(), 0u);
-  // After reset the retained chunk is reused from the start.
-  std::uint8_t* again = arena.allocate(64);
-  std::memset(again, 0xcc, 64);
-  EXPECT_EQ(again[0], 0xcc);
-}
-
-TEST(Arena, SteadyStateReusesRetainedChunks) {
-  Arena arena(256);
-  std::uint8_t* first = arena.allocate(200);
-  arena.reset();
-  std::uint8_t* second = arena.allocate(200);
-  EXPECT_EQ(first, second);  // same retained chunk, no heap traffic
 }
 
 // ---------------------------------------------------------------- SHA-256

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/bytes.hpp"
-#include "crypto/batchverify.hpp"
 #include "crypto/ec.hpp"
 #include "crypto/keytable.hpp"
 #include "crypto/merkle.hpp"
@@ -886,14 +885,14 @@ TEST(IncrementalMerkle, SiblingUpdatesShareOneParentHash) {
   EXPECT_EQ(inc.root(), MerkleTree::root_of(leaves));
 }
 
-// ----------------------------------------------------------- batch verify
+// ------------------------------------------------------------ sigcache
 
-TEST(BatchVerify, MixedValidAndInvalidFlags) {
+TEST(SigCache, MixedOutcomesAgreeWithScalarVerify) {
   std::vector<KeyPair> keys;
   std::vector<Bytes> msgs;
   std::vector<Signature> sigs;
   for (int i = 0; i < 8; ++i) {
-    keys.push_back(KeyPair::from_label("batch-" + std::to_string(i)));
+    keys.push_back(KeyPair::from_label("sigcache-" + std::to_string(i)));
     msgs.push_back(to_bytes("payload-" + std::to_string(i)));
     sigs.push_back(keys.back().sign(msgs.back()));
   }
@@ -903,66 +902,117 @@ TEST(BatchVerify, MixedValidAndInvalidFlags) {
   sigs[2] = Signature::from_bytes(raw).value();
   msgs[5] = to_bytes("not-what-was-signed");
 
-  BatchVerifier batch;
-  for (int i = 0; i < 8; ++i) {
-    batch.add(keys[static_cast<std::size_t>(i)].public_key(),
-              msgs[static_cast<std::size_t>(i)],
-              sigs[static_cast<std::size_t>(i)]);
-  }
-  EXPECT_EQ(batch.pending(), 8u);
-  const std::vector<bool> ok = batch.flush();
-  ASSERT_EQ(ok.size(), 8u);
-  EXPECT_EQ(batch.pending(), 0u);
-  for (int i = 0; i < 8; ++i) {
+  for (std::size_t i = 0; i < 8; ++i) {
     const bool expected = (i != 2 && i != 5);
-    EXPECT_EQ(ok[static_cast<std::size_t>(i)], expected) << "entry " << i;
-    // Batched outcomes must agree with the scalar path exactly.
-    EXPECT_EQ(verify(keys[static_cast<std::size_t>(i)].public_key(),
-                     msgs[static_cast<std::size_t>(i)],
-                     sigs[static_cast<std::size_t>(i)]),
-              expected);
+    EXPECT_EQ(verify_cached(keys[i].public_key(), msgs[i], sigs[i]), expected)
+        << "entry " << i;
+    // Cached outcomes must agree with the uncached path exactly.
+    EXPECT_EQ(verify(keys[i].public_key(), msgs[i], sigs[i]), expected);
   }
 }
 
-TEST(BatchVerify, EmptyFlushIsEmpty) {
-  BatchVerifier batch;
-  EXPECT_TRUE(batch.flush().empty());
-}
-
-TEST(BatchVerify, SecondFlushServedFromCache) {
-  const KeyPair kp = KeyPair::from_label("batch-cache");
+TEST(SigCache, RepeatedTripleServedFromCache) {
+  const KeyPair kp = KeyPair::from_label("sigcache-repeat");
   const Bytes msg = to_bytes("cached-once");
   const Signature sig = kp.sign(msg);
+  ASSERT_TRUE(verify_cached(kp.public_key(), msg, sig));
 
-  BatchVerifier first;
-  first.add(kp.public_key(), msg, sig);
-  ASSERT_EQ(first.flush(), std::vector<bool>{true});
-
-  // Same triple again: the batched lookup must hit, so the process-wide
-  // miss count stays put.
+  // Same triple again: the lookup must hit, so the process-wide miss count
+  // stays put.
   const std::uint64_t misses = SigCache::instance().misses();
-  BatchVerifier second;
-  second.add(kp.public_key(), msg, sig);
-  EXPECT_EQ(second.flush(), std::vector<bool>{true});
+  EXPECT_TRUE(verify_cached(kp.public_key(), msg, sig));
   EXPECT_EQ(SigCache::instance().misses(), misses);
 }
 
-TEST(BatchVerify, NegativeOutcomesAreCachedToo) {
-  const KeyPair kp = KeyPair::from_label("batch-neg");
+TEST(SigCache, NegativeOutcomesAreCachedToo) {
+  const KeyPair kp = KeyPair::from_label("sigcache-neg");
   const Bytes msg = to_bytes("never-signed");
   Bytes raw = kp.sign(msg).to_bytes();
   raw[64] ^= 1;  // corrupt R
   const Signature bad = Signature::from_bytes(raw).value();
-
-  BatchVerifier first;
-  first.add(kp.public_key(), msg, bad);
-  ASSERT_EQ(first.flush(), std::vector<bool>{false});
+  ASSERT_FALSE(verify_cached(kp.public_key(), msg, bad));
 
   const std::uint64_t misses = SigCache::instance().misses();
-  BatchVerifier second;
-  second.add(kp.public_key(), msg, bad);
-  EXPECT_EQ(second.flush(), std::vector<bool>{false});
+  EXPECT_FALSE(verify_cached(kp.public_key(), msg, bad));
   EXPECT_EQ(SigCache::instance().misses(), misses);
+}
+
+TEST(SigCache, RotationAgesPromotesAndDrops) {
+  // Made-up keys, all multiples of the shard count: they share one shard.
+  // The high tag keeps them clear of the hash-derived keys other tests
+  // store. Other tests may have left a few entries in this shard's hot map,
+  // so each fill of kShardHotMax fresh keys rotates the shard exactly once.
+  SigCache& cache = SigCache::instance();
+  std::uint64_t next = 0x5eed000000000000ull;
+  auto fresh = [&next] {
+    next += SigCache::kShardCount;
+    return next;
+  };
+  auto fill = [&] {
+    for (std::size_t i = 0; i < SigCache::kShardHotMax; ++i) {
+      cache.store(fresh(), true);
+    }
+  };
+  bool result = false;
+  const std::uint64_t touched = fresh();
+  const std::uint64_t untouched = fresh();
+  cache.store(touched, true);
+  cache.store(untouched, false);
+
+  // First rotation: both keys age into the cold map. A cold hit answers
+  // and promotes the key back into the hot map.
+  fill();
+  ASSERT_TRUE(cache.lookup(touched, result));
+  EXPECT_TRUE(result);
+  const std::uint64_t late = fresh();
+  cache.store(late, true);
+
+  // Second rotation: the hot map (the promoted key, the late key) ages
+  // into cold, and the old cold map goes with everything left untouched.
+  fill();
+  EXPECT_TRUE(cache.lookup(touched, result));
+  EXPECT_TRUE(cache.lookup(late, result));
+  EXPECT_FALSE(cache.lookup(untouched, result));
+}
+
+TEST(SigCache, ConcurrentVerifyCachedAgreesWithVerify) {
+  // Four threads check the same valid and invalid triples in different
+  // orders, so misses, stores, hot hits and cold promotions of one shard
+  // interleave across threads under its lock.
+  struct Triple {
+    PublicKey pub;
+    Bytes msg;
+    Signature sig;
+    bool valid;
+  };
+  std::vector<Triple> triples;
+  for (int k = 0; k < 4; ++k) {
+    const KeyPair kp =
+        KeyPair::from_label("sigcache-concurrent-" + std::to_string(k));
+    for (int m = 0; m < 6; ++m) {
+      const Bytes msg = to_bytes("msg-" + std::to_string(m));
+      // Every third triple is checked against a message it never signed.
+      const bool valid = m % 3 != 0;
+      triples.push_back(Triple{kp.public_key(),
+                               valid ? msg : to_bytes("other"),
+                               kp.sign(msg), valid});
+    }
+  }
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&triples, &wrong, t] {
+      for (std::size_t i = 0; i < 2 * triples.size(); ++i) {
+        const Triple& x = triples[(i * 5 + t * 7) % triples.size()];
+        if (verify_cached(x.pub, x.msg, x.sig) != x.valid) ++wrong;
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(wrong.load(), 0);
+  for (const Triple& x : triples) {
+    EXPECT_EQ(verify(x.pub, x.msg, x.sig), x.valid);
+  }
 }
 
 }  // namespace

@@ -18,7 +18,6 @@
 #include "actors/sca_state.hpp"
 #include "actors/subnet_actor.hpp"
 #include "chain/block.hpp"
-#include "chain/receipt.hpp"
 #include "chain/state.hpp"
 #include "consensus/bft.hpp"
 #include "consensus/lottery.hpp"
@@ -309,11 +308,6 @@ TEST(WireBytes, Block) {
       "6174524c85ef9901027cb907afae36b59adf211cce570584e8c3ff288dc8aa19"
       "aaae3fcfb31ca81ba701070500000000000000000029a2241af62c0000020301"
       "0203e8070000000000000000000000000000000007");
-}
-
-TEST(WireBytes, ActorEvent) {
-  expect_pinned(chain::ActorEvent{"sca/topdown", {1, 2}},
-      "0b7363612f746f70646f776e020102");
 }
 
 TEST(WireBytes, ActorEntry) {
